@@ -372,6 +372,28 @@ func TestExtCacheShape(t *testing.T) {
 	}
 }
 
+// TestExtCacheValues pins ext-cache's rows exactly at a small scale. The
+// values come from a separate cache simulator, so they check the pipeline
+// at 64-byte granularity against an independent implementation.
+func TestExtCacheValues(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Refs = 200_000
+	want := []ExtCacheRow{
+		{"cache-seq", 0.25, 0.99968, 0.99976, 0.99992},
+		{"cache-motif", 1, 0.99986, 0, 0.39998},
+		{"cache-chase", 1, 0.01014, 0, 0.01172},
+	}
+	got := ExtCache(opts)
+	if len(got) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestExtMultiprogPolicies(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Refs = 300_000

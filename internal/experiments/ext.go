@@ -3,12 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"tlbprefetch/internal/cachesim"
 	"tlbprefetch/internal/multiprog"
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/report"
+	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/stats"
 	"tlbprefetch/internal/sweep"
+	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/workload"
 	"tlbprefetch/internal/xrand"
 )
@@ -107,7 +108,9 @@ func ExtCache(opts Options) []ExtCacheRow {
 		}),
 	}
 	var out []ExtCacheRow
-	cfg := cachesim.Config{SizeBytes: 32 << 10, BlockBytes: 64, Ways: 4, BufferEntries: 16}
+	// A 32 KiB 4-way cache of 64-byte blocks is the Figure 1 pipeline at
+	// block granularity: 512 four-way "TLB" entries holding block numbers.
+	cfg := sim.Config{TLB: tlb.Config{Entries: 512, Ways: 4}, BufferEntries: 16, PageShift: 6}
 	for _, w := range cacheWls {
 		row := ExtCacheRow{Workload: w.Name}
 		for i, mk := range []func() prefetch.Prefetcher{
@@ -115,7 +118,7 @@ func ExtCache(opts Options) []ExtCacheRow {
 			func() prefetch.Prefetcher { return MechConfig{Kind: "ASP", Rows: 256, Ways: 1}.Build(opts) },
 			func() prefetch.Prefetcher { return prefetch.NewSequential(true) },
 		} {
-			c := cachesim.New(cfg, mk())
+			c := sim.New(cfg, mk())
 			workload.Generate(w, opts.Refs/4, func(pc, vaddr uint64) bool {
 				c.Ref(pc, vaddr)
 				return true

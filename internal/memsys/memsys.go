@@ -78,26 +78,27 @@ func (c *Channel) Issue(now uint64, n int) (completeAt uint64) {
 	return start + uint64(n-1)*c.opOccupancy + c.opLatency
 }
 
-// IssueEach enqueues n sequential operations and returns the completion
-// cycle of each, in order. Used when each operation delivers a separately
-// usable result (prefetch fetches landing in the buffer one by one).
-func (c *Channel) IssueEach(now uint64, n int) []uint64 {
+// IssueEach enqueues n sequential operations at cycle now and appends the
+// completion cycle of each, in order, to dst. Used when each operation
+// delivers a separately usable result (prefetch fetches landing in the
+// buffer one by one); passing a reused dst[:0] keeps the call
+// allocation-free.
+func (c *Channel) IssueEach(dst []uint64, now uint64, n int) []uint64 {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]uint64, n)
 	start := now
 	if c.freeAt > start {
 		start = c.freeAt
 	}
 	for i := 0; i < n; i++ {
-		out[i] = start + c.opLatency
+		dst = append(dst, start+c.opLatency)
 		start += c.opOccupancy
 	}
 	c.freeAt = start
 	c.ops += uint64(n)
 	c.busyCycle += uint64(n) * c.opOccupancy
-	return out
+	return dst
 }
 
 // Stats returns the operation count and total occupied cycles.

@@ -40,27 +40,39 @@ func TestBusy(t *testing.T) {
 
 func TestIssueEach(t *testing.T) {
 	c := NewChannel(10)
-	got := c.IssueEach(0, 3)
+	got := c.IssueEach(nil, 0, 3)
 	want := []uint64{10, 20, 30}
+	if len(got) != len(want) {
+		t.Fatalf("IssueEach = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("IssueEach = %v, want %v", got, want)
 		}
 	}
-	// Second batch queues behind the first.
-	got = c.IssueEach(5, 2)
-	if got[0] != 40 || got[1] != 50 {
+	// Second batch queues behind the first, written over the reused
+	// buffer without growing it.
+	buf := got
+	got = c.IssueEach(buf[:0], 5, 2)
+	if len(got) != 2 || got[0] != 40 || got[1] != 50 {
 		t.Fatalf("queued IssueEach = %v, want [40 50]", got)
 	}
-	if c.IssueEach(0, 0) != nil {
-		t.Fatal("IssueEach(0) should be nil")
+	if &got[0] != &buf[0] {
+		t.Fatal("IssueEach reallocated a buffer with room to spare")
+	}
+	// n == 0 appends nothing and leaves the channel idle.
+	if out := c.IssueEach(buf[:1], 100, 0); len(out) != 1 || out[0] != buf[0] {
+		t.Fatalf("IssueEach(n=0) = %v, want dst unchanged", out)
+	}
+	if c.Busy(100) {
+		t.Fatal("channel busy after zero ops")
 	}
 }
 
 func TestStatsAndReset(t *testing.T) {
 	c := NewChannel(50)
 	c.Issue(0, 2)
-	c.IssueEach(0, 3)
+	c.IssueEach(nil, 0, 3)
 	ops, busy := c.Stats()
 	if ops != 5 || busy != 250 {
 		t.Fatalf("stats = %d,%d; want 5,250", ops, busy)

@@ -3,12 +3,14 @@
 // every TLB miss is reported to the attached prefetching mechanism, whose
 // predictions are fetched into the buffer.
 //
-// Two simulators are provided. Simulator is the functional one behind the
-// prediction-accuracy results (Figures 7-9, Table 2): it counts events but
-// not cycles, like the paper's sim-cache runs. TimingSimulator adds the
-// cycle accounting of the paper's Table 3 experiment (sim-outorder runs):
-// TLB miss penalty, prefetch-channel contention and in-flight prefetch
-// stalls.
+// The pipeline exists once, in Simulator. On its own it is the functional
+// model behind the prediction-accuracy results (Figures 7-9, Table 2): it
+// counts events but not cycles, like the paper's sim-cache runs.
+// TimingSimulator attaches the cycle model of the paper's Table 3
+// experiment (sim-outorder runs) as an optional back half of the same
+// miss path: TLB miss penalty, prefetch-channel contention and in-flight
+// prefetch stalls. The page shift sets the granularity, so the same
+// pipeline also models a prefetching data cache (PageShift 6, §4).
 package sim
 
 import (
@@ -108,6 +110,9 @@ type Simulator struct {
 	// prediction batch once and is never reallocated afterwards, keeping
 	// the per-reference path allocation-free.
 	scratch []uint64
+
+	// clk is the cycle model (see NewTiming); nil means functional.
+	clk *clock
 }
 
 // New builds a simulator around the given mechanism. A nil mechanism means
@@ -147,12 +152,13 @@ func (s *Simulator) Ref(pc, vaddr uint64) {
 // miss runs the back half of the pipeline for one TLB miss: the buffer
 // probe, the mechanism callback and the prefetch issue, checking duplicate
 // residency against t (the simulator's own TLB, or the canonical TLB when
-// driven by a shared-frontend Group).
+// driven by a shared-frontend Group). With a clock attached, the issue step
+// is the cycle model's (timedIssue).
 func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb.TLB) {
 	s.stat.Misses++
 
 	// Probe the prefetch buffer; a hit migrates the entry into the TLB.
-	_, bufferHit := s.buf.TakeOut(vpn)
+	readyAt, bufferHit := s.buf.TakeOut(vpn)
 	if bufferHit {
 		s.stat.BufferHits++
 	} else {
@@ -166,7 +172,14 @@ func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb
 		EvictedVPN: evicted,
 		HasEvicted: hasEvicted,
 	}, s.scratch[:0])
+	if cap(act.Prefetches) > cap(s.scratch) {
+		s.scratch = act.Prefetches
+	}
 	s.stat.StateMemOps += uint64(act.StateMemOps)
+	if s.clk != nil {
+		s.timedIssue(t, act.Prefetches, act.StateMemOps, readyAt, bufferHit)
+		return
+	}
 	for _, p := range act.Prefetches {
 		s.stat.PrefetchesRequested++
 		if t.Contains(p) || s.buf.Contains(p) {
@@ -175,9 +188,6 @@ func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb
 		}
 		s.buf.Insert(p, 0)
 		s.stat.PrefetchesIssued++
-	}
-	if cap(act.Prefetches) > cap(s.scratch) {
-		s.scratch = act.Prefetches
 	}
 }
 
@@ -256,20 +266,27 @@ func (s *Simulator) TLB() *tlb.TLB { return s.tlb }
 func (s *Simulator) Buffer() *tlb.PrefetchBuffer { return s.buf }
 
 // Reset returns the simulator to its initial state, including the attached
-// mechanism.
+// mechanism and, for a timing simulator, the clock.
 func (s *Simulator) Reset() {
 	s.tlb.Reset()
 	s.buf.Reset()
 	s.pf.Reset()
 	s.stat = Stats{}
+	if s.clk != nil {
+		s.clk.reset()
+	}
 }
 
 // ResetStats clears the counters while keeping all simulation state (TLB,
 // buffer, mechanism tables) warm — used to measure steady-state behaviour
 // after a warmup period, the counterpart of the paper's 2B-instruction
 // fast-forward. The buffer starts a new statistics epoch so warmup-era
-// prefetches do not leak into the measurement window's unused count.
+// prefetches do not leak into the measurement window's unused count. A
+// timing simulator's clock keeps running; its cycle counters restart.
 func (s *Simulator) ResetStats() {
+	if s.clk != nil {
+		s.clk.beginWindow(s.stat.Refs)
+	}
 	s.stat = Stats{}
 	s.buf.BeginEpoch()
 }

@@ -275,3 +275,18 @@ func TestPageShiftGranularity(t *testing.T) {
 		t.Fatalf("8K misses = %d, want 1", st.Misses)
 	}
 }
+
+func TestBlockGranularity(t *testing.T) {
+	// PageShift 6 runs the pipeline as a data cache of 64-byte blocks.
+	blk := New(Config{TLB: tlb.Config{Entries: 16, Ways: 4}, BufferEntries: 8, PageShift: 6}, nil)
+	blk.Ref(0, 0x1000) // block 0x40
+	blk.Ref(0, 0x103f) // same 64-byte block -> hit
+	blk.Ref(0, 0x1040) // next block -> miss
+	st := blk.Stats()
+	if st.Refs != 3 || st.Misses != 2 {
+		t.Fatalf("64B-block stats = %+v, want 3 refs, 2 misses", st)
+	}
+	if st.MissRate() <= 0.5 || st.MissRate() >= 0.7 {
+		t.Fatalf("miss rate = %v", st.MissRate())
+	}
+}

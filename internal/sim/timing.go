@@ -2,12 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"tlbprefetch/internal/memsys"
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/tlb"
-	"tlbprefetch/internal/trace"
 )
 
 // TimingConfig extends Config with the cycle model of the paper's Table 3
@@ -118,23 +116,14 @@ func (s TimingStats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Refs)
 }
 
-// TimingSimulator adds the cycle model to the functional pipeline. The
+// TimingSimulator is a Simulator with the cycle model attached as its
+// back half: the same TLB, prefetch buffer and mechanism, plus a clock. The
 // prefetch channel serializes metadata and prefetch operations; demand
 // fetches cost the fixed miss penalty and do not contend with prefetch
-// traffic (the paper's RP-favouring assumption).
+// traffic (the paper's RP-favouring assumption). The embedded Simulator can
+// join a Group like any functional member.
 type TimingSimulator struct {
-	cfg  TimingConfig
-	tlb  *tlb.TLB
-	buf  *tlb.PrefetchBuffer
-	pf   prefetch.Prefetcher
-	ch   *memsys.Channel
-	now  uint64
-	stat TimingStats
-
-	refAccum uint64 // references since the last base-cycle charge
-	isRP     bool
-	issuable []bool   // per-miss scratch, sized to the prefetch batch
-	scratch  []uint64 // reusable prediction buffer handed to the mechanism
+	*Simulator
 }
 
 // NewTiming builds a timing simulator. A nil mechanism is the
@@ -143,153 +132,143 @@ func NewTiming(cfg TimingConfig, pf prefetch.Prefetcher) *TimingSimulator {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if pf == nil {
-		pf = prefetch.Nop{}
+	s := New(cfg.Config, pf)
+	s.clk = newClock(cfg, s.pf.Name() == "RP")
+	return &TimingSimulator{s}
+}
+
+// Stats returns a snapshot including the cycle counters. As in the
+// functional simulator, PrefetchesUnused includes the entries still
+// resident (never used) in the buffer at snapshot time, and every counter,
+// Cycles included, covers the window since the last ResetStats.
+func (s *TimingSimulator) Stats() TimingStats {
+	st := s.clk.stat
+	st.Stats = s.Simulator.Stats()
+	st.Cycles = s.Now() - s.clk.base
+	return st
+}
+
+// Now returns the current cycle.
+func (s *TimingSimulator) Now() uint64 {
+	s.clk.advance(s.stat.Refs)
+	return s.clk.now
+}
+
+// clock is the cycle model, the optional back half of a Simulator (nil
+// means functional). TLB hits cost it nothing: every reference's base cost
+// is charged arithmetically from the reference count when the clock is next
+// read — at a miss, or by Now and Stats — which is bit-identical to
+// charging CyclesPerRef every RefsPerCycle references as they retire.
+type clock struct {
+	cfg  TimingConfig
+	rpc  uint64 // RefsPerCycle, 0 normalized to 1
+	isRP bool
+	ch   *memsys.Channel
+
+	now      uint64
+	refAccum uint64 // references since the last base-cycle charge
+	synced   uint64 // Stats.Refs value now has been charged up to
+	base     uint64 // cycle at which the statistics window began
+
+	stat  TimingStats // StallCycles, InFlightHits and SkippedPref only
+	ready []uint64    // completion cycles of one prefetch batch
+}
+
+func newClock(cfg TimingConfig, isRP bool) *clock {
+	rpc := cfg.RefsPerCycle
+	if rpc == 0 {
+		rpc = 1
 	}
 	occ := cfg.MemOpOccupancy
 	if occ == 0 {
 		occ = cfg.MemOpLatency
 	}
-	return &TimingSimulator{
+	return &clock{
 		cfg:  cfg,
-		tlb:  tlb.New(cfg.TLB),
-		buf:  tlb.NewPrefetchBuffer(cfg.BufferEntries),
-		pf:   pf,
+		rpc:  rpc,
+		isRP: isRP,
 		ch:   memsys.NewPipelinedChannel(cfg.MemOpLatency, occ),
-		isRP: pf.Name() == "RP",
 	}
 }
 
-// Ref simulates one memory reference and advances the clock.
-func (s *TimingSimulator) Ref(pc, vaddr uint64) {
-	rpc := s.cfg.RefsPerCycle
-	if rpc == 0 {
-		rpc = 1
-	}
-	s.refAccum++
-	if s.refAccum >= rpc {
-		s.now += s.cfg.CyclesPerRef
-		s.refAccum = 0
-	}
-	s.stat.Refs++
-	vpn := vaddr >> s.cfg.PageShift
-	if s.tlb.Access(vpn) {
-		return
-	}
-	s.stat.Misses++
+// advance charges the base cost of the references retired since the last
+// call; refs is the simulator's current reference count.
+func (c *clock) advance(refs uint64) {
+	t := c.refAccum + (refs - c.synced)
+	c.now += t / c.rpc * c.cfg.CyclesPerRef
+	c.refAccum = t % c.rpc
+	c.synced = refs
+}
 
-	readyAt, bufferHit := s.buf.TakeOut(vpn)
+// beginWindow starts a new statistics window at reference count refs,
+// about to be cleared to zero: the clock keeps running, only its counters
+// restart.
+func (c *clock) beginWindow(refs uint64) {
+	c.advance(refs)
+	c.synced = 0
+	c.base = c.now
+	c.stat = TimingStats{}
+}
+
+// reset returns the clock and its channel to cycle zero.
+func (c *clock) reset() {
+	c.ch.Reset()
+	c.now, c.refAccum, c.synced, c.base = 0, 0, 0, 0
+	c.stat = TimingStats{}
+}
+
+// timedIssue is the cycle-model back half of one miss, run after the
+// mechanism has answered: it stalls the clock for the miss, applies RP's
+// skip rule and issues the prefetch batch through the channel.
+//
+// It is also the one place the two models differ: the functional path
+// checks each prefetch for a duplicate at the moment it is inserted, while
+// here issuability is decided once for the whole batch, before any insert.
+// An insertion may evict a buffer entry that a later prefetch in the batch
+// duplicates, and that later prefetch must still be treated as the
+// duplicate it was at issue time. On a full buffer the two rules count
+// such a batch differently (TestDuplicateRuleDiffers).
+func (s *Simulator) timedIssue(t *tlb.TLB, prefetches []uint64, stateOps int, readyAt uint64, bufferHit bool) {
+	c := s.clk
+	c.advance(s.stat.Refs)
+	// A buffer hit stalls for whichever is longer: the in-flight wait until
+	// the prefetch actually arrives ("it is made to stall until the entry
+	// arrives"), or the residual fill/restart cost — the two overlap in the
+	// pipeline, so the hit pays their maximum.
+	stall := c.cfg.MissPenalty
 	if bufferHit {
-		s.stat.BufferHits++
-		// A hit stalls for whichever is longer: the in-flight wait until
-		// the prefetch actually arrives ("it is made to stall until the
-		// entry arrives"), or the residual fill/restart cost — the two
-		// overlap in the pipeline, so the hit pays their maximum.
-		stall := s.cfg.BufferHitPenalty
-		if readyAt > s.now && readyAt-s.now > stall {
-			stall = readyAt - s.now
-			s.stat.InFlightHits++
+		stall = c.cfg.BufferHitPenalty
+		if readyAt > c.now && readyAt-c.now > stall {
+			stall = readyAt - c.now
+			c.stat.InFlightHits++
 		}
-		s.stat.StallCycles += stall
-		s.now += stall
-	} else {
-		s.stat.DemandFetches++
-		s.stat.StallCycles += s.cfg.MissPenalty
-		s.now += s.cfg.MissPenalty
 	}
-
-	evicted, hasEvicted := s.tlb.Insert(vpn)
-	act := s.pf.OnMiss(prefetch.Event{
-		VPN:        vpn,
-		PC:         pc,
-		BufferHit:  bufferHit,
-		EvictedVPN: evicted,
-		HasEvicted: hasEvicted,
-	}, s.scratch[:0])
-	if cap(act.Prefetches) > cap(s.scratch) {
-		s.scratch = act.Prefetches
-	}
+	c.stat.StallCycles += stall
+	c.now += stall
 
 	// RP's skip rule: when earlier prefetch traffic is still in flight,
 	// update the stack but do not fetch the neighbours ("there would be
 	// only 4 memory transactions instead of 6").
-	prefetches := act.Prefetches
-	if s.isRP && s.cfg.RPSkipWhenBusy && len(prefetches) > 0 && s.ch.Busy(s.now) {
+	if c.isRP && c.cfg.RPSkipWhenBusy && len(prefetches) > 0 && c.ch.Busy(c.now) {
 		prefetches = nil
-		s.stat.SkippedPref++
+		c.stat.SkippedPref++
 	}
 
-	// Metadata operations occupy the channel first (RP updates the stack
-	// before prefetching), then the prefetch fetches complete one by one.
-	// Issuability is decided once, up front: an insertion below may evict
-	// a buffer entry that a later prefetch in this batch duplicates, and
-	// that later prefetch must still be treated as the duplicate it was at
-	// issue time.
-	s.stat.StateMemOps += uint64(act.StateMemOps)
-	if cap(s.issuable) < len(prefetches) {
-		s.issuable = make([]bool, len(prefetches))
-	}
-	issuable := s.issuable[:len(prefetches)]
-	for i := range issuable {
-		issuable[i] = false
-	}
-	n := 0
-	for i, p := range prefetches {
-		if !s.tlb.Contains(p) && !s.buf.Contains(p) {
-			issuable[i] = true
-			n++
+	// Compact the issuable prefetches in place (the batch lives in the
+	// simulator's own scratch), then charge the metadata operations to the
+	// channel first (RP updates the stack before prefetching) and let the
+	// fetches complete one by one behind them.
+	s.stat.PrefetchesRequested += uint64(len(prefetches))
+	issue := prefetches[:0]
+	for _, p := range prefetches {
+		if !t.Contains(p) && !s.buf.Contains(p) {
+			issue = append(issue, p)
 		}
 	}
-	after := s.ch.Issue(s.now, act.StateMemOps)
-	completions := s.ch.IssueEach(after, n)
-
-	ci := 0
-	for i, p := range prefetches {
-		s.stat.PrefetchesRequested++
-		if !issuable[i] {
-			s.stat.PrefetchDuplicates++
-			continue
-		}
-		s.buf.Insert(p, completions[ci])
-		ci++
-		s.stat.PrefetchesIssued++
+	s.stat.PrefetchDuplicates += uint64(len(prefetches) - len(issue))
+	s.stat.PrefetchesIssued += uint64(len(issue))
+	c.ready = c.ch.IssueEach(c.ready[:0], c.ch.Issue(c.now, stateOps), len(issue))
+	for i, p := range issue {
+		s.buf.Insert(p, c.ready[i])
 	}
-}
-
-// Run drains a trace reader.
-func (s *TimingSimulator) Run(src trace.Reader) error {
-	for {
-		ref, err := src.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Ref(ref.PC, ref.VAddr)
-	}
-}
-
-// Stats returns a snapshot including the cycle counters. As in the
-// functional simulator, PrefetchesUnused includes the entries still
-// resident (never used) in the buffer at snapshot time.
-func (s *TimingSimulator) Stats() TimingStats {
-	st := s.stat
-	st.Cycles = s.now
-	st.PrefetchesUnused = s.buf.UnusedInEpoch()
-	return st
-}
-
-// Now returns the current cycle.
-func (s *TimingSimulator) Now() uint64 { return s.now }
-
-// Reset returns the simulator (and mechanism) to the initial state.
-func (s *TimingSimulator) Reset() {
-	s.tlb.Reset()
-	s.buf.Reset()
-	s.pf.Reset()
-	s.ch.Reset()
-	s.now = 0
-	s.refAccum = 0
-	s.stat = TimingStats{}
 }

@@ -172,9 +172,10 @@ func TestTimingCPI(t *testing.T) {
 }
 
 func TestTimingFunctionalAgreement(t *testing.T) {
-	// The timing simulator must produce the same functional counts (refs,
-	// misses) as the functional simulator; accuracy may differ only through
-	// the RP skip rule, so compare with a mechanism that has no state ops.
+	// Refs and misses never depend on the cycle model: TLB contents are
+	// fixed at miss time. Buffer hits can differ, through the RP skip rule
+	// and through the duplicate rule (TestDuplicateRuleDiffers), but not on
+	// this small stream, whose DP batches never meet a full buffer.
 	var refs []trace.Ref
 	for i := 0; i < 500; i++ {
 		p := uint64(i*7%97) + uint64(i%3)
@@ -202,5 +203,74 @@ func TestTimingReset(t *testing.T) {
 	st := s.Stats()
 	if st.Cycles != 0 || st.Refs != 0 || s.Now() != 0 {
 		t.Fatalf("reset left state: %+v", st)
+	}
+}
+
+// scripted is a mechanism that answers the n-th miss with the n-th batch.
+type scripted struct {
+	batches [][]uint64
+	n       int
+}
+
+func (m *scripted) Name() string { return "scripted" }
+func (m *scripted) Reset()       { m.n = 0 }
+func (m *scripted) OnMiss(_ prefetch.Event, dst []uint64) prefetch.Action {
+	if m.n < len(m.batches) {
+		dst = append(dst, m.batches[m.n]...)
+	}
+	m.n++
+	return prefetch.Action{Prefetches: dst}
+}
+
+// TestDuplicateRuleDiffers pins the one place the functional and timing
+// models differ. With the buffer full of [100 (oldest), 101], a batch of
+// [102, 100] first inserts 102, evicting 100. The functional model checks
+// 100 at its insertion, finds it gone and fetches it again; the timing
+// model decided issuability before any insert, when 100 was resident, and
+// counts it as a duplicate.
+func TestDuplicateRuleDiffers(t *testing.T) {
+	batches := [][]uint64{{100, 101}, {102, 100}}
+	refs := pageRefs(1, 2)
+
+	f := New(cfgSmall(), &scripted{batches: batches})
+	f.Run(trace.NewSliceReader(refs))
+	fs := f.Stats()
+	if fs.PrefetchesRequested != 4 || fs.PrefetchesIssued != 4 || fs.PrefetchDuplicates != 0 {
+		t.Fatalf("functional: %+v, want 4 requested, 4 issued, 0 duplicates", fs)
+	}
+	if b := f.Buffer(); !b.Contains(100) || b.Contains(101) {
+		t.Fatal("functional: 100 should have been fetched again over 101")
+	}
+
+	tm := NewTiming(TimingConfig{Config: cfgSmall(), MissPenalty: 100, MemOpLatency: 50, CyclesPerRef: 1},
+		&scripted{batches: batches})
+	tm.Run(trace.NewSliceReader(refs))
+	ts := tm.Stats()
+	if ts.PrefetchesRequested != 4 || ts.PrefetchesIssued != 3 || ts.PrefetchDuplicates != 1 {
+		t.Fatalf("timing: %+v, want 4 requested, 3 issued, 1 duplicate", ts.Stats)
+	}
+	if b := tm.Buffer(); b.Contains(100) || !b.Contains(101) {
+		t.Fatal("timing: 100 should have stayed evicted")
+	}
+}
+
+// TestTimingRefZeroAlloc pins the timing path as allocation-free once warm:
+// the prediction scratch and the channel's completion-cycle scratch are
+// owned by the simulator and reused on every miss.
+func TestTimingRefZeroAlloc(t *testing.T) {
+	refs := batchTestStream(t, "mcf", 20_000)
+	for _, pf := range []prefetch.Prefetcher{
+		prefetch.NewRecency(), core.NewDistance(256, 1, 2), prefetch.NewSBFP(),
+	} {
+		s := NewTiming(DefaultTiming(), pf)
+		replay := func() {
+			for _, r := range refs {
+				s.Ref(r.PC, r.VAddr)
+			}
+		}
+		replay() // warm up: grow the scratch buffers, populate the tables
+		if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per replay of a warm timing simulator", pf.Name(), allocs)
+		}
 	}
 }

@@ -496,9 +496,9 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	return nil
 }
 
-// runTimingShard drives the cycle model: the members cannot share a
-// frontend (each owns its clock — and may own different cycle constants),
-// but they do share the single generation pass.
+// runTimingShard drives the cycle model member by member: each member
+// probes its own TLB and runs its own clock, and the members share the
+// single generation pass.
 func (r *Runner) runTimingShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
 	sims := make([]*sim.TimingSimulator, len(sh.indices))
 	for mi, idx := range sh.indices {
@@ -511,9 +511,7 @@ func (r *Runner) runTimingShard(sh *shard, jobs []Job, resolve func(string) (wor
 	// in long cache-friendly runs.
 	err := r.stream(sh, resolve, sh.key.refs, func(refs []trace.Ref) {
 		for _, s := range sims {
-			for i := range refs {
-				s.Ref(refs[i].PC, refs[i].VAddr)
-			}
+			s.RefBatch(refs)
 		}
 	})
 	if err != nil {
