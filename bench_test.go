@@ -392,10 +392,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughputMcf replays the miss-heavy mcf stream (the
-// paper's hardest SPEC application) through the baseline and DP pipelines.
+// paper's hardest SPEC application) through the baseline, DP and RP
+// pipelines; mcf's miss rate makes the RP row time the page-table stack.
 func BenchmarkSimulatorThroughputMcf(b *testing.B) {
 	refs := benchTrace(b, "mcf", 4_000_000)
-	for _, name := range []string{"none", "DP"} {
+	for _, name := range []string{"none", "DP", "RP"} {
 		mk := throughputMechs()[name]
 		b.Run(name, func(b *testing.B) {
 			s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), mk())

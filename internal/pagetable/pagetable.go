@@ -14,115 +14,136 @@
 // system operation; the package counts pointer reads/writes so the timing
 // model can charge them (the paper charges 4 pointer manipulations per miss
 // plus 2 prefetch fetches).
+//
+// The table itself is an open-addressed hash table whose cells are the
+// PTEs: a PTE's stack pointers are cell indices, so a miss's neighbour
+// read, unlink and push each cost one hash probe, and no page owns a heap
+// object of its own.
 package pagetable
 
-// PTE is a page table entry. Only the stack linkage matters to the study;
-// the translation payload is implicit (identity mapping).
-type PTE struct {
-	vpn     uint64
-	next    uint64 // toward the bottom of the stack (older eviction)
-	prev    uint64 // toward the top of the stack (newer eviction)
-	hasNext bool
-	hasPrev bool
-	inStack bool
+import "math/bits"
+
+// cell is one PTE and, at once, one slot of the table. Only the stack
+// linkage matters to the study; the translation payload is implicit
+// (identity mapping).
+type cell struct {
+	key  uint64 // vpn+1; 0 marks an empty slot
+	next int32  // slot of the entry below (older eviction), or none
+	prev int32  // slot of the entry above, none at the top, or offStack
 }
 
-// VPN returns the entry's virtual page number.
-func (p *PTE) VPN() uint64 { return p.vpn }
+const (
+	none     = -1 // no neighbour in this direction (or an empty stack)
+	offStack = -2 // prev of a PTE that is not linked into the stack
 
-// InStack reports whether the page is currently linked into the LRU stack.
-func (p *PTE) InStack() bool { return p.inStack }
+	minCells = 64
+	// fibMul spreads consecutive page numbers across the table
+	// (Fibonacci hashing: 2^64 divided by the golden ratio).
+	fibMul = 0x9E3779B97F4A7C15
+)
 
-// PageTable is the RP substrate: a map of PTEs plus the stack top pointer.
+// PageTable is the RP substrate: the PTEs plus the stack top pointer. A
+// PTE exists from the first time its page is pushed; it is never removed,
+// only unlinked, until Reset.
 type PageTable struct {
-	entries map[uint64]*PTE
-	top     uint64
-	hasTop  bool
-	size    int // number of pages currently linked in the stack
+	cells []cell // len is a power of two, at most 3/4 occupied
+	shift uint   // 64 - log2(len(cells))
+	used  int    // occupied cells: the PTEs allocated
+	top   int32  // slot of the top of the stack, or none
+	size  int    // number of pages currently linked in the stack
 
 	pointerOps uint64 // memory writes to PTE pointer fields
 }
 
 // New returns an empty page table.
 func New() *PageTable {
-	return &PageTable{entries: make(map[uint64]*PTE)}
+	return &PageTable{top: none}
 }
 
-// Entry returns the PTE for vpn, allocating it on first touch (a real page
-// table conceptually has an entry for every mapped page).
-func (pt *PageTable) Entry(vpn uint64) *PTE {
-	e, ok := pt.entries[vpn]
-	if !ok {
-		e = &PTE{vpn: vpn}
-		pt.entries[vpn] = e
+// find returns vpn's slot and true, or, when vpn has no PTE, the empty
+// slot its insertion would take and false.
+func (pt *PageTable) find(vpn uint64) (int32, bool) {
+	key := vpn + 1
+	if len(pt.cells) == 0 || key == 0 {
+		return none, false
 	}
-	return e
+	mask := uint64(len(pt.cells) - 1)
+	for i := key * fibMul >> pt.shift; ; i = (i + 1) & mask {
+		switch pt.cells[i].key {
+		case key:
+			return int32(i), true
+		case 0:
+			return int32(i), false
+		}
+	}
 }
 
-// Peek returns the PTE for vpn if it exists, without allocating.
-func (pt *PageTable) Peek(vpn uint64) (*PTE, bool) {
-	e, ok := pt.entries[vpn]
-	return e, ok
+// grow doubles the table (or allocates the first one), re-placing every PTE
+// and remapping the stack pointers to the new slots.
+func (pt *PageTable) grow() {
+	old := pt.cells
+	n := max(2*len(old), minCells)
+	pt.cells = make([]cell, n)
+	pt.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	moved := make([]int32, len(old))
+	for i, c := range old {
+		if c.key == 0 {
+			continue
+		}
+		j, _ := pt.find(c.key - 1)
+		pt.cells[j] = c
+		moved[i] = j
+	}
+	for i := range pt.cells {
+		c := &pt.cells[i]
+		if c.key == 0 {
+			continue
+		}
+		if c.next >= 0 {
+			c.next = moved[c.next]
+		}
+		if c.prev >= 0 {
+			c.prev = moved[c.prev]
+		}
+	}
+	if pt.top >= 0 {
+		pt.top = moved[pt.top]
+	}
 }
 
-// Neighbors returns the stack neighbours of vpn — the prefetch candidates on
-// a miss of vpn ("prefetch the next and prev entries from the page-table
-// into the prefetch buffer"). It returns 0, 1 or 2 pages. A page that is not
-// in the stack has no neighbours.
-func (pt *PageTable) Neighbors(vpn uint64) []uint64 {
-	e, ok := pt.entries[vpn]
-	if !ok || !e.inStack {
-		return nil
-	}
-	out := make([]uint64, 0, 2)
-	if e.hasPrev {
-		out = append(out, e.prev)
-	}
-	if e.hasNext {
-		out = append(out, e.next)
-	}
-	return out
-}
-
-// NeighborsN returns up to n stack entries around vpn, walking outward
-// alternately (prev, next, prev's prev, next's next, ...) — the wider
+// AppendNeighborsN appends up to n stack entries around vpn to dst — the
+// prefetch candidates on a miss of vpn ("prefetch the next and prev entries
+// from the page-table into the prefetch buffer"). It walks outward
+// alternately (prev, next, prev's prev, next's next, ...), the wider
 // prefetch window of Saulsbury et al.'s multi-entry variant. Each direction
-// contributes at most ceil(n/2) entries, so n == 2 is exactly Neighbors:
-// one prev and one next pointer read from the missed PTE, never a deeper
-// walk down a single side (the paper's RP reads only the two pointers).
-func (pt *PageTable) NeighborsN(vpn uint64, n int) []uint64 {
-	return pt.AppendNeighborsN(nil, vpn, n)
-}
-
-// AppendNeighborsN is NeighborsN appending into dst — the allocation-free
-// form the simulator's hot path uses (RP issues its candidates straight
-// into the caller's scratch buffer).
+// contributes at most ceil(n/2) entries, so n == 2 reads exactly one prev
+// and one next pointer from the missed PTE, never a deeper walk down a
+// single side (the paper's RP reads only the two pointers). A page that is
+// not in the stack has no neighbours.
 func (pt *PageTable) AppendNeighborsN(dst []uint64, vpn uint64, n int) []uint64 {
-	e, ok := pt.entries[vpn]
-	if !ok || !e.inStack || n <= 0 {
+	i, ok := pt.find(vpn)
+	if !ok || pt.cells[i].prev == offStack || n <= 0 {
 		return dst
 	}
 	perSide := (n + 1) / 2
-	out := dst
 	base := len(dst)
-	up, hasUp := e.prev, e.hasPrev
-	down, hasDown := e.next, e.hasNext
+	up, down := pt.cells[i].prev, pt.cells[i].next
 	ups, downs := 0, 0
-	for len(out)-base < n && ((hasUp && ups < perSide) || (hasDown && downs < perSide)) {
-		if hasUp && ups < perSide {
-			out = append(out, up)
+	for len(dst)-base < n && ((up >= 0 && ups < perSide) || (down >= 0 && downs < perSide)) {
+		if up >= 0 && ups < perSide {
+			u := &pt.cells[up]
+			dst = append(dst, u.key-1)
 			ups++
-			u := pt.entries[up]
-			up, hasUp = u.prev, u.hasPrev
+			up = u.prev
 		}
-		if len(out)-base < n && hasDown && downs < perSide {
-			out = append(out, down)
+		if len(dst)-base < n && down >= 0 && downs < perSide {
+			d := &pt.cells[down]
+			dst = append(dst, d.key-1)
 			downs++
-			d := pt.entries[down]
-			down, hasDown = d.next, d.hasNext
+			down = d.next
 		}
 	}
-	return out
+	return dst
 }
 
 // Unlink removes vpn from the stack, splicing its neighbours together, and
@@ -131,27 +152,30 @@ func (pt *PageTable) AppendNeighborsN(dst []uint64, vpn uint64, n int) []uint64 
 // the middle of the stack, then it needs to be removed (taking 2
 // references)").
 func (pt *PageTable) Unlink(vpn uint64) int {
-	e, ok := pt.entries[vpn]
-	if !ok || !e.inStack {
+	i, ok := pt.find(vpn)
+	if !ok {
 		return 0
 	}
-	ops := 0
-	if e.hasPrev {
-		p := pt.entries[e.prev]
-		p.next, p.hasNext = e.next, e.hasNext
-		ops++
+	return pt.unlink(i)
+}
+
+// unlink is Unlink of the PTE in slot i.
+func (pt *PageTable) unlink(i int32) int {
+	c := &pt.cells[i]
+	if c.prev == offStack {
+		return 0
+	}
+	ops := 1 // the predecessor's next, or the top pointer
+	if c.prev >= 0 {
+		pt.cells[c.prev].next = c.next
 	} else {
-		// e was the top of the stack.
-		pt.top, pt.hasTop = e.next, e.hasNext
+		pt.top = c.next
+	}
+	if c.next >= 0 {
+		pt.cells[c.next].prev = c.prev
 		ops++
 	}
-	if e.hasNext {
-		n := pt.entries[e.next]
-		n.prev, n.hasPrev = e.prev, e.hasPrev
-		ops++
-	}
-	e.inStack = false
-	e.hasNext, e.hasPrev = false, false
+	c.next, c.prev = none, offStack
 	pt.size--
 	pt.pointerOps += uint64(ops)
 	return ops
@@ -162,24 +186,29 @@ func (pt *PageTable) Unlink(vpn uint64) int {
 // entry that was evicted") and returns the number of pointer-field memory
 // writes (2 in steady state: the new top's next, and the old top's prev; 1
 // for the very first push). If the page is somehow already linked it is
-// unlinked first (defensive; the simulator's invariants prevent this).
+// unlinked first (defensive; the simulator's invariants prevent this), and
+// the unlink's writes count in PointerOps both on their own and within the
+// push's total.
 func (pt *PageTable) Push(vpn uint64) int {
-	e := pt.Entry(vpn)
-	ops := 0
-	if e.inStack {
-		ops += pt.Unlink(vpn)
+	i, ok := pt.find(vpn)
+	if !ok {
+		if vpn+1 == 0 {
+			panic("pagetable: page number out of range")
+		}
+		if (pt.used+1)*4 > len(pt.cells)*3 {
+			pt.grow()
+			i, _ = pt.find(vpn)
+		}
+		pt.cells[i] = cell{key: vpn + 1, next: none, prev: offStack}
+		pt.used++
 	}
-	if pt.hasTop {
-		old := pt.entries[pt.top]
-		old.prev, old.hasPrev = vpn, true
+	ops := pt.unlink(i)
+	if pt.top >= 0 {
+		pt.cells[pt.top].prev = i
 		ops++ // write old top's prev
-		e.next, e.hasNext = pt.top, true
-	} else {
-		e.hasNext = false
 	}
-	e.hasPrev = false
-	e.inStack = true
-	pt.top, pt.hasTop = vpn, true
+	pt.cells[i].next, pt.cells[i].prev = pt.top, none
+	pt.top = i
 	ops++ // write new entry's pointers / the top pointer
 	pt.size++
 	pt.pointerOps += uint64(ops)
@@ -189,34 +218,34 @@ func (pt *PageTable) Push(vpn uint64) int {
 // StackSize returns the number of pages currently linked in the stack.
 func (pt *PageTable) StackSize() int { return pt.size }
 
-// Pages returns the number of PTEs allocated (distinct pages touched).
-func (pt *PageTable) Pages() int { return len(pt.entries) }
+// Pages returns the number of PTEs allocated (distinct pages pushed).
+func (pt *PageTable) Pages() int { return pt.used }
 
 // PointerOps returns the cumulative count of pointer-field memory writes —
 // the extra memory traffic RP induces beyond the prefetch fetches.
 func (pt *PageTable) PointerOps() uint64 { return pt.pointerOps }
 
 // Top returns the top-of-stack page, if any.
-func (pt *PageTable) Top() (uint64, bool) { return pt.top, pt.hasTop }
+func (pt *PageTable) Top() (uint64, bool) {
+	if pt.top < 0 {
+		return 0, false
+	}
+	return pt.cells[pt.top].key - 1, true
+}
 
 // StackWalk returns the stack contents from top to bottom. It is O(stack)
 // and intended for tests and invariant checks; it panics if the list is
 // inconsistent (a cycle or a dangling pointer), making corruption loud.
 func (pt *PageTable) StackWalk() []uint64 {
 	var out []uint64
-	seen := make(map[uint64]bool)
-	cur, ok := pt.top, pt.hasTop
-	for ok {
-		if seen[cur] {
+	for cur := pt.top; cur != none; cur = pt.cells[cur].next {
+		if len(out) == pt.used {
 			panic("pagetable: cycle in LRU stack")
 		}
-		seen[cur] = true
-		e, present := pt.entries[cur]
-		if !present || !e.inStack {
+		if cur < 0 || int(cur) >= len(pt.cells) || pt.cells[cur].key == 0 || pt.cells[cur].prev == offStack {
 			panic("pagetable: dangling stack pointer")
 		}
-		out = append(out, cur)
-		cur, ok = e.next, e.hasNext
+		out = append(out, pt.cells[cur].key-1)
 	}
 	if len(out) != pt.size {
 		panic("pagetable: stack size mismatch")
@@ -236,40 +265,39 @@ func (pt *PageTable) CheckInvariants() (bool, string) {
 		}()
 		return true, "", pt.StackWalk()
 	}
-	ok, desc, pages := walk()
+	ok, desc, _ := walk()
 	if !ok {
 		return false, desc
 	}
 	// Backward consistency: each page's prev must point at its predecessor.
-	for i, vpn := range pages {
-		e := pt.entries[vpn]
-		if i == 0 {
-			if e.hasPrev {
+	prev := int32(none)
+	for cur := pt.top; cur != none; cur = pt.cells[cur].next {
+		if pt.cells[cur].prev != prev {
+			if prev == none {
 				return false, "top of stack has a prev pointer"
 			}
-		} else {
-			if !e.hasPrev || e.prev != pages[i-1] {
-				return false, "prev pointer does not match predecessor"
-			}
+			return false, "prev pointer does not match predecessor"
 		}
+		prev = cur
 	}
 	// No page outside the walk may claim stack membership.
 	linked := 0
-	for _, e := range pt.entries {
-		if e.inStack {
+	for _, c := range pt.cells {
+		if c.key != 0 && c.prev != offStack {
 			linked++
 		}
 	}
-	if linked != len(pages) {
-		return false, "inStack flags inconsistent with walk"
+	if linked != pt.size {
+		return false, "stack membership inconsistent with walk"
 	}
 	return true, ""
 }
 
-// Reset drops all entries and counters.
+// Reset drops all entries and counters, keeping the table's capacity.
 func (pt *PageTable) Reset() {
-	clear(pt.entries)
-	pt.hasTop = false
+	clear(pt.cells)
+	pt.used = 0
+	pt.top = none
 	pt.size = 0
 	pt.pointerOps = 0
 }

@@ -78,9 +78,10 @@ func TestUnlinkAbsentIsFree(t *testing.T) {
 	if ops := pt.Unlink(99); ops != 0 {
 		t.Fatalf("unlink of absent page cost %d ops", ops)
 	}
-	e := pt.Entry(50) // allocated but never pushed
-	if e.InStack() {
-		t.Fatal("fresh PTE claims stack membership")
+	pt.Push(50)
+	pt.Unlink(50) // the PTE stays allocated, off the stack
+	if got := pt.AppendNeighborsN(nil, 50, 2); got != nil {
+		t.Fatalf("unlinked page has neighbours %v", got)
 	}
 	if ops := pt.Unlink(50); ops != 0 {
 		t.Fatalf("unlink of unlinked page cost %d ops", ops)
@@ -92,22 +93,23 @@ func TestNeighbors(t *testing.T) {
 	pt.Push(1)
 	pt.Push(2)
 	pt.Push(3) // 3 2 1
-	got := pt.Neighbors(2)
-	if len(got) != 2 {
-		t.Fatalf("neighbors of middle = %v", got)
-	}
+	got := pt.AppendNeighborsN(nil, 2, 2)
 	// prev (toward top) first, then next.
-	if got[0] != 3 || got[1] != 1 {
-		t.Fatalf("neighbors = %v, want [3 1]", got)
+	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Fatalf("neighbors of middle = %v, want [3 1]", got)
 	}
-	if got := pt.Neighbors(3); len(got) != 1 || got[0] != 2 {
+	if got := pt.AppendNeighborsN(nil, 3, 2); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("neighbors of top = %v, want [2]", got)
 	}
-	if got := pt.Neighbors(1); len(got) != 1 || got[0] != 2 {
+	if got := pt.AppendNeighborsN(nil, 1, 2); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("neighbors of bottom = %v, want [2]", got)
 	}
-	if got := pt.Neighbors(42); got != nil {
+	if got := pt.AppendNeighborsN(nil, 42, 2); got != nil {
 		t.Fatalf("neighbors of absent page = %v, want nil", got)
+	}
+	// Appending keeps what dst already holds.
+	if got := pt.AppendNeighborsN([]uint64{7}, 2, 2); len(got) != 3 || got[0] != 7 || got[1] != 3 || got[2] != 1 {
+		t.Fatalf("append into [7] = %v, want [7 3 1]", got)
 	}
 }
 
@@ -118,31 +120,26 @@ func TestNeighborsN(t *testing.T) {
 	}
 	// Stack top-to-bottom: 5 4 3 2 1. Around 3, walking outward:
 	// prev(4), next(2), prev2(5), next2(1).
-	got := pt.NeighborsN(3, 4)
+	got := pt.AppendNeighborsN(nil, 3, 4)
 	want := []uint64{4, 2, 5, 1}
 	if len(got) != len(want) {
-		t.Fatalf("NeighborsN = %v, want %v", got, want)
+		t.Fatalf("AppendNeighborsN = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("NeighborsN = %v, want %v", got, want)
+			t.Fatalf("AppendNeighborsN = %v, want %v", got, want)
 		}
 	}
 	// Requesting more than available truncates gracefully.
-	if got := pt.NeighborsN(5, 10); len(got) != 4 {
+	if got := pt.AppendNeighborsN(nil, 5, 10); len(got) != 4 {
 		t.Fatalf("from top: %v", got)
 	}
 	// Degenerate cases.
-	if pt.NeighborsN(99, 2) != nil {
+	if pt.AppendNeighborsN(nil, 99, 2) != nil {
 		t.Fatal("absent page has neighbours")
 	}
-	if pt.NeighborsN(3, 0) != nil {
+	if pt.AppendNeighborsN(nil, 3, 0) != nil {
 		t.Fatal("n=0 returned entries")
-	}
-	// NeighborsN(_, 2) must agree with Neighbors.
-	a, b := pt.NeighborsN(3, 2), pt.Neighbors(3)
-	if len(a) != len(b) || a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("NeighborsN(2) %v != Neighbors %v", a, b)
 	}
 }
 
@@ -174,17 +171,19 @@ func TestPointerOpsAccumulate(t *testing.T) {
 
 func TestPagesCount(t *testing.T) {
 	pt := New()
-	pt.Entry(1)
-	pt.Entry(2)
-	pt.Entry(1)
+	pt.Push(1)
+	pt.Push(2)
+	pt.Push(1)
 	if pt.Pages() != 2 {
 		t.Fatalf("Pages = %d, want 2", pt.Pages())
 	}
-	if _, ok := pt.Peek(3); ok {
-		t.Fatal("Peek allocated an entry")
-	}
+	// Reads and unlinks of absent pages allocate nothing; an unlinked
+	// page keeps its PTE.
+	pt.AppendNeighborsN(nil, 3, 2)
+	pt.Unlink(3)
+	pt.Unlink(2)
 	if pt.Pages() != 2 {
-		t.Fatal("Peek changed page count")
+		t.Fatalf("Pages = %d after lookups and an unlink, want 2", pt.Pages())
 	}
 }
 

@@ -21,6 +21,12 @@ import (
 // into one probe while producing bit-identical per-member statistics
 // (pinned by TestGroupSharedFrontendEquivalence).
 //
+// Members may be functional or timed (the Simulator of a TimingSimulator):
+// a timed member's clock charges the references between its misses from
+// its reference count, so the shared frontend never has to touch a member
+// on a TLB hit. The sweep runner drives every single-source shard,
+// functional or timed, through one Group.
+//
 // Members with heterogeneous geometry fall back to full independent
 // fan-out transparently.
 type Group struct {
@@ -54,7 +60,8 @@ func (g *Group) Add(s *Simulator) {
 func (g *Group) Members() []*Simulator { return g.members }
 
 // SharedFrontend reports whether the group is (or would be, before the
-// first reference) running one canonical TLB for all members.
+// first reference) running one canonical TLB for all members. A lone
+// pristine member runs its own TLB as the frontend.
 func (g *Group) SharedFrontend() bool {
 	if !g.prepared {
 		g.prepare()
@@ -69,7 +76,7 @@ func (g *Group) SharedFrontend() bool {
 func (g *Group) prepare() {
 	g.prepared = true
 	g.shared = false
-	if len(g.members) < 2 {
+	if len(g.members) == 0 {
 		return
 	}
 	first := g.members[0]
@@ -132,18 +139,26 @@ func (g *Group) RefBatch(refs []trace.Ref) {
 	front := g.members[0]
 	shift := front.cfg.PageShift
 	t := front.tlb
+	// Hits are counted once and credited to every member's Refs before its
+	// next miss and at the end of the batch: nothing reads Refs in between
+	// (a member's clock reads it only at a miss, Now or Stats).
+	var hits uint64
 	for i := range refs {
 		vpn := refs[i].VAddr >> shift
 		if t.Access(vpn) {
-			for _, m := range g.members {
-				m.stat.Refs++
-			}
+			hits++
 			continue
 		}
 		evicted, hasEvicted := t.Insert(vpn)
 		for _, m := range g.members {
-			m.stat.Refs++
+			m.stat.Refs += hits + 1
 			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+		}
+		hits = 0
+	}
+	if hits > 0 {
+		for _, m := range g.members {
+			m.stat.Refs += hits
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"tlbprefetch/internal/core"
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/tlb"
+	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
 )
 
@@ -105,6 +106,84 @@ func TestGroupSharedFrontendMidRunStatsReset(t *testing.T) {
 		if got, want := g.Members()[i].Stats(), ind.Stats(); got != want {
 			t.Errorf("member %d: shared %+v != independent %+v", i, got, want)
 		}
+	}
+}
+
+// TestGroupLazyHitCredit pins the shared frontend's deferred hit count: a
+// chunk with no miss at all and a chunk that ends in a run of hits must
+// leave every member's Refs, and a timed member's Now and TimingStats,
+// where per-member RefBatch leaves them at each chunk boundary.
+func TestGroupLazyHitCredit(t *testing.T) {
+	tcfg := DefaultTiming()
+	tcfg.TLB = tlb.Config{Entries: 8}
+	tcfg.RefsPerCycle = 3
+	page := func(p uint64) trace.Ref { return trace.Ref{PC: p % 5, VAddr: p<<12 | 8} }
+
+	var endsInHits, noMiss []trace.Ref
+	for p := uint64(0); p < 20; p++ { // 20 cold misses ...
+		endsInHits = append(endsInHits, page(p))
+	}
+	for i := 0; i < 50; i++ { // ... then 50 hits on the resident pages 12..19
+		endsInHits = append(endsInHits, page(12+uint64(i%8)))
+	}
+	for i := 0; i < 101; i++ {
+		noMiss = append(noMiss, page(12+uint64(i*3%8)))
+	}
+	parts := [][]trace.Ref{endsInHits, noMiss, batchTestStream(t, "mcf", 5000), noMiss[:1], noMiss}
+
+	g := NewGroup()
+	var timed, timedRef []*TimingSimulator
+	var functional, functionalRef []*Simulator
+	for i := range equivMechs() {
+		timed = append(timed, NewTiming(tcfg, equivMechs()[i]))
+		timedRef = append(timedRef, NewTiming(tcfg, equivMechs()[i]))
+		functional = append(functional, New(tcfg.Config, equivMechs()[i]))
+		functionalRef = append(functionalRef, New(tcfg.Config, equivMechs()[i]))
+		g.Add(timed[i].Simulator)
+		g.Add(functional[i])
+	}
+	if !g.SharedFrontend() {
+		t.Fatal("timed and functional members of one geometry must share the frontend")
+	}
+	var refs uint64
+	for ci, part := range parts {
+		misses := timedRef[0].Stats().Misses
+		g.RefBatch(part)
+		refs += uint64(len(part))
+		for i := range timed {
+			timedRef[i].RefBatch(part)
+			functionalRef[i].RefBatch(part)
+			if got, want := timed[i].Stats(), timedRef[i].Stats(); got != want || got.Refs != refs {
+				t.Fatalf("chunk %d, timed member %d:\n got %+v\nwant %+v (Refs %d)", ci, i, got, want, refs)
+			}
+			if got, want := timed[i].Now(), timedRef[i].Now(); got != want {
+				t.Fatalf("chunk %d, timed member %d: Now %d, want %d", ci, i, got, want)
+			}
+			if got, want := functional[i].Stats(), functionalRef[i].Stats(); got != want {
+				t.Fatalf("chunk %d, functional member %d:\n got %+v\nwant %+v", ci, i, got, want)
+			}
+		}
+		if ci == 1 && timedRef[0].Stats().Misses != misses {
+			t.Fatal("the no-miss chunk missed; the test stream no longer covers that case")
+		}
+	}
+}
+
+// TestGroupLoneMemberShared: a single pristine member runs its own TLB as
+// the shared frontend (so a one-cell sweep shard takes the same path as a
+// wide one) and matches its independent run.
+func TestGroupLoneMemberShared(t *testing.T) {
+	cfg := Config{TLB: tlb.Config{Entries: 16}, BufferEntries: 4, PageShift: 12}
+	refs := batchTestStream(t, "gzip", 20_000)
+	g := NewGroup(New(cfg, prefetch.NewRecency()))
+	if !g.SharedFrontend() {
+		t.Fatal("a lone pristine member must run as a shared frontend")
+	}
+	g.RefBatch(refs)
+	ind := New(cfg, prefetch.NewRecency())
+	ind.RefBatch(refs)
+	if got, want := g.Members()[0].Stats(), ind.Stats(); got != want {
+		t.Fatalf("lone member %+v != independent %+v", got, want)
 	}
 }
 

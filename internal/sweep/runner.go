@@ -55,8 +55,8 @@ type Runner struct {
 }
 
 // shardKey identifies cells that can share one generation pass and (for
-// functional cells) one sim.Group: same stream (source, seed, length) and
-// same TLB-frontend geometry. Buffer size, mechanism — and for timing
+// single-source cells) one sim.Group: same stream (source, seed, length)
+// and same TLB-frontend geometry. Buffer size, mechanism — and for timing
 // shards the cycle-model constants — may differ within a shard; they live
 // in the per-member back half. Mix cells key on the interleaved stream's
 // fingerprint (member sources + quantum) instead of a single source; the
@@ -341,17 +341,21 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	if sh.mix != nil {
 		return r.runMixShard(sh, jobs, resolve, settle)
 	}
-	if sh.key.timing {
-		return r.runTimingShard(sh, jobs, resolve, settle)
-	}
 
-	// Functional cells: geometry-identical members share one canonical
-	// TLB frontend via sim.Group (heterogeneous buffer sizes are fine —
-	// the buffer is in the per-member back half).
+	// Geometry-identical members share one canonical TLB frontend via
+	// sim.Group (heterogeneous buffer sizes and cycle-model constants are
+	// fine — they live in the per-member back half). Timed cells join as
+	// the Simulator of a TimingSimulator, which also settles their cycles.
 	g := sim.NewGroup()
-	for _, idx := range sh.indices {
+	timed := make([]*sim.TimingSimulator, len(sh.indices))
+	for mi, idx := range sh.indices {
 		j := jobs[idx]
-		g.Add(sim.New(j.Config, j.Mech.Build()))
+		if j.Timing != nil {
+			timed[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
+			g.Add(timed[mi].Simulator)
+		} else {
+			g.Add(sim.New(j.Config, j.Mech.Build()))
+		}
 	}
 	total := sh.key.warmup + sh.key.refs
 	var seen uint64
@@ -377,6 +381,11 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	}
 	for mi, s := range g.Members() {
 		idx := sh.indices[mi]
+		if timed[mi] != nil {
+			st := timed[mi].Stats()
+			settle(idx, Result{Key: jobs[idx].Key(), Stats: st.Stats, Timing: &st})
+			continue
+		}
 		settle(idx, Result{Key: jobs[idx].Key(), Stats: s.Stats()})
 	}
 	return nil
@@ -492,34 +501,6 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	for mi, idx := range sh.indices {
 		res := execs[mi].Results()
 		settle(idx, Result{Key: jobs[idx].Key(), Stats: res.Aggregate, Apps: res.Apps})
-	}
-	return nil
-}
-
-// runTimingShard drives the cycle model member by member: each member
-// probes its own TLB and runs its own clock, and the members share the
-// single generation pass.
-func (r *Runner) runTimingShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
-	sims := make([]*sim.TimingSimulator, len(sh.indices))
-	for mi, idx := range sh.indices {
-		j := jobs[idx]
-		sims[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
-	}
-	// Sim-outer over each chunk: every TimingSimulator owns its clock and
-	// shares no state with the others, so walking the chunk once per sim is
-	// bit-identical to the ref-outer order while touching each sim's state
-	// in long cache-friendly runs.
-	err := r.stream(sh, resolve, sh.key.refs, func(refs []trace.Ref) {
-		for _, s := range sims {
-			s.RefBatch(refs)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for mi, idx := range sh.indices {
-		st := sims[mi].Stats()
-		settle(idx, Result{Key: jobs[idx].Key(), Stats: st.Stats, Timing: &st})
 	}
 	return nil
 }
