@@ -16,6 +16,7 @@ import (
 	"tlbprefetch/internal/experiments"
 	"tlbprefetch/internal/multiprog"
 	"tlbprefetch/internal/sweep"
+	"tlbprefetch/internal/trace"
 )
 
 // benchOpts scales an experiment to benchmark-friendly size.
@@ -478,6 +479,16 @@ func BenchmarkGroupFanout(b *testing.B) {
 	})
 }
 
+// mixInterleaver schedules materialized streams the way a mix shard does:
+// a StreamInterleaver over one slice reader per process.
+func mixInterleaver(streams [][]tlbprefetch.Ref) *multiprog.StreamInterleaver {
+	srcs := make([]trace.BatchReader, len(streams))
+	for i, s := range streams {
+		srcs[i] = trace.NewSliceReader(s)
+	}
+	return multiprog.NewStreamInterleaver(srcs, 20_000)
+}
+
 // BenchmarkMixInterleaver measures the multiprogramming interleaver's
 // per-reference scheduling cost: two 2M-reference streams round-robined at
 // a 20k quantum. One interleaving pass feeds every cell of a mix shard, so
@@ -488,14 +499,16 @@ func BenchmarkMixInterleaver(b *testing.B) {
 		benchTrace(b, "galgel", 2_000_000),
 		benchTrace(b, "gcc", 2_000_000),
 	}
+	it := mixInterleaver(streams)
 	b.ReportAllocs()
 	b.ResetTimer()
-	it := multiprog.NewInterleaver(streams, 20_000)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		_, _, vaddr, ok := it.Next()
 		if !ok {
-			it = multiprog.NewInterleaver(streams, 20_000)
+			b.StopTimer()
+			it = mixInterleaver(streams)
+			b.StartTimer()
 			continue
 		}
 		sink ^= vaddr
@@ -513,15 +526,15 @@ func BenchmarkMixExec(b *testing.B) {
 	}
 	cfg := tlbprefetch.DefaultConfig()
 	mk := func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistance(256, 1, 2) }
+	it := mixInterleaver(streams)
+	e := multiprog.NewExec(cfg, multiprog.Retain, multiprog.ASIDFlush, len(streams), mk)
 	b.ReportAllocs()
 	b.ResetTimer()
-	it := multiprog.NewInterleaver(streams, 20_000)
-	e := multiprog.NewExec(cfg, multiprog.Retain, multiprog.ASIDFlush, len(streams), mk)
 	for i := 0; i < b.N; i++ {
 		proc, pc, vaddr, ok := it.Next()
 		if !ok {
 			b.StopTimer()
-			it = multiprog.NewInterleaver(streams, 20_000)
+			it = mixInterleaver(streams)
 			e = multiprog.NewExec(cfg, multiprog.Retain, multiprog.ASIDFlush, len(streams), mk)
 			b.StartTimer()
 			continue

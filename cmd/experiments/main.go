@@ -78,17 +78,17 @@ func main() {
 		WarmupRefs: *warmup,
 		Tally:      tally,
 	}
+	// Reject a geometry the simulator cannot model here, as a usage error,
+	// rather than let the first experiment's constructor panic on it.
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	if *storePath != "" {
 		store, err := sweep.OpenStore(*storePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
-		}
-		if n := store.Migrated(); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: migrated %d cells from store schema %d to %d\n", n, store.MigratedFrom(), sweep.KeySchema)
-		}
-		if store.Converted() {
-			fmt.Fprintf(os.Stderr, "experiments: converting monolithic store (%d cells) to the sharded segment+index layout on next save\n", store.Len())
 		}
 		opts.Store = store
 		defer func() {

@@ -66,16 +66,53 @@ func main() {
 	if *missPenalty != 0 || *memopLat != 0 {
 		*timing = true
 	}
+	cfg := tlbprefetch.Config{
+		TLB:           tlbprefetch.TLBConfig{Entries: *tlbEntries, Ways: *tlbWays},
+		BufferEntries: *buffer,
+		PageShift:     *pageShift,
+	}
+	tc := timingConfig(cfg, *missPenalty, *memopLat)
+	// Reject a geometry the simulator cannot model here, as a usage error,
+	// rather than let the constructor panic on it.
+	verr := cfg.Validate()
+	if *timing {
+		verr = tc.Validate()
+	}
+	if verr != nil {
+		fmt.Fprintln(os.Stderr, "tlbsim:", verr)
+		os.Exit(2)
+	}
 	if err := run(*workloadName, *traceFile, *traceText, *mech, *rows, *ways, *slots,
-		*refs, *tlbEntries, *tlbWays, *buffer, *pageShift, *timing, *missPenalty, *memopLat,
-		*cpuProf, *memProf); err != nil {
+		*refs, cfg, tc, *timing, *cpuProf, *memProf); err != nil {
 		fatal(err.Error())
 	}
 }
 
+// timingConfig returns the cycle model for cfg's geometry under the
+// -miss-penalty and -memop-latency flags (0 keeps the paper default).
+func timingConfig(cfg tlbprefetch.Config, missPenalty, memopLat uint64) tlbprefetch.TimingConfig {
+	tc := tlbprefetch.DefaultTimingConfig()
+	if missPenalty != 0 {
+		// Same recalibration tlbsweep's -miss-penalty axis uses, so a
+		// tlbsim spot check reproduces a swept cell's cycle counts.
+		tc = tlbprefetch.ScaledTimingConfig(missPenalty)
+	}
+	tc.Config = cfg
+	if memopLat != 0 {
+		tc.MemOpLatency = memopLat
+		// An explicit latency below the channel occupancy means the
+		// channel is fully serialized at that latency (same rule as
+		// tlbsweep's -memop-latency axis).
+		if tc.MemOpOccupancy > tc.MemOpLatency {
+			tc.MemOpOccupancy = tc.MemOpLatency
+		}
+	}
+	return tc
+}
+
 func run(workloadName, traceFile string, traceText bool, mech string, rows, ways, slots int,
-	refs uint64, tlbEntries, tlbWays, buffer int, pageShift uint, timing bool,
-	missPenalty, memopLat uint64, cpuProf, memProf string) error {
+	refs uint64, cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig, timing bool,
+	cpuProf, memProf string) error {
 	stopProf, err := prof.Start("tlbsim", cpuProf, memProf)
 	if err != nil {
 		return err
@@ -87,40 +124,14 @@ func run(workloadName, traceFile string, traceText bool, mech string, rows, ways
 		return err
 	}
 
-	cfg := tlbprefetch.Config{
-		TLB:           tlbprefetch.TLBConfig{Entries: tlbEntries, Ways: tlbWays},
-		BufferEntries: buffer,
-		PageShift:     pageShift,
-	}
-	timingConfig := func() tlbprefetch.TimingConfig {
-		tc := tlbprefetch.DefaultTimingConfig()
-		if missPenalty != 0 {
-			// Same recalibration tlbsweep's -miss-penalty axis uses, so a
-			// tlbsim spot check reproduces a swept cell's cycle counts.
-			tc = tlbprefetch.ScaledTimingConfig(missPenalty)
-		}
-		tc.Config = cfg
-		if memopLat != 0 {
-			tc.MemOpLatency = memopLat
-			// An explicit latency below the channel occupancy means the
-			// channel is fully serialized at that latency (same rule as
-			// tlbsweep's -memop-latency axis).
-			if tc.MemOpOccupancy > tc.MemOpLatency {
-				tc.MemOpOccupancy = tc.MemOpLatency
-			}
-		}
-		return tc
-	}
-
 	if traceFile != "" {
-		return runTrace(cfg, timingConfig, pf, traceFile, traceText, timing)
+		return runTrace(cfg, tc, pf, traceFile, traceText, timing)
 	}
 	w, ok := tlbprefetch.WorkloadByName(workloadName)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (try -list)", workloadName)
 	}
 	if timing {
-		tc := timingConfig()
 		base := tlbprefetch.RunWorkloadTimed(tc, nil, w, refs)
 		st := tlbprefetch.RunWorkloadTimed(tc, pf, w, refs)
 		printTiming(st, base.Cycles)
@@ -163,7 +174,7 @@ func buildMechanism(kind string, rows, ways, slots int) (tlbprefetch.Prefetcher,
 	return nil, fmt.Errorf("unknown mechanism %q", kind)
 }
 
-func runTrace(cfg tlbprefetch.Config, timingConfig func() tlbprefetch.TimingConfig,
+func runTrace(cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig,
 	pf tlbprefetch.Prefetcher, path string, text, timing bool) error {
 	var r tlbprefetch.TraceReader
 	if text {
@@ -185,7 +196,7 @@ func runTrace(cfg tlbprefetch.Config, timingConfig func() tlbprefetch.TimingConf
 		r = or
 	}
 	if timing {
-		s := tlbprefetch.NewTimingSimulator(timingConfig(), pf)
+		s := tlbprefetch.NewTimingSimulator(tc, pf)
 		if err := s.Run(r); err != nil {
 			return err
 		}

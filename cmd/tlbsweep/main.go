@@ -242,12 +242,6 @@ func run(cfg sweepConfig) (int, error) {
 		if err != nil {
 			return 1, err
 		}
-		if n := store.Migrated(); n > 0 {
-			fmt.Fprintf(os.Stderr, "tlbsweep: migrated %d cells from store schema %d to %d\n", n, store.MigratedFrom(), sweep.KeySchema)
-		}
-		if store.Converted() {
-			fmt.Fprintf(os.Stderr, "tlbsweep: converting monolithic store (%d cells) to the sharded segment+index layout on next save\n", store.Len())
-		}
 	}
 
 	switch {

@@ -59,6 +59,10 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate reports whether the options name a pipeline geometry the
+// simulator can model (see sim.Config.Validate).
+func (o Options) Validate() error { return o.simConfig().Validate() }
+
 func (o Options) simConfig() sim.Config {
 	return sim.Config{
 		TLB:           tlb.Config{Entries: o.TLBEntries, Ways: o.TLBWays},

@@ -438,3 +438,22 @@ func TestExtPageSizeStability(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsValidate pins the check the command line runs on its flags
+// before any experiment builds a simulator: a geometry tlb.New would panic
+// on is an error instead.
+func TestOptionsValidate(t *testing.T) {
+	if err := DefaultOptions().Validate(); err != nil {
+		t.Fatalf("paper defaults rejected: %v", err)
+	}
+	o := DefaultOptions()
+	o.TLBWays = 3
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "not divisible by Ways 3") {
+		t.Fatalf("128 entries / 3 ways: err = %v", err)
+	}
+	o = DefaultOptions()
+	o.Buffer = 0
+	if err := o.Validate(); err == nil {
+		t.Fatal("zero-entry prefetch buffer accepted")
+	}
+}

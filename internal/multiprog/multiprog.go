@@ -20,11 +20,11 @@
 //     address tagging stands in for the tag match).
 //
 // The package splits the mechanics in two so the sweep runner can share
-// work: an Interleaver deterministically round-robins materialized
-// per-process streams (allocation-free per reference, so one interleaving
+// work: a StreamInterleaver deterministically round-robins per-process
+// reference sources (allocation-free per reference, so one interleaving
 // pass can feed many cells), and an Exec drives one simulator under one
 // (Policy, ASIDMode) pair, attributing counters to the process that was
-// running. Run bundles both for single-cell use.
+// running.
 package multiprog
 
 import (
@@ -32,8 +32,6 @@ import (
 
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
-	"tlbprefetch/internal/trace"
-	"tlbprefetch/internal/workload"
 )
 
 // Policy selects the prediction-table treatment at a context switch.
@@ -137,76 +135,9 @@ func Split(total uint64, n int) []uint64 {
 	return out
 }
 
-// Interleaver round-robins materialized per-process reference streams with
-// a fixed context-switch quantum. The schedule is a pure function of the
-// stream lengths and the quantum: process 0 runs first, a process runs
-// until its quantum expires or its stream ends, and exhausted processes
-// drop out of the rotation — when one process remains it simply keeps
-// running (no spurious switches to itself). Next is allocation-free.
-type Interleaver struct {
-	streams [][]trace.Ref
-	quantum uint64
-	pos     []int
-	proc    int    // current process
-	left    uint64 // references left in the current quantum
-	live    int    // processes with references remaining
-}
-
-// NewInterleaver builds an interleaver over the given streams. It panics on
-// a zero quantum or an empty stream list; zero-length streams are allowed
-// (the process just never runs).
-func NewInterleaver(streams [][]trace.Ref, quantum uint64) *Interleaver {
-	if len(streams) == 0 || quantum == 0 {
-		panic("multiprog: need streams and a positive quantum")
-	}
-	it := &Interleaver{
-		streams: streams,
-		quantum: quantum,
-		pos:     make([]int, len(streams)),
-		proc:    len(streams) - 1, // first advance lands on process 0
-	}
-	for _, s := range streams {
-		if len(s) > 0 {
-			it.live++
-		}
-	}
-	return it
-}
-
-// Next returns the next scheduled reference and the process it belongs to,
-// with the process's ASID tag already applied to the address. ok is false
-// when every stream is exhausted.
-func (it *Interleaver) Next() (proc int, pc, vaddr uint64, ok bool) {
-	if it.live == 0 {
-		return 0, 0, 0, false
-	}
-	if it.left == 0 {
-		// Quantum expired (or first dispatch): rotate to the next process
-		// with references left — possibly the current one, when it is the
-		// only process still running.
-		for i := 1; i <= len(it.streams); i++ {
-			p := (it.proc + i) % len(it.streams)
-			if it.pos[p] < len(it.streams[p]) {
-				it.proc = p
-				it.left = it.quantum
-				break
-			}
-		}
-	}
-	p := it.proc
-	ref := it.streams[p][it.pos[p]]
-	it.pos[p]++
-	it.left--
-	if it.pos[p] == len(it.streams[p]) {
-		it.live--
-		it.left = 0
-	}
-	return p, ref.PC, ref.VAddr | uint64(p+1)<<ASIDShift, true
-}
-
 // Exec drives one shared simulator pipeline under one (Policy, ASIDMode)
 // pair, fed by an interleaved stream. It detects context switches from the
-// process ids the Interleaver reports — only a *real* process change
+// process ids the StreamInterleaver reports — only a *real* process change
 // triggers switch actions, so a lone remaining process runs undisturbed —
 // and attributes the counters accrued between switches to the process that
 // was running.
@@ -245,8 +176,8 @@ func NewExec(cfg sim.Config, policy Policy, asid ASIDMode, nprocs int, mk func()
 	return e
 }
 
-// Ref feeds one scheduled reference (as produced by Interleaver.Next) into
-// the pipeline, performing switch actions when the process changed.
+// Ref feeds one scheduled reference (as produced by StreamInterleaver.Next)
+// into the pipeline, performing switch actions when the process changed.
 func (e *Exec) Ref(proc int, pc, vaddr uint64) {
 	if proc != e.cur {
 		e.contextSwitch(proc)
@@ -317,71 +248,4 @@ func (e *Exec) Results() ExecResult {
 		Aggregate: e.sim.Stats(),
 		Apps:      append([]sim.Stats(nil), e.apps...),
 	}
-}
-
-// Result summarizes one multiprogrammed run.
-type Result struct {
-	Policy  Policy
-	ASID    ASIDMode
-	Quantum uint64 // references per scheduling quantum
-	Refs    uint64
-	Misses  uint64
-	Hits    uint64 // prefetch buffer hits
-	// Coverage is Hits/Misses — the fraction of TLB misses the prefetch
-	// buffer absorbed, the metric the paper calls prediction accuracy.
-	Coverage float64
-	// Accuracy is used/issued — the fraction of issued prefetches that
-	// served a miss before being discarded.
-	Accuracy float64
-	// Apps is the per-process attribution (see ExecResult.Apps).
-	Apps []sim.Stats
-}
-
-// Run interleaves the workloads round-robin with the given quantum,
-// mechanism factory, table policy and ASID mode. refsTotal is split across
-// the processes (see Split). The factory is invoked once for Retain/Flush
-// and once per process for PerProcess.
-func Run(ws []workload.Workload, refsTotal, quantum uint64, policy Policy, asid ASIDMode,
-	mk func() prefetch.Prefetcher, cfg sim.Config) Result {
-
-	if len(ws) == 0 || quantum == 0 || refsTotal == 0 {
-		panic("multiprog: need workloads, references and a positive quantum")
-	}
-	shares := Split(refsTotal, len(ws))
-	streams := make([][]trace.Ref, len(ws))
-	for i, w := range ws {
-		buf := make([]trace.Ref, 0, shares[i])
-		workload.Generate(w, shares[i], func(pc, vaddr uint64) bool {
-			buf = append(buf, trace.Ref{PC: pc, VAddr: vaddr})
-			return true
-		})
-		streams[i] = buf
-	}
-
-	it := NewInterleaver(streams, quantum)
-	e := NewExec(cfg, policy, asid, len(ws), mk)
-	for {
-		proc, pc, vaddr, ok := it.Next()
-		if !ok {
-			break
-		}
-		e.Ref(proc, pc, vaddr)
-	}
-
-	res := e.Results()
-	agg := res.Aggregate
-	r := Result{
-		Policy:   policy,
-		ASID:     asid,
-		Quantum:  quantum,
-		Refs:     agg.Refs,
-		Misses:   agg.Misses,
-		Hits:     agg.BufferHits,
-		Coverage: agg.Accuracy(),
-		Apps:     res.Apps,
-	}
-	if agg.PrefetchesIssued > 0 {
-		r.Accuracy = float64(agg.PrefetchesIssued-agg.PrefetchesUnused) / float64(agg.PrefetchesIssued)
-	}
-	return r
 }

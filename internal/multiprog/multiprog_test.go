@@ -27,6 +27,48 @@ func pair() []workload.Workload {
 	return []workload.Workload{a, b}
 }
 
+// slicesInterleaved schedules materialized per-process streams the way
+// the sweep runner schedules its sources: a StreamInterleaver over one
+// slice reader per process.
+func slicesInterleaved(streams [][]trace.Ref, quantum uint64) *StreamInterleaver {
+	srcs := make([]trace.BatchReader, len(streams))
+	for i, s := range streams {
+		srcs[i] = trace.NewSliceReader(s)
+	}
+	return NewStreamInterleaver(srcs, quantum)
+}
+
+// runMix is one multiprogrammed cell on the production path: refsTotal is
+// split across the workloads (see Split), each share is materialized with
+// workload.Generate, and an Exec under (policy, asid) is fed from a
+// StreamInterleaver over the streams.
+func runMix(t *testing.T, ws []workload.Workload, refsTotal, quantum uint64, policy Policy, asid ASIDMode) ExecResult {
+	t.Helper()
+	shares := Split(refsTotal, len(ws))
+	streams := make([][]trace.Ref, len(ws))
+	for i, w := range ws {
+		buf := make([]trace.Ref, 0, shares[i])
+		workload.Generate(w, shares[i], func(pc, vaddr uint64) bool {
+			buf = append(buf, trace.Ref{PC: pc, VAddr: vaddr})
+			return true
+		})
+		streams[i] = buf
+	}
+	it := slicesInterleaved(streams, quantum)
+	e := NewExec(simCfg(), policy, asid, len(ws), mkDP)
+	for {
+		proc, pc, vaddr, ok := it.Next()
+		if !ok {
+			break
+		}
+		e.Ref(proc, pc, vaddr)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return e.Results()
+}
+
 func TestPolicyStringRoundTrip(t *testing.T) {
 	for _, p := range []Policy{Retain, Flush, PerProcess} {
 		got, err := ParsePolicy(p.String())
@@ -89,7 +131,7 @@ func taggedStreams(lens ...int) [][]trace.Ref {
 func TestInterleaverSchedule(t *testing.T) {
 	// Quantum 3 over streams of 5 and 4: p0 runs 3, p1 runs 3, p0 runs its
 	// last 2 (stream ends mid-quantum → switch), p1 runs its last 1.
-	it := NewInterleaver(taggedStreams(5, 4), 3)
+	it := slicesInterleaved(taggedStreams(5, 4), 3)
 	var procs []int
 	for {
 		p, _, _, ok := it.Next()
@@ -107,7 +149,7 @@ func TestInterleaverSchedule(t *testing.T) {
 func TestInterleaverLoneSurvivorKeepsRunning(t *testing.T) {
 	// Once one stream is exhausted the survivor must run uninterrupted:
 	// the process id sequence may not switch away and back.
-	it := NewInterleaver(taggedStreams(2, 10), 2)
+	it := slicesInterleaved(taggedStreams(2, 10), 2)
 	var procs []int
 	for {
 		p, _, _, ok := it.Next()
@@ -134,7 +176,7 @@ func TestInterleaverLoneSurvivorKeepsRunning(t *testing.T) {
 }
 
 func TestInterleaverAppliesASIDTags(t *testing.T) {
-	it := NewInterleaver(taggedStreams(2, 2), 1)
+	it := slicesInterleaved(taggedStreams(2, 2), 1)
 	for {
 		p, _, vaddr, ok := it.Next()
 		if !ok {
@@ -147,7 +189,7 @@ func TestInterleaverAppliesASIDTags(t *testing.T) {
 }
 
 func TestInterleaverZeroLengthStreamNeverRuns(t *testing.T) {
-	it := NewInterleaver(taggedStreams(0, 3), 2)
+	it := slicesInterleaved(taggedStreams(0, 3), 2)
 	n := 0
 	for {
 		p, _, _, ok := it.Next()
@@ -186,7 +228,7 @@ func TestNoSpuriousFlushAtQuantumBoundary(t *testing.T) {
 		for _, asid := range []ASIDMode{ASIDFlush, ASIDTagged} {
 			// Tiny quantum: thousands of quantum expiries, zero real
 			// switches (the second "process" has an empty stream).
-			it := NewInterleaver([][]trace.Ref{refs, nil}, 100)
+			it := slicesInterleaved([][]trace.Ref{refs, nil}, 100)
 			e := NewExec(simCfg(), pol, asid, 2, mkDP)
 			for {
 				p, pc, vaddr, ok := it.Next()
@@ -205,21 +247,21 @@ func TestNoSpuriousFlushAtQuantumBoundary(t *testing.T) {
 }
 
 func TestRunBasics(t *testing.T) {
-	res := Run(pair(), 200_000, 10_000, Retain, ASIDFlush, mkDP, simCfg())
-	if res.Refs == 0 || res.Misses == 0 {
-		t.Fatalf("empty run: %+v", res)
+	res := runMix(t, pair(), 200_000, 10_000, Retain, ASIDFlush)
+	agg := res.Aggregate
+	if agg.Refs == 0 || agg.Misses == 0 {
+		t.Fatalf("empty run: %+v", agg)
 	}
-	if res.Refs != 200_000 {
-		t.Fatalf("refs %d, want the full budget", res.Refs)
+	if agg.Refs != 200_000 {
+		t.Fatalf("refs %d, want the full budget", agg.Refs)
 	}
-	if res.Coverage < 0 || res.Coverage > 1 {
-		t.Fatalf("coverage %v", res.Coverage)
+	// Coverage: the fraction of TLB misses the prefetch buffer absorbed,
+	// the metric the paper calls prediction accuracy.
+	if c := agg.Accuracy(); c < 0 || c > 1 {
+		t.Fatalf("coverage %v", c)
 	}
-	if res.Accuracy < 0 || res.Accuracy > 1 {
-		t.Fatalf("accuracy %v", res.Accuracy)
-	}
-	if res.Policy != Retain || res.ASID != ASIDFlush || res.Quantum != 10_000 {
-		t.Fatalf("metadata lost: %+v", res)
+	if agg.PrefetchesIssued == 0 || agg.PrefetchesUnused > agg.PrefetchesIssued {
+		t.Fatalf("prefetch accounting: issued %d, unused %d", agg.PrefetchesIssued, agg.PrefetchesUnused)
 	}
 	if len(res.Apps) != 2 {
 		t.Fatalf("apps = %d", len(res.Apps))
@@ -232,47 +274,45 @@ func TestRunBasics(t *testing.T) {
 			t.Fatalf("per-app unused prefetches attributed: %+v", a)
 		}
 	}
-	if appRefs != res.Refs {
-		t.Fatalf("per-app refs sum %d != aggregate %d", appRefs, res.Refs)
+	if appRefs != agg.Refs {
+		t.Fatalf("per-app refs sum %d != aggregate %d", appRefs, agg.Refs)
 	}
-	if appMisses != res.Misses {
-		t.Fatalf("per-app misses sum %d != aggregate %d", appMisses, res.Misses)
+	if appMisses != agg.Misses {
+		t.Fatalf("per-app misses sum %d != aggregate %d", appMisses, agg.Misses)
 	}
 }
 
 func TestFlushNeverBeatsPerProcess(t *testing.T) {
 	for _, q := range []uint64{5_000, 50_000} {
-		flush := Run(pair(), 300_000, q, Flush, ASIDFlush, mkDP, simCfg())
-		perProc := Run(pair(), 300_000, q, PerProcess, ASIDFlush, mkDP, simCfg())
-		if flush.Coverage > perProc.Coverage+0.02 {
-			t.Errorf("quantum %d: flush %.3f beats per-process %.3f",
-				q, flush.Coverage, perProc.Coverage)
+		flush := runMix(t, pair(), 300_000, q, Flush, ASIDFlush).Aggregate.Accuracy()
+		perProc := runMix(t, pair(), 300_000, q, PerProcess, ASIDFlush).Aggregate.Accuracy()
+		if flush > perProc+0.02 {
+			t.Errorf("quantum %d: flush %.3f beats per-process %.3f", q, flush, perProc)
 		}
 	}
 }
 
 func TestFlushPenaltyShrinksWithQuantum(t *testing.T) {
-	small := Run(pair(), 300_000, 2_000, Flush, ASIDFlush, mkDP, simCfg())
-	large := Run(pair(), 300_000, 100_000, Flush, ASIDFlush, mkDP, simCfg())
-	if small.Coverage > large.Coverage {
-		t.Errorf("flush at small quantum %.3f should not beat large quantum %.3f",
-			small.Coverage, large.Coverage)
+	small := runMix(t, pair(), 300_000, 2_000, Flush, ASIDFlush).Aggregate.Accuracy()
+	large := runMix(t, pair(), 300_000, 100_000, Flush, ASIDFlush).Aggregate.Accuracy()
+	if small > large {
+		t.Errorf("flush at small quantum %.3f should not beat large quantum %.3f", small, large)
 	}
 }
 
 func TestTaggedNeverLosesToASIDFlush(t *testing.T) {
 	// Keeping translations resident across switches can only help a
 	// round-robin pair (they contend for capacity but lose no state).
-	flush := Run(pair(), 300_000, 5_000, Retain, ASIDFlush, mkDP, simCfg())
-	tagged := Run(pair(), 300_000, 5_000, Retain, ASIDTagged, mkDP, simCfg())
+	flush := runMix(t, pair(), 300_000, 5_000, Retain, ASIDFlush).Aggregate
+	tagged := runMix(t, pair(), 300_000, 5_000, Retain, ASIDTagged).Aggregate
 	if tagged.Misses > flush.Misses {
 		t.Errorf("tagged TLB misses %d exceed flushed %d", tagged.Misses, flush.Misses)
 	}
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Run(pair(), 100_000, 7_000, Retain, ASIDTagged, mkDP, simCfg())
-	b := Run(pair(), 100_000, 7_000, Retain, ASIDTagged, mkDP, simCfg())
+	a := runMix(t, pair(), 100_000, 7_000, Retain, ASIDTagged)
+	b := runMix(t, pair(), 100_000, 7_000, Retain, ASIDTagged)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("multiprogrammed run not deterministic: %+v vs %+v", a, b)
 	}
@@ -284,5 +324,5 @@ func TestPanicsOnBadArgs(t *testing.T) {
 			t.Fatal("no panic on zero quantum")
 		}
 	}()
-	Run(pair(), 1000, 0, Retain, ASIDFlush, mkDP, simCfg())
+	runMix(t, pair(), 1000, 0, Retain, ASIDFlush)
 }

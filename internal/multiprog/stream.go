@@ -11,14 +11,17 @@ import (
 // simulation work the scheduled stream feeds.
 const streamBuf = 4096
 
-// StreamInterleaver is Interleaver over streaming sources: it round-robins
-// trace.BatchReaders instead of materialized slices, holding only one
-// buffered chunk per process. The schedule — and therefore the interleaved
-// reference stream — is bit-identical to an Interleaver over the fully
-// materialized streams (pinned by TestStreamInterleaverMatchesSlice): same
-// rotation rule, same quantum accounting, and a process drops out of the
-// rotation the moment its last reference is consumed, because the buffer is
-// refilled eagerly right then.
+// StreamInterleaver round-robins per-process reference sources with a
+// fixed context-switch quantum, holding only one buffered chunk per
+// process. The schedule is a pure function of the stream lengths and the
+// quantum: process 0 runs first, a process runs until its quantum expires
+// or its stream ends, and exhausted processes drop out of the rotation —
+// when one process remains it simply keeps running (no spurious switches
+// to itself). A process drops out the moment its last reference is
+// consumed, because its buffer is refilled eagerly right then; the
+// schedule therefore does not depend on how the sources chunk their
+// references (pinned against a slice reference model by
+// TestStreamInterleaverMatchesSlice). Next is allocation-free.
 //
 // A source error stops the schedule: Next returns ok=false and Err reports
 // the error. Callers must check Err after draining.
@@ -97,8 +100,8 @@ func (it *StreamInterleaver) Next() (proc int, pc, vaddr uint64, ok bool) {
 	it.left--
 	if it.pos[p] == len(it.bufs[p]) {
 		// Eager refill: the rotation must know *now* whether this process
-		// still has references, exactly like the slice interleaver's
-		// pos==len check.
+		// still has references, so a stream that ends mid-quantum hands
+		// the CPU on immediately.
 		it.refill(p)
 		if len(it.bufs[p]) == 0 {
 			it.live--

@@ -48,7 +48,7 @@ func TestStreamInterleaverMatchesSlice(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		streams := mixStreams(t, tc.lens)
-		want := NewInterleaver(streams, tc.quantum)
+		want := newSliceInterleaver(streams, tc.quantum)
 		srcs := make([]trace.BatchReader, len(streams))
 		for i, s := range streams {
 			srcs[i] = trace.NewSliceReader(s)
@@ -136,7 +136,7 @@ func (s singleRef) ReadBatch(dst []trace.Ref) (int, error) {
 
 func TestStreamInterleaverOneRefBatches(t *testing.T) {
 	streams := mixStreams(t, []uint64{33, 17})
-	want := NewInterleaver(streams, 5)
+	want := newSliceInterleaver(streams, 5)
 	got := NewStreamInterleaver([]trace.BatchReader{
 		singleRef{trace.NewSliceReader(streams[0])},
 		singleRef{trace.NewSliceReader(streams[1])},

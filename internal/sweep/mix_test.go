@@ -7,6 +7,7 @@ import (
 	"tlbprefetch/internal/multiprog"
 	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/tlb"
+	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
 )
 
@@ -219,11 +220,32 @@ func TestMixCellMatchesDirectMultiprog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := multiprog.Run([]workload.Workload{w1, w2}, 60_000, 5_000,
-			tc.pol, tc.mode, job.Mech.Build, cfg)
-		if res[0].Stats.Misses != direct.Misses || res[0].Stats.BufferHits != direct.Hits {
+		shares := multiprog.Split(60_000, 2)
+		srcs := make([]trace.BatchReader, 2)
+		for i, w := range []workload.Workload{w1, w2} {
+			var refs []trace.Ref
+			workload.Generate(w, shares[i], func(pc, vaddr uint64) bool {
+				refs = append(refs, trace.Ref{PC: pc, VAddr: vaddr})
+				return true
+			})
+			srcs[i] = trace.NewSliceReader(refs)
+		}
+		it := multiprog.NewStreamInterleaver(srcs, 5_000)
+		e := multiprog.NewExec(cfg, tc.pol, tc.mode, 2, job.Mech.Build)
+		for {
+			proc, pc, vaddr, ok := it.Next()
+			if !ok {
+				break
+			}
+			e.Ref(proc, pc, vaddr)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		direct := e.Results()
+		if res[0].Stats.Misses != direct.Aggregate.Misses || res[0].Stats.BufferHits != direct.Aggregate.BufferHits {
 			t.Errorf("%s/%s: sweep cell %+v != direct multiprog run (misses %d, hits %d)",
-				tc.policy, tc.asid, res[0].Stats, direct.Misses, direct.Hits)
+				tc.policy, tc.asid, res[0].Stats, direct.Aggregate.Misses, direct.Aggregate.BufferHits)
 		}
 		if len(res[0].Apps) != 2 {
 			t.Fatalf("apps = %d, want 2", len(res[0].Apps))

@@ -268,7 +268,6 @@ func (s *Store) Save() error {
 
 	s.mu.Lock()
 	s.segs = segs
-	s.converted = false
 	s.mu.Unlock()
 	return nil
 }

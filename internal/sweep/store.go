@@ -24,11 +24,12 @@ type Result struct {
 	Timing *sim.TimingStats `json:"timing,omitempty"`
 }
 
-// storeFile is the legacy monolithic on-disk layout: schema and provenance
-// metadata in the header plus the full hash → result map. Stores in this
-// shape (any schema) still open — and convert to the sharded layout on the
-// next Save — but are no longer written. encoding/json sorts map keys, so
-// the serialized form is a canonical function of the store's contents.
+// storeFile is the canonical single-document form of a store's contents:
+// schema and provenance metadata in the header plus the full hash → result
+// map. Bytes renders it for comparing stores; it is never written to disk
+// (Save writes the sharded layout, and OpenStore rejects a file in this
+// shape). encoding/json sorts map keys, so the serialized form is a
+// canonical function of the store's contents.
 type storeFile struct {
 	Schema  int               `json:"schema"`
 	Binary  string            `json:"binary,omitempty"`
@@ -77,10 +78,6 @@ type Store struct {
 
 	segReads  int // segment files read since open (instrumentation, see SegmentReads)
 	segWrites int // segment files written since open (instrumentation, see SegmentWrites)
-
-	migrated   int  // cells re-keyed from an older schema at open time
-	fromSchema int  // the schema those cells were stored under (0 when none)
-	converted  bool // opened from a monolithic file; the next Save writes the sharded layout
 }
 
 // NewStore returns an empty in-memory store.
@@ -95,21 +92,15 @@ func NewStore() *Store {
 }
 
 // OpenStore binds a store to a file, loading its cell index when the file
-// exists (a missing file is an empty store, not an error). Sharded stores
-// load the index alone — O(cells) of key metadata, no payloads; each
-// segment is read, digest-verified and hash-checked only when one of its
-// cells is first touched.
+// exists (a missing file is an empty store, not an error). Only the index
+// is read — O(cells) of key metadata, no payloads; each segment is read,
+// digest-verified and hash-checked only when one of its cells is first
+// touched.
 //
-// Legacy monolithic files still open transparently. A current-schema
-// monolithic store loads with every cell verified against its stored hash
-// and converts to the sharded layout on the next Save (Converted reports
-// this). Schema-1 and schema-2 stores additionally migrate: every cell is
-// verified under its old schema, re-keyed under the current one (see
-// keyV1.toCurrent and migrateV2), and reported via Migrated/MigratedFrom.
-// Unseeded grids then satisfy every migrated cell from cache; grids with a
-// nonzero base seed derive their per-cell streams from the key layout and
-// therefore name fresh cells across a schema change that reshapes the
-// layout (v3 does not — see DeriveSeed).
+// The sharded index of the current KeySchema is the one format read. The
+// store is a cache, so anything else — a monolithic file of any schema, an
+// unknown layout, an older or newer schema — is rejected with an error
+// that says to delete it or choose another store.
 func OpenStore(path string) (*Store, error) {
 	s := NewStore()
 	s.path = path
@@ -121,122 +112,57 @@ func OpenStore(path string) (*Store, error) {
 		return nil, fmt.Errorf("sweep: reading store: %w", err)
 	}
 	var f struct {
-		Schema   int                        `json:"schema"`
-		Layout   string                     `json:"layout"`
-		Segments map[string]string          `json:"segments"`
-		Keys     map[string]Key             `json:"keys"`
-		Results  map[string]json.RawMessage `json:"results"`
+		Schema   int               `json:"schema"`
+		Layout   string            `json:"layout"`
+		Segments map[string]string `json:"segments"`
+		Keys     map[string]Key    `json:"keys"`
 	}
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("sweep: parsing store %s: %w", path, err)
 	}
-	if f.Layout != "" {
-		if f.Layout != storeLayout {
-			return nil, fmt.Errorf("sweep: store %s has layout %q, this binary speaks %q (delete or migrate it)",
-				path, f.Layout, storeLayout)
-		}
-		if f.Schema != KeySchema {
-			return nil, fmt.Errorf("sweep: store %s has schema %d, this binary speaks %d (delete or migrate it)",
-				path, f.Schema, KeySchema)
-		}
-		for p := range f.Segments {
-			if len(p) != segPrefixLen {
-				return nil, fmt.Errorf("sweep: store %s index names malformed segment prefix %q", path, p)
-			}
-		}
-		for h, k := range f.Keys {
-			if len(h) < segPrefixLen {
-				return nil, fmt.Errorf("sweep: store %s index entry %q is not a key hash", path, h)
-			}
-			// A self-consistent cell from another schema hashes correctly
-			// (the schema is part of the key), so check it explicitly: it
-			// must be named as a schema problem, not surface later as a
-			// baffling cell mismatch in -diff or a cache miss in a sweep.
-			if k.Schema != KeySchema {
-				return nil, fmt.Errorf("sweep: store %s entry %s declares key schema %d, this binary speaks %d (delete or migrate it)",
-					path, h, k.Schema, KeySchema)
-			}
-			if _, ok := f.Segments[segPrefix(h)]; !ok {
-				return nil, fmt.Errorf("sweep: store %s index names cell %s but no segment covers prefix %s — corrupt or hand-edited",
-					path, h, segPrefix(h))
-			}
-			s.keys[h] = k
-		}
-		for p, dig := range f.Segments {
-			s.segs[p] = dig
-		}
-		return s, nil
+	if f.Layout == "" {
+		return nil, fmt.Errorf("sweep: store %s (schema %d): monolithic layout unsupported: delete it or choose another -store",
+			path, f.Schema)
 	}
-
-	// Monolithic file: the pre-sharding layout. Load it whole (its payloads
-	// are inline) and mark every prefix dirty so the next Save rewrites the
-	// store sharded.
-	switch f.Schema {
-	case KeySchema:
-		for h, raw := range f.Results {
-			var r Result
-			if err := json.Unmarshal(raw, &r); err != nil {
-				return nil, fmt.Errorf("sweep: store %s entry %s: %w", path, h, err)
-			}
-			if r.Key.Schema != KeySchema {
-				return nil, fmt.Errorf("sweep: store %s entry %s declares key schema %d, this binary speaks %d (delete or migrate it)",
-					path, h, r.Key.Schema, KeySchema)
-			}
-			if got := r.Key.Hash(); got != h {
-				return nil, fmt.Errorf("sweep: store %s entry %s does not hash to its key (%s) — corrupt or hand-edited",
-					path, h, got)
-			}
-			s.results[h] = r
-		}
-	case 1:
-		migrated, err := migrateV1(path, f.Results)
-		if err != nil {
-			return nil, err
-		}
-		s.results = migrated
-		s.migrated = len(migrated)
-		s.fromSchema = 1
-	case 2:
-		migrated, err := migrateV2(path, f.Results)
-		if err != nil {
-			return nil, err
-		}
-		s.results = migrated
-		s.migrated = len(migrated)
-		s.fromSchema = 2
-	default:
-		return nil, fmt.Errorf("sweep: store %s has schema %d, this binary speaks %d (delete or migrate it)",
+	if f.Layout != storeLayout {
+		return nil, fmt.Errorf("sweep: store %s has layout %q, this binary speaks %q: delete it or choose another -store",
+			path, f.Layout, storeLayout)
+	}
+	if f.Schema != KeySchema {
+		return nil, fmt.Errorf("sweep: store %s has schema %d, this binary speaks %d: delete it or choose another -store",
 			path, f.Schema, KeySchema)
 	}
-	s.converted = true
-	for h, r := range s.results {
-		s.keys[h] = r.Key
-		p := segPrefix(h)
-		s.loaded[p] = true
-		s.dirty[p] = true
+	for p := range f.Segments {
+		if len(p) != segPrefixLen {
+			return nil, fmt.Errorf("sweep: store %s index names malformed segment prefix %q", path, p)
+		}
+	}
+	for h, k := range f.Keys {
+		if len(h) < segPrefixLen {
+			return nil, fmt.Errorf("sweep: store %s index entry %q is not a key hash", path, h)
+		}
+		// A self-consistent cell from another schema hashes correctly (the
+		// schema is part of the key), so check it explicitly: it must be
+		// named as a schema problem, not surface later as a baffling cell
+		// mismatch in -diff or a cache miss in a sweep.
+		if k.Schema != KeySchema {
+			return nil, fmt.Errorf("sweep: store %s entry %s declares key schema %d, this binary speaks %d: delete it or choose another -store",
+				path, h, k.Schema, KeySchema)
+		}
+		if _, ok := f.Segments[segPrefix(h)]; !ok {
+			return nil, fmt.Errorf("sweep: store %s index names cell %s but no segment covers prefix %s — corrupt or hand-edited",
+				path, h, segPrefix(h))
+		}
+		s.keys[h] = k
+	}
+	for p, dig := range f.Segments {
+		s.segs[p] = dig
 	}
 	return s, nil
 }
 
 // Path returns the file the store is bound to ("" for in-memory stores).
 func (s *Store) Path() string { return s.path }
-
-// Migrated returns how many cells were re-keyed from an older schema when
-// the store was opened (0 for current-schema and in-memory stores).
-func (s *Store) Migrated() int { return s.migrated }
-
-// MigratedFrom returns the schema the migrated cells were stored under (0
-// when the store opened without migrating).
-func (s *Store) MigratedFrom() int { return s.fromSchema }
-
-// Converted reports whether the store was opened from a legacy monolithic
-// file — its cells are all resident and the next Save rewrites it under
-// the sharded segment+index layout.
-func (s *Store) Converted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.converted
-}
 
 // Len returns the number of stored results, from the index alone.
 func (s *Store) Len() int {
@@ -402,8 +328,8 @@ func (s *Store) Results() ([]Result, error) {
 	return out, nil
 }
 
-// Bytes serializes the store's full contents in the canonical monolithic
-// form: a pure function of the cells — same results → identical bytes,
+// Bytes serializes the store's full contents as one canonical storeFile
+// document: a pure function of the cells — same results → identical bytes,
 // regardless of insertion order or how many workers produced them. It is
 // the store-equality currency for tests and tooling; Save does not write
 // it (the sharded layout is the on-disk form).

@@ -92,11 +92,11 @@ func checkStoreComplete(t *testing.T, path string, wantLens ...int) {
 
 // TestSaveCrashLeavesStoreComplete injects a failure into every durability
 // step of Save — each temp-file write, fsync, rename and directory fsync in
-// turn — for both save shapes (the monolithic → sharded conversion save and
-// an incremental one-cell checkpoint), and asserts the invariant the
-// layout's atomicity argument rests on: after any failed save the on-disk
-// store is the old complete store or the new complete store, and a clean
-// retry lands the new one.
+// turn — for both save shapes (the cold first save of a store with no index
+// and no segment directory yet, and an incremental one-cell checkpoint), and
+// asserts the invariant the layout's atomicity argument rests on: after any
+// failed save the on-disk store is the old complete store (empty, for the
+// cold save) or the new complete store, and a clean retry lands the new one.
 func TestSaveCrashLeavesStoreComplete(t *testing.T) {
 	defer resetSaveSeams()
 	jobs, err := shardGrid().Jobs()
@@ -112,13 +112,16 @@ func TestSaveCrashLeavesStoreComplete(t *testing.T) {
 		name  string
 		setup func(t *testing.T) (*Store, string, []int) // store ready to Save; path; allowed cell counts
 	}{
-		{"conversion", func(t *testing.T) (*Store, string, []int) {
-			path := copyFixtureFile(t, "store_v3.json")
+		{"cold", func(t *testing.T) (*Store, string, []int) {
+			path := filepath.Join(t.TempDir(), "store.json")
 			st, err := OpenStore(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st, path, []int{18, 18}
+			for _, r := range results {
+				st.Put(r)
+			}
+			return st, path, []int{0, 16}
 		}},
 		{"incremental", func(t *testing.T) (*Store, string, []int) {
 			path := savedShardStore(t)

@@ -311,71 +311,3 @@ func TestGCDropsWholePrefixesWithoutReads(t *testing.T) {
 		t.Fatalf("kept cell lost: ok=%v err=%v", ok, err)
 	}
 }
-
-// TestV3ConversionRoundTrip pins the monolithic → sharded conversion against
-// the committed fixture a pre-sharding binary wrote: it opens with zero
-// recomputed cells, reports Converted, satisfies its grids from cache, and
-// the next Save rewrites it sharded with identical contents.
-func TestV3ConversionRoundTrip(t *testing.T) {
-	path := copyFixtureFile(t, "store_v3.json")
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converted() {
-		t.Fatal("monolithic v3 fixture did not report Converted")
-	}
-	if st.Migrated() != 0 {
-		t.Fatalf("same-schema conversion migrated %d cells, want 0", st.Migrated())
-	}
-	if st.Len() != 18 {
-		t.Fatalf("fixture has %d cells, want 18", st.Len())
-	}
-	for _, g := range fixtureGrids() {
-		jobs, err := g.Jobs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, sum, err := (&Runner{Store: st}).Run(jobs); err != nil {
-			t.Fatal(err)
-		} else if sum.Ran != 0 || sum.Cached != len(jobs) {
-			t.Fatalf("monolithic fixture did not satisfy its grid from cache: %+v", sum)
-		}
-	}
-	before, err := st.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := st.Save(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if !strings.Contains(string(data), `"layout": "sharded-v1"`) {
-		t.Fatal("conversion save did not write the sharded layout")
-	}
-	if _, err := os.Stat(path + ".d"); err != nil {
-		t.Fatalf("conversion save left no segment dir: %v", err)
-	}
-
-	re, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Converted() {
-		t.Fatal("sharded store still reports Converted")
-	}
-	after, err := re.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("conversion changed the store's contents")
-	}
-	jobs, _ := fixtureGrids()[0].Jobs()
-	if _, sum, err := (&Runner{Store: re}).Run(jobs); err != nil {
-		t.Fatal(err)
-	} else if sum.Cached != len(jobs) {
-		t.Fatalf("converted store recomputed cells: %+v", sum)
-	}
-}

@@ -46,14 +46,12 @@ import (
 //	    bool pinning sim.DefaultTiming's constants.
 //	v2: sources are first-class (synthetic name or trace-file SHA-256)
 //	    and the cycle model's constants are key axes (see Timing).
-//	    v1 stores migrate transparently on open — v1 timing cells re-key
-//	    to the default Timing axis they always meant.
 //	v3: multiprogrammed mixes are first-class sources (see Mix): a Key
 //	    carries either a single Source or a Mix (member sources +
-//	    context-switch quantum + table policy + ASID mode). v1 and v2
-//	    stores migrate transparently on open; a v2 key encodes
-//	    identically under v3 (the mix field is absent), so every v2 cell
-//	    re-keys with only its schema number changing.
+//	    context-switch quantum + table policy + ASID mode).
+//
+// A store written under an older schema is rejected on open, not migrated
+// (see OpenStore): the store is a cache, so deleting it costs a re-run.
 const KeySchema = 3
 
 // Mech names one prefetching-mechanism configuration, fully resolved (no
@@ -238,9 +236,8 @@ type Key struct {
 	Schema int    `json:"schema"`
 	Source Source `json:"source"`
 	// Mix is set for multiprogrammed cells (canonical form) and absent
-	// otherwise. Absence keeps a single-source key's canonical JSON — and
-	// therefore its hash — identical to its schema-2 encoding, which is
-	// what lets v2 stores migrate by re-numbering alone.
+	// otherwise, so a single-source key's canonical JSON carries no mix
+	// field at all.
 	Mix        *Mix    `json:"mix,omitempty"`
 	Mech       Mech    `json:"mech"`
 	TLBEntries int     `json:"tlb_entries"`
@@ -363,10 +360,9 @@ func (j Job) Validate() error {
 // hash, with the Seed field zeroed (to avoid self-reference) and the
 // Schema field zeroed (so a schema bump that does not reshape the key
 // layout keeps derived streams stable). Any single cell can therefore be
-// re-run in isolation from (base, key) alone. Note that v1 stores derived
-// seeds from the v1 key layout: migrated seeded cells remain addressable
-// by their stored keys, but a re-declared seeded grid derives fresh
-// streams — the zero-recompute migration guarantee covers unseeded grids.
+// re-run in isolation from (base, key) alone. Seeds derived under an
+// older key layout do not carry over, which is moot: stores written under
+// an older schema are rejected on open.
 func DeriveSeed(base uint64, k Key) uint64 {
 	if base == 0 {
 		return 0

@@ -232,15 +232,7 @@ func TestStoreRejectsUnknownSchemaCells(t *testing.T) {
 	if err := os.WriteFile(monoPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenStore(monoPath)
-	if err == nil {
-		t.Fatal("monolithic store with an unknown-schema cell opened without error")
-	}
-	for _, want := range []string{"schema 4", "speaks 3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name the schemas (want %q)", err, want)
-		}
-	}
+	wantMonolithicRejected(t, monoPath, KeySchema)
 
 	// Sharded layout: the same doctored key smuggled into a saved index.
 	shardPath := filepath.Join(dir, "shard.json")
