@@ -9,7 +9,7 @@
 //
 // Experiments: table1, table2, table3, table3-lat, table3-space, fig7,
 // fig8, fig9, ext-dpvariants, ext-cache, ext-multiprog, ext-pagesize,
-// ext-modern, all.
+// ext-tlbassoc, ext-modern, all.
 //
 // The figure experiments (fig7, fig8, fig9, table3-space, ext-modern) can
 // also render as paper-style grouped-bar figures: -figure text|csv|svg
@@ -21,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"tlbprefetch/internal/experiments"
@@ -41,7 +43,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress timing banner")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 table3 table3-lat table3-space fig7 fig8 fig9 ext-dpvariants ext-cache ext-multiprog ext-pagesize ext-tlbassoc ext-modern all\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(experimentNames(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -62,8 +64,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -figure format %q (text, csv, svg)\n", *figFmt)
 		os.Exit(2)
 	}
-	if *figFmt != "" && !figureCapable(flag.Arg(0)) {
-		fmt.Fprintf(os.Stderr, "-figure applies to a single figure experiment (fig7, fig8, fig9, table3-space, ext-modern), not %q\n", flag.Arg(0))
+	if *figFmt != "" && !slices.Contains(figureExperiments, flag.Arg(0)) {
+		fmt.Fprintf(os.Stderr, "-figure applies to a single figure experiment (%s), not %q\n",
+			strings.Join(figureExperiments, ", "), flag.Arg(0))
 		os.Exit(2)
 	}
 
@@ -208,33 +211,27 @@ func main() {
 }
 
 // allExperiments is the "all" ordering (the paper's presentation order,
-// extensions last). table3-lat and table3-space are on-demand only: they
-// share table3's default-point cells through the store but extend the
-// timing axes, so they stay out of "all" to keep that output stable.
+// extensions last). The onDemandExperiments stay out of it to keep that
+// output stable.
 var allExperiments = []string{
 	"table1", "fig7", "fig8", "table2", "table3", "fig9",
 	"ext-dpvariants", "ext-cache", "ext-multiprog", "ext-pagesize",
 	"ext-tlbassoc", "ext-modern",
 }
 
-// figureCapable reports whether -figure can render the experiment (the
+// onDemandExperiments run only when named: they share table3's
+// default-point cells through the store but extend its timing axes.
+var onDemandExperiments = []string{"table3-lat", "table3-space"}
+
+// figureExperiments can render as report figures with -figure (the
 // per-application accuracy panels and the design-space study).
-func figureCapable(name string) bool {
-	switch name {
-	case "fig7", "fig8", "fig9", "table3-space", "ext-modern":
-		return true
-	}
-	return false
+var figureExperiments = []string{"fig7", "fig8", "fig9", "table3-space", "ext-modern"}
+
+// experimentNames lists every name the command accepts.
+func experimentNames() []string {
+	return slices.Concat(allExperiments, onDemandExperiments, []string{"all"})
 }
 
 func knownExperiment(name string) bool {
-	if name == "all" || name == "table3-lat" || name == "table3-space" {
-		return true
-	}
-	for _, n := range allExperiments {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(experimentNames(), name)
 }

@@ -18,6 +18,7 @@ import (
 
 	"tlbprefetch"
 	"tlbprefetch/internal/prof"
+	"tlbprefetch/internal/sweep"
 )
 
 func main() {
@@ -25,10 +26,10 @@ func main() {
 		workloadName = flag.String("workload", "", "workload model to run (see -list)")
 		traceFile    = flag.String("trace", "", "binary or text trace file to run instead of a workload")
 		traceText    = flag.Bool("text", false, "treat -trace as the text format")
-		mech         = flag.String("mech", "DP", "mechanism: DP, DP-PC, DP2, RP, RP3, MP, ASP, SP, SP-A, STMS, MASP, SBFP, none")
-		rows         = flag.Int("rows", 256, "prediction table rows r (DP/MP/ASP)")
-		ways         = flag.Int("ways", 1, "prediction table associativity (DP/MP/ASP)")
-		slots        = flag.Int("slots", 2, "prediction slots per row s (DP/MP)")
+		mech         = flag.String("mech", "DP", "mechanism: "+strings.Join(sweep.Kinds(), ", "))
+		rows         = flag.Int("rows", 256, "prediction table rows r (table-based mechanisms)")
+		ways         = flag.Int("ways", 1, "prediction table associativity (table-based mechanisms; 0 = direct-mapped)")
+		slots        = flag.Int("slots", 2, "prediction slots per row s (mechanisms with per-row slots)")
 		refs         = flag.Uint64("refs", 1_000_000, "references to simulate (workload mode)")
 		tlbEntries   = flag.Int("tlb", 128, "TLB entries")
 		tlbWays      = flag.Int("tlbways", 0, "TLB associativity (0 = fully associative)")
@@ -71,46 +72,40 @@ func main() {
 		BufferEntries: *buffer,
 		PageShift:     *pageShift,
 	}
-	tc := timingConfig(cfg, *missPenalty, *memopLat)
-	// Reject a geometry the simulator cannot model here, as a usage error,
-	// rather than let the constructor panic on it.
+	// The mechanism and the cycle model resolve exactly as a tlbsweep cell
+	// does, so a tlbsim spot check reproduces a swept cell's numbers.
+	m := sweep.Mech{Kind: sweep.ParseKind(*mech), Rows: *rows, Ways: *ways, Slots: *slots}
+	var axes sweep.TimingAxes
+	if *missPenalty != 0 {
+		axes.MissPenalties = []uint64{*missPenalty}
+	}
+	if *memopLat != 0 {
+		axes.MemOpLatencies = []uint64{*memopLat}
+	}
+	pts, err := axes.Points()
+	if err != nil {
+		usageError(err)
+	}
+	tc := pts[0].Config(cfg)
+	// Reject a geometry or mechanism the simulator cannot model here, as a
+	// usage error, rather than let a constructor panic on it.
 	verr := cfg.Validate()
 	if *timing {
 		verr = tc.Validate()
 	}
-	if verr != nil {
-		fmt.Fprintln(os.Stderr, "tlbsim:", verr)
-		os.Exit(2)
+	if verr == nil {
+		verr = m.Validate()
 	}
-	if err := run(*workloadName, *traceFile, *traceText, *mech, *rows, *ways, *slots,
+	if verr != nil {
+		usageError(verr)
+	}
+	if err := run(*workloadName, *traceFile, *traceText, m,
 		*refs, cfg, tc, *timing, *cpuProf, *memProf); err != nil {
 		fatal(err.Error())
 	}
 }
 
-// timingConfig returns the cycle model for cfg's geometry under the
-// -miss-penalty and -memop-latency flags (0 keeps the paper default).
-func timingConfig(cfg tlbprefetch.Config, missPenalty, memopLat uint64) tlbprefetch.TimingConfig {
-	tc := tlbprefetch.DefaultTimingConfig()
-	if missPenalty != 0 {
-		// Same recalibration tlbsweep's -miss-penalty axis uses, so a
-		// tlbsim spot check reproduces a swept cell's cycle counts.
-		tc = tlbprefetch.ScaledTimingConfig(missPenalty)
-	}
-	tc.Config = cfg
-	if memopLat != 0 {
-		tc.MemOpLatency = memopLat
-		// An explicit latency below the channel occupancy means the
-		// channel is fully serialized at that latency (same rule as
-		// tlbsweep's -memop-latency axis).
-		if tc.MemOpOccupancy > tc.MemOpLatency {
-			tc.MemOpOccupancy = tc.MemOpLatency
-		}
-	}
-	return tc
-}
-
-func run(workloadName, traceFile string, traceText bool, mech string, rows, ways, slots int,
+func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
 	refs uint64, cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig, timing bool,
 	cpuProf, memProf string) error {
 	stopProf, err := prof.Start("tlbsim", cpuProf, memProf)
@@ -119,10 +114,7 @@ func run(workloadName, traceFile string, traceText bool, mech string, rows, ways
 	}
 	defer stopProf()
 
-	pf, err := buildMechanism(mech, rows, ways, slots)
-	if err != nil {
-		return err
-	}
+	pf := m.Build()
 
 	if traceFile != "" {
 		return runTrace(cfg, tc, pf, traceFile, traceText, timing)
@@ -140,38 +132,6 @@ func run(workloadName, traceFile string, traceText bool, mech string, rows, ways
 		printStats(st)
 	}
 	return nil
-}
-
-func buildMechanism(kind string, rows, ways, slots int) (tlbprefetch.Prefetcher, error) {
-	switch strings.ToUpper(kind) {
-	case "DP":
-		return tlbprefetch.NewDistance(rows, ways, slots), nil
-	case "DP-PC":
-		return tlbprefetch.NewDistancePC(rows, ways, slots), nil
-	case "DP2":
-		return tlbprefetch.NewDistance2(rows, ways, slots), nil
-	case "RP":
-		return tlbprefetch.NewRecency(), nil
-	case "RP3":
-		return tlbprefetch.NewRecencyDegree(3), nil
-	case "MP":
-		return tlbprefetch.NewMarkov(rows, ways, slots), nil
-	case "ASP":
-		return tlbprefetch.NewASP(rows, ways), nil
-	case "SP":
-		return tlbprefetch.NewSequential(true), nil
-	case "SP-A":
-		return tlbprefetch.NewAdaptiveSequential(), nil
-	case "STMS":
-		return tlbprefetch.NewSTMS(rows, ways, slots), nil
-	case "MASP":
-		return tlbprefetch.NewMASP(rows, ways, slots), nil
-	case "SBFP":
-		return tlbprefetch.NewSBFP(), nil
-	case "NONE":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("unknown mechanism %q", kind)
 }
 
 func runTrace(cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig,
@@ -233,6 +193,11 @@ func printTiming(st tlbprefetch.TimingStats, baselineCycles uint64) {
 		fmt.Printf("normalized cycles   %12.3f  (vs no prefetching)\n",
 			float64(st.Cycles)/float64(baselineCycles))
 	}
+}
+
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "tlbsim:", err)
+	os.Exit(2)
 }
 
 func fatal(msg string) {

@@ -61,7 +61,7 @@ func main() {
 		quanta      = flag.String("quantum", "", "mix context-switch quantum axis in references (default 20000)")
 		policies    = flag.String("policy", "", "mix prediction-table policy axis: retain, flush, per-process (default retain)")
 		asids       = flag.String("asid", "", "mix translation treatment axis: flush (TLB+buffer emptied per switch) or tagged (default flush)")
-		mechs       = flag.String("mechs", "DP", "comma-separated mechanism kinds: DP, DP-PC, DP2, RP, RP3, MP, ASP, SP, SP-A, STMS, MASP, SBFP, none")
+		mechs       = flag.String("mechs", "DP", "comma-separated mechanism kinds: "+strings.Join(sweep.Kinds(), ", "))
 		rows        = flag.String("rows", "256", "prediction-table rows axis (table mechanisms)")
 		ways        = flag.String("ways", "1", "prediction-table associativity axis (table mechanisms)")
 		slots       = flag.String("slots", "2", "prediction slots per row axis (DP/MP families)")
@@ -506,7 +506,7 @@ func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
 		return g, err
 	}
 	for _, kind := range strings.Split(cfg.mechs, ",") {
-		kind = canonicalKind(strings.TrimSpace(kind))
+		kind = sweep.ParseKind(strings.TrimSpace(kind))
 		for _, r := range rowAxis {
 			for _, w := range wayAxis {
 				for _, s := range slotAxis {
@@ -625,17 +625,6 @@ func splitAxis(spec string) []string {
 		}
 	}
 	return out
-}
-
-// canonicalKind maps case-insensitive user input onto the registry's
-// mechanism spelling.
-func canonicalKind(kind string) string {
-	switch up := strings.ToUpper(kind); up {
-	case "NONE":
-		return "none"
-	default:
-		return up
-	}
 }
 
 // resolveWorkloads expands each comma-separated token — a workload name, a

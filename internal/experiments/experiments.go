@@ -74,8 +74,7 @@ func (o Options) simConfig() sim.Config {
 // MechConfig names one mechanism configuration (a bar in the paper's
 // figures).
 type MechConfig struct {
-	// Kind is one of "RP", "RP3", "MP", "DP", "ASP", "SP", "SP-A",
-	// "DP-PC", "DP2", "STMS", "MASP", "SBFP".
+	// Kind is a sweep registry kind (see sweep.Kinds).
 	Kind string
 	// Rows (r) and Ways apply to the table-based mechanisms; Ways 0 means
 	// direct-mapped for ASP/MP/DP table sweeps is expressed as Ways 1, and

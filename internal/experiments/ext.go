@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tlbprefetch/internal/multiprog"
-	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/report"
 	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/stats"
@@ -50,7 +49,9 @@ type ExtCacheRow struct {
 // ExtCache drives a 32 KiB / 64 B-block / 4-way cache with DP, ASP and SP
 // prefetching into a 16-entry buffer, over cache-grained versions of three
 // behaviour classes. Block distances play the role page distances play in
-// the TLB: the mechanism is unchanged.
+// the TLB: the mechanism is unchanged. The cells run through the sweep
+// engine like every other artifact's: a workload's three mechanisms share
+// one generation pass, and Options.Store caches them.
 func ExtCache(opts Options) []ExtCacheRow {
 	// Streams are written at cache-block granularity (64-byte steps), the
 	// unit the cache-level DP predictor works in.
@@ -107,34 +108,35 @@ func ExtCache(opts Options) []ExtCacheRow {
 			})}
 		}),
 	}
-	var out []ExtCacheRow
 	// A 32 KiB 4-way cache of 64-byte blocks is the Figure 1 pipeline at
 	// block granularity: 512 four-way "TLB" entries holding block numbers.
 	cfg := sim.Config{TLB: tlb.Config{Entries: 512, Ways: 4}, BufferEntries: 16, PageShift: 6}
+	mechs := []MechConfig{{Kind: "DP", Rows: 256, Ways: 1}, {Kind: "ASP", Rows: 256, Ways: 1}, {Kind: "SP"}}
+	out := make([]ExtCacheRow, len(cacheWls))
+	for i, w := range cacheWls {
+		out[i].Workload = w.Name
+	}
+	refs := opts.Refs / 4
+	if refs == 0 {
+		return out // nothing to simulate: all-zero rows
+	}
+	var jobs []sweep.Job
 	for _, w := range cacheWls {
-		row := ExtCacheRow{Workload: w.Name}
-		for i, mk := range []func() prefetch.Prefetcher{
-			func() prefetch.Prefetcher { return MechConfig{Kind: "DP", Rows: 256, Ways: 1}.Build(opts) },
-			func() prefetch.Prefetcher { return MechConfig{Kind: "ASP", Rows: 256, Ways: 1}.Build(opts) },
-			func() prefetch.Prefetcher { return prefetch.NewSequential(true) },
-		} {
-			c := sim.New(cfg, mk())
-			workload.Generate(w, opts.Refs/4, func(pc, vaddr uint64) bool {
-				c.Ref(pc, vaddr)
-				return true
+		for _, m := range mechs {
+			jobs = append(jobs, sweep.Job{
+				Source: sweep.WorkloadSource(w.Name),
+				Mech:   m.sweepMech(opts),
+				Config: cfg,
+				Refs:   refs,
 			})
-			st := c.Stats()
-			switch i {
-			case 0:
-				row.DP = st.Accuracy()
-				row.MissRate = st.MissRate()
-			case 1:
-				row.ASP = st.Accuracy()
-			case 2:
-				row.SP = st.Accuracy()
-			}
 		}
-		out = append(out, row)
+	}
+	results := runJobs(cacheWls, opts, jobs)
+	for i := range out {
+		n := len(mechs) * i
+		dp, asp, sp := results[n].Stats, results[n+1].Stats, results[n+2].Stats
+		out[i].MissRate = dp.MissRate()
+		out[i].DP, out[i].ASP, out[i].SP = dp.Accuracy(), asp.Accuracy(), sp.Accuracy()
 	}
 	return out
 }

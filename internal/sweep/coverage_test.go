@@ -17,9 +17,9 @@ import (
 	"testing"
 )
 
-// TestKindsRegistryConsistent pins Kinds() to the Validate/Build switches:
-// every listed kind validates and builds at a generic table geometry, and
-// an unlisted kind is rejected.
+// TestKindsRegistryConsistent pins Kinds() to the registry table that
+// Validate and Build read: every listed kind validates and builds at a
+// generic table geometry, and an unlisted kind is rejected.
 func TestKindsRegistryConsistent(t *testing.T) {
 	seen := map[string]bool{}
 	for _, kind := range Kinds() {
@@ -49,6 +49,51 @@ func TestKindsRegistryConsistent(t *testing.T) {
 	}
 	if err := (Mech{Kind: "XXX"}).Validate(); err == nil {
 		t.Error("Validate accepted an unknown kind")
+	}
+}
+
+// TestValidateGuardsBuild checks that Validate is a complete guard for
+// Build: across every kind and a spread of table shapes (zero, one,
+// non-dividing and power-of-two rows and ways; zero and positive slots),
+// a configuration Validate accepts never makes Build panic.
+func TestValidateGuardsBuild(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, rows := range []int{0, 1, 3, 32} {
+			for _, ways := range []int{0, 1, 2, 3, 32} {
+				for _, slots := range []int{0, 1, 2} {
+					m := Mech{Kind: kind, Rows: rows, Ways: ways, Slots: slots}
+					if m.Validate() != nil {
+						continue
+					}
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%+v validates but Build panics: %v", m, r)
+							}
+						}()
+						m.Build()
+					}()
+				}
+			}
+		}
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for in, want := range map[string]string{
+		"dp-pc": "DP-PC",
+		"DP":    "DP",
+		"sp-a":  "SP-A",
+		"NONE":  "none",
+		"none":  "none",
+		"dpx":   "dpx", // unknown: unchanged, for Validate to reject
+	} {
+		if got := ParseKind(in); got != want {
+			t.Errorf("ParseKind(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if err := (Mech{Kind: ParseKind("dpx")}).Validate(); err == nil {
+		t.Error("Validate accepted an unknown kind after ParseKind")
 	}
 }
 

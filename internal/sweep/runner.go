@@ -307,32 +307,21 @@ func (r *Runner) stream(sh *shard, resolve func(string) (workload.Workload, bool
 	}
 	src := sh.key.source
 	src.TracePath = sh.tracePath
-	tr, closer, err := r.openTrace()(src)
+	b, closer, err := r.memberStream(src, total, resolve)
 	if err != nil {
 		return err
 	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	b := trace.AsBatch(tr)
-	var n uint64
-	for n < total {
-		want := uint64(streamChunk)
-		if rem := total - n; rem < want {
-			want = rem
-		}
-		k, err := b.ReadBatch(buf[:want])
+	defer closer.Close()
+	for {
+		k, err := b.ReadBatch(buf[:])
 		if err == io.EOF {
-			return fmt.Errorf("sweep: trace %s ends after %d of the %d references the cells need",
-				src.Label(), n, total)
+			return nil
 		}
 		if err != nil {
 			return err
 		}
 		perBatch(buf[:k])
-		n += uint64(k)
 	}
-	return nil
 }
 
 // runShard simulates one shard: one generation pass over the reference
@@ -391,9 +380,10 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	return nil
 }
 
-// boundedTrace clips a trace member's stream to its mix share: it delivers
-// exactly total references, reports EOF after them, and turns a premature
-// end of the recording into the share-shortfall error.
+// boundedTrace clips a trace's stream to the references its cells need (a
+// shard's whole budget, or one mix member's share): it delivers exactly
+// total references, reports EOF after them, and turns a premature end of
+// the recording into the shortfall error.
 type boundedTrace struct {
 	src   trace.BatchReader
 	label string
@@ -414,7 +404,7 @@ func (b *boundedTrace) ReadBatch(dst []trace.Ref) (int, error) {
 	}
 	n, err := b.src.ReadBatch(dst)
 	if err == io.EOF {
-		return 0, fmt.Errorf("sweep: trace %s ends after %d of the %d references its mix share needs",
+		return 0, fmt.Errorf("sweep: trace %s ends after %d of the %d references the cells need from it",
 			b.label, b.got, b.total)
 	}
 	if err != nil {
@@ -424,9 +414,10 @@ func (b *boundedTrace) ReadBatch(dst []trace.Ref) (int, error) {
 	return n, nil
 }
 
-// memberStream opens one mix member's reference stream, clipped to its n-
-// reference share, as a batch reader the interleaver can rotate over
-// without materializing it. Synthetic members regenerate from the workload
+// memberStream opens one source's reference stream, clipped to n
+// references, as a batch reader: a mix member's share, which the
+// interleaver rotates over without materializing it, or a trace shard's
+// whole budget (see stream). Synthetic members regenerate from the workload
 // model at its registry seed (mix cells carry no seed axis) through a
 // chunked pull adapter; trace members replay the recording and fail if it
 // ends early. The returned closer (never nil) must be closed even when the

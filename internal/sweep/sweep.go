@@ -28,6 +28,7 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
 
 	"tlbprefetch/internal/core"
 	"tlbprefetch/internal/prefetch"
@@ -55,64 +56,103 @@ import (
 const KeySchema = 3
 
 // Mech names one prefetching-mechanism configuration, fully resolved (no
-// harness-level defaulting left). The zero parameters of kinds that ignore
-// them are canonicalized away by Normalize so that, e.g., "RP with r=256"
-// and "RP with r=1024" content-address to the same cell.
+// harness-level defaulting left). The parameters a kind ignores are
+// canonicalized away by Normalize so that, e.g., a table-less kind at r=256
+// and at r=1024 content-address to the same cell.
 type Mech struct {
-	// Kind is one of the paper's mechanisms — "DP", "DP-PC", "DP2", "RP",
-	// "RP3", "MP", "ASP", "SP", "SP-A", "none" — or a modern successor:
-	// "STMS", "MASP", "SBFP".
+	// Kind is a registry name (see Kinds): one of the paper's mechanisms,
+	// a variant of one, a modern successor, or the no-prefetching
+	// baseline.
 	Kind string `json:"kind"`
-	// Rows (r) and Ways apply to the table-based mechanisms (DP-family,
-	// MP, ASP, STMS, MASP). Ways 0 is canonicalized to 1 (direct-mapped);
-	// Ways == Rows is fully associative.
+	// Rows (r) and Ways apply to the table-based kinds. Ways 0 is
+	// canonicalized to 1 (direct-mapped); Ways == Rows is fully
+	// associative.
 	Rows int `json:"rows,omitempty"`
 	Ways int `json:"ways,omitempty"`
-	// Slots is s, the predictions per row, for the MP/DP families; for
-	// STMS it is the prefetch degree, for MASP the strides per PC.
+	// Slots is s, the predictions per row, for the kinds with per-row
+	// slots (see the registry for what each kind makes of it).
 	Slots int `json:"slots,omitempty"`
+}
+
+// kindRow is one row of the mechanism registry: everything the sweep
+// engine knows about a mechanism kind.
+type kindRow struct {
+	name string
+	// table reports whether the kind has a prediction table (and
+	// therefore meaningful Rows/Ways).
+	table bool
+	// slots reports whether the kind has per-row prediction slots: the
+	// predictions per row for the Markov and distance families, the GHB
+	// walk degree for temporal streaming, the strides tracked per PC for
+	// multi-stride ASP.
+	slots bool
+	// build instantiates the kind from a normalized, validated Mech.
+	build func(m Mech) prefetch.Prefetcher
+}
+
+// registry is every mechanism kind, in the order Kinds reports them.
+// Adding a kind takes one row here (plus the differential test and
+// benchmark row that TestRegistryCoverage requires).
+var registry = []kindRow{
+	{"none", false, false, func(Mech) prefetch.Prefetcher { return nil }},
+	{"SP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSequential(true) }},
+	{"SP-A", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewAdaptiveSequential() }},
+	{"ASP", true, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewASP(m.Rows, m.Ways) }},
+	{"MP", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewMarkov(m.Rows, m.Ways, m.Slots) }},
+	{"RP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecency() }},
+	{"RP3", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecencyDegree(3) }},
+	{"DP", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistance(m.Rows, m.Ways, m.Slots) }},
+	{"DP-PC", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistancePC(m.Rows, m.Ways, m.Slots) }},
+	{"DP2", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistance2(m.Rows, m.Ways, m.Slots) }},
+	{"STMS", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewSTMS(m.Rows, m.Ways, m.Slots) }},
+	{"MASP", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewMASP(m.Rows, m.Ways, m.Slots) }},
+	{"SBFP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSBFP() }},
+}
+
+// lookup returns the registry row of the mechanism's kind (the zero row,
+// which uses no parameters, for an unknown kind).
+func (m Mech) lookup() (kindRow, bool) {
+	for _, k := range registry {
+		if k.name == m.Kind {
+			return k, true
+		}
+	}
+	return kindRow{}, false
 }
 
 // Kinds returns every registered mechanism kind in registry order. Tests
 // iterate this to assert each kind validates, builds, and carries its
 // differential-test and benchmark coverage.
 func Kinds() []string {
-	return []string{
-		"none", "SP", "SP-A", "ASP", "MP", "RP", "RP3",
-		"DP", "DP-PC", "DP2",
-		"STMS", "MASP", "SBFP",
+	out := make([]string, len(registry))
+	for i, k := range registry {
+		out[i] = k.name
 	}
+	return out
 }
 
-// usesTable reports whether the kind has a prediction table (and therefore
-// meaningful Rows/Ways).
-func (m Mech) usesTable() bool {
-	switch m.Kind {
-	case "DP", "DP-PC", "DP2", "MP", "ASP", "STMS", "MASP":
-		return true
+// ParseKind maps case-insensitive user input ("dp-pc", "NONE") onto the
+// registry spelling of a kind. Input that names no kind comes back
+// unchanged, for Validate to reject.
+func ParseKind(s string) string {
+	for _, k := range registry {
+		if strings.EqualFold(s, k.name) {
+			return k.name
+		}
 	}
-	return false
-}
-
-// usesSlots reports whether the kind has per-row prediction slots (for
-// STMS the GHB walk degree, for MASP the strides tracked per PC).
-func (m Mech) usesSlots() bool {
-	switch m.Kind {
-	case "DP", "DP-PC", "DP2", "MP", "STMS", "MASP":
-		return true
-	}
-	return false
+	return s
 }
 
 // Normalize canonicalizes the parameters the kind actually uses and zeroes
 // the rest, so equivalent configurations hash identically.
 func (m Mech) Normalize() Mech {
-	if !m.usesTable() {
+	k, _ := m.lookup()
+	if !k.table {
 		m.Rows, m.Ways = 0, 0
 	} else if m.Ways == 0 {
 		m.Ways = 1
 	}
-	if !m.usesSlots() {
+	if !k.slots {
 		m.Slots = 0
 	}
 	return m
@@ -120,12 +160,12 @@ func (m Mech) Normalize() Mech {
 
 // Validate reports whether the configuration can be built.
 func (m Mech) Validate() error {
-	switch m.Kind {
-	case "RP", "RP3", "SP", "SP-A", "SBFP", "none":
-		return nil
-	case "DP", "DP-PC", "DP2", "MP", "ASP", "STMS", "MASP":
-	default:
+	k, ok := m.lookup()
+	if !ok {
 		return fmt.Errorf("sweep: unknown mechanism kind %q", m.Kind)
+	}
+	if !k.table {
+		return nil
 	}
 	n := m.Normalize()
 	if n.Rows <= 0 {
@@ -137,15 +177,17 @@ func (m Mech) Validate() error {
 	if n.Rows%n.Ways != 0 {
 		return fmt.Errorf("sweep: %s table rows %d not divisible by ways %d", m.Kind, n.Rows, n.Ways)
 	}
-	if n.usesSlots() && n.Slots <= 0 {
+	if k.slots && n.Slots <= 0 {
 		return fmt.Errorf("sweep: %s needs positive prediction slots, got %d", m.Kind, m.Slots)
 	}
 	return nil
 }
 
-// Label renders the paper's figure-legend naming, e.g. "DP,256,D".
+// Label renders the paper's figure-legend naming: the kind, then for a
+// table-based kind its rows and associativity (D direct-mapped, F fully
+// associative, else the way count), e.g. "DP,256,D".
 func (m Mech) Label() string {
-	if !m.usesTable() {
+	if k, _ := m.lookup(); !k.table {
 		return m.Kind
 	}
 	assoc := "D"
@@ -158,40 +200,16 @@ func (m Mech) Label() string {
 	return fmt.Sprintf("%s,%d,%s", m.Kind, m.Rows, assoc)
 }
 
-// Build instantiates the mechanism ("none" builds the no-prefetching
-// baseline, i.e. nil). It panics on an unknown kind; call Validate first
+// Build instantiates the mechanism (the no-prefetching baseline builds
+// nil). It panics on an unknown kind; call Validate first
 // when the kind comes from user input.
 func (m Mech) Build() prefetch.Prefetcher {
 	m = m.Normalize()
-	switch m.Kind {
-	case "none":
-		return nil
-	case "RP":
-		return prefetch.NewRecency()
-	case "RP3":
-		return prefetch.NewRecencyDegree(3)
-	case "SP":
-		return prefetch.NewSequential(true)
-	case "SP-A":
-		return prefetch.NewAdaptiveSequential()
-	case "ASP":
-		return prefetch.NewASP(m.Rows, m.Ways)
-	case "MP":
-		return prefetch.NewMarkov(m.Rows, m.Ways, m.Slots)
-	case "DP":
-		return core.NewDistance(m.Rows, m.Ways, m.Slots)
-	case "DP-PC":
-		return core.NewDistancePC(m.Rows, m.Ways, m.Slots)
-	case "DP2":
-		return core.NewDistance2(m.Rows, m.Ways, m.Slots)
-	case "STMS":
-		return prefetch.NewSTMS(m.Rows, m.Ways, m.Slots)
-	case "MASP":
-		return prefetch.NewMASP(m.Rows, m.Ways, m.Slots)
-	case "SBFP":
-		return prefetch.NewSBFP()
+	k, ok := m.lookup()
+	if !ok {
+		panic(fmt.Sprintf("sweep: unknown mechanism kind %q", m.Kind))
 	}
-	panic(fmt.Sprintf("sweep: unknown mechanism kind %q", m.Kind))
+	return k.build(m)
 }
 
 // Job is one cell of a sweep: one reference stream through one simulator
@@ -395,8 +413,8 @@ func hexVal(c byte) byte {
 // Grid declares the axes of a sweep. Jobs enumerates the full cross
 // product in a deterministic order (sources outermost, then mechanisms,
 // TLB entries, TLB ways, buffer sizes, page shifts, timing points),
-// dropping cells that canonicalize to an already-enumerated key (e.g. RP
-// crossed with a table axis it ignores).
+// dropping cells that canonicalize to an already-enumerated key (e.g. a
+// table-less kind crossed with a table axis it ignores).
 type Grid struct {
 	// Workloads are synthetic-registry names; Traces are recorded trace
 	// sources (see TraceSource). Both contribute to the source axis,

@@ -110,11 +110,6 @@ func DefaultConfig() Config { return sim.Default() }
 // baseline configuration.
 func DefaultTimingConfig() TimingConfig { return sim.DefaultTiming() }
 
-// ScaledTimingConfig returns the default cycle model recalibrated to a
-// different TLB miss penalty, with the walk-fraction costs (memory ops,
-// buffer-hit residual, channel occupancy) scaled in proportion.
-func ScaledTimingConfig(missPenalty uint64) TimingConfig { return sim.ScaledTiming(missPenalty) }
-
 // NewSimulator builds a functional simulator around a mechanism (nil means
 // no prefetching — the baseline).
 func NewSimulator(cfg Config, pf Prefetcher) *Simulator { return sim.New(cfg, pf) }
