@@ -17,6 +17,7 @@ import (
 	"tlbprefetch/internal/multiprog"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/trace"
+	"tlbprefetch/internal/workload"
 )
 
 // benchOpts scales an experiment to benchmark-friendly size.
@@ -322,19 +323,15 @@ func benchTrace(b *testing.B, name string, n uint64) []tlbprefetch.Ref {
 	if refs, ok := benchTraceCache[key]; ok {
 		return refs
 	}
-	w, ok := tlbprefetch.WorkloadByName(name)
+	w, ok := workload.ByName(name)
 	if !ok {
 		b.Fatalf("workload %s missing", name)
 	}
 	refs := make([]tlbprefetch.Ref, 0, n)
-	r := tlbprefetch.WorkloadReader(w, n)
-	for {
-		ref, err := r.Read()
-		if err != nil {
-			break
-		}
-		refs = append(refs, ref)
-	}
+	workload.Generate(w, n, func(pc, vaddr uint64) bool {
+		refs = append(refs, tlbprefetch.Ref{PC: pc, VAddr: vaddr})
+		return true
+	})
 	benchTraceCache[key] = refs
 	return refs
 }

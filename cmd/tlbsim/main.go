@@ -13,12 +13,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"tlbprefetch"
 	"tlbprefetch/internal/prof"
 	"tlbprefetch/internal/sweep"
+	"tlbprefetch/internal/workload"
 )
 
 func main() {
@@ -105,6 +107,8 @@ func main() {
 	}
 }
 
+// run simulates the input against the mechanism. A workload model and a
+// trace file reach the simulator the same way: as a batch reader.
 func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
 	refs uint64, cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig, timing bool,
 	cpuProf, memProf string) error {
@@ -114,60 +118,57 @@ func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
 	}
 	defer stopProf()
 
-	pf := m.Build()
-
-	if traceFile != "" {
-		return runTrace(cfg, tc, pf, traceFile, traceText, timing)
-	}
-	w, ok := tlbprefetch.WorkloadByName(workloadName)
-	if !ok {
-		return fmt.Errorf("unknown workload %q (try -list)", workloadName)
-	}
-	if timing {
-		base := tlbprefetch.RunWorkloadTimed(tc, nil, w, refs)
-		st := tlbprefetch.RunWorkloadTimed(tc, pf, w, refs)
-		printTiming(st, base.Cycles)
-	} else {
-		st := tlbprefetch.RunWorkload(cfg, pf, w, refs)
-		printStats(st)
-	}
-	return nil
-}
-
-func runTrace(cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig,
-	pf tlbprefetch.Prefetcher, path string, text, timing bool) error {
-	var r tlbprefetch.TraceReader
-	if text {
+	var (
+		w      tlbprefetch.Workload
+		src    tlbprefetch.TraceBatchReader
+		closer io.Closer
+	)
+	switch {
+	case traceFile == "":
+		var ok bool
+		if w, ok = tlbprefetch.WorkloadByName(workloadName); !ok {
+			return fmt.Errorf("unknown workload %q (try -list)", workloadName)
+		}
+		s := workload.NewStream(w, refs)
+		src, closer = s, s
+	case traceText:
 		// Forced text mode, for text traces whose first bytes happen to
 		// collide with the binary magic.
-		f, err := os.Open(path)
+		f, err := os.Open(traceFile)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		r = tlbprefetch.NewTextTraceReader(f)
-	} else {
+		src, closer = tlbprefetch.AsBatchTraceReader(tlbprefetch.NewTextTraceReader(f)), f
+	default:
 		// Auto-detect text, v1 and v2 binary from the leading bytes.
-		or, closer, err := tlbprefetch.OpenTraceFile(path)
+		r, c, err := tlbprefetch.OpenTraceFile(traceFile)
 		if err != nil {
 			return err
 		}
-		defer closer.Close()
-		r = or
+		src, closer = tlbprefetch.AsBatchTraceReader(r), c
 	}
-	if timing {
-		s := tlbprefetch.NewTimingSimulator(tc, pf)
-		if err := s.Run(r); err != nil {
+	defer closer.Close()
+
+	pf := m.Build()
+	if !timing {
+		s := tlbprefetch.NewSimulator(cfg, pf)
+		if err := s.RunBatch(src); err != nil {
 			return err
 		}
-		printTiming(s.Stats(), 0)
+		printStats(s.Stats())
 		return nil
 	}
-	s := tlbprefetch.NewSimulator(cfg, pf)
-	if err := s.Run(r); err != nil {
+	s := tlbprefetch.NewTimingSimulator(tc, pf)
+	if err := s.RunBatch(src); err != nil {
 		return err
 	}
-	printStats(s.Stats())
+	// A workload run is normalized against no prefetching over the
+	// regenerated stream.
+	var baseCycles uint64
+	if traceFile == "" {
+		baseCycles = tlbprefetch.RunWorkloadTimed(tc, nil, w, refs).Cycles
+	}
+	printTiming(s.Stats(), baseCycles)
 	return nil
 }
 

@@ -54,51 +54,50 @@ import (
 )
 
 func main() {
-	var (
-		workloads   = flag.String("workloads", "", "comma-separated workload names, suite names (SPEC, MediaBench, Etch, PointerIntensive) or 'all'")
-		traces      = flag.String("trace", "", "comma-separated trace files added to the source axis (digested into the keys)")
-		mixes       = flag.String("mix", "", "comma-separated multiprogrammed mixes, each '+'-joined members (workload names or trace files), e.g. galgel+gcc")
-		quanta      = flag.String("quantum", "", "mix context-switch quantum axis in references (default 20000)")
-		policies    = flag.String("policy", "", "mix prediction-table policy axis: retain, flush, per-process (default retain)")
-		asids       = flag.String("asid", "", "mix translation treatment axis: flush (TLB+buffer emptied per switch) or tagged (default flush)")
-		mechs       = flag.String("mechs", "DP", "comma-separated mechanism kinds: "+strings.Join(sweep.Kinds(), ", "))
-		rows        = flag.String("rows", "256", "prediction-table rows axis (table mechanisms)")
-		ways        = flag.String("ways", "1", "prediction-table associativity axis (table mechanisms)")
-		slots       = flag.String("slots", "2", "prediction slots per row axis (DP/MP families)")
-		entries     = flag.String("entries", "128", "TLB entries axis")
-		tlbWays     = flag.String("tlbways", "0", "TLB associativity axis (0 = fully associative)")
-		buffers     = flag.String("buffer", "16", "prefetch buffer entries axis")
-		pageShift   = flag.String("pageshift", "12", "log2 page size axis")
-		refs        = flag.Uint64("refs", 1_000_000, "references measured per cell")
-		warmup      = flag.Uint64("warmup", 0, "references simulated before the counters reset")
-		seed        = flag.Uint64("seed", 0, "base seed: 0 keeps the models' paper-calibrated streams, nonzero derives an independent per-cell stream seed")
-		timing      = flag.Bool("timing", false, "run every cell under the cycle model (paper Table 3)")
-		missPenalty = flag.String("miss-penalty", "", "TLB miss penalty axis in cycles (implies -timing; default 100, memop/buffer-hit costs scale with it)")
-		memopLat    = flag.String("memop-latency", "", "prefetch memory-op latency axis in cycles (implies -timing; default scales at half the miss penalty; exclusive with -memop-ratio)")
-		memopRatio  = flag.String("memop-ratio", "", "prefetch memory-op cost axis as a ratio of the miss penalty (implies -timing; the paper's point is 0.5)")
-		refsPerCyc  = flag.String("refs-per-cycle", "", "issue-width axis: references retired per cycle (implies -timing; default 2)")
-		storePath   = flag.String("store", "", "JSON result store to read from and merge into")
-		where       = flag.String("where", "", "render matching store cells (field=value,... filters) instead of sweeping")
-		figure      = flag.String("figure", "", "render matching store cells as a grouped-bar figure of this metric ("+report.MetricNames()+"); combine with -where to subset")
-		gc          = flag.Bool("gc", false, "drop store cells the declared grid does not reference, then save")
-		diffPath    = flag.String("diff", "", "compare the -store file against this second store and exit (1 when they differ)")
-		serve       = flag.String("serve", "", "serve the grid as a distributed job feed on this address (coordinator mode, e.g. 127.0.0.1:9177)")
-		workerURL   = flag.String("worker", "", "join a coordinator's job feed at this base URL (worker mode; the grid comes from the coordinator)")
-		batch       = flag.Int("batch", 0, "distributed modes: max cells per lease (0 = coordinator default)")
-		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "coordinator mode: a worker silent this long forfeits its leased cells")
-		workerID    = flag.String("worker-id", "", "worker mode: name shown in coordinator logs (default worker-<pid>)")
-		token       = flag.String("token", "", "distributed modes: bearer token — the coordinator requires it on every request (401 otherwise), workers send it")
-		tlsCert     = flag.String("tls-cert", "", "coordinator mode: serve the feed over TLS with this certificate file (requires -tls-key)")
-		tlsKey      = flag.String("tls-key", "", "coordinator mode: TLS private key file (requires -tls-cert)")
-		tlsCA       = flag.String("tls-ca", "", "worker mode: PEM bundle to trust for an https coordinator (self-signed deployments; default system roots)")
-		checkpoint  = flag.Duration("checkpoint", 30*time.Second, "coordinator mode: save the store this often mid-grid so a crash resumes from the last checkpoint (0 disables)")
-		blobCache   = flag.String("blob-cache", "", "worker mode: directory for trace blobs fetched from the coordinator (default <user-cache-dir>/tlbsweep-blobs)")
-		format      = flag.String("format", "table", "output format: table, csv, json, none (-figure mode: table, csv, svg)")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		quiet       = flag.Bool("q", false, "suppress per-cell progress on stderr")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file")
-	)
+	var cfg sweepConfig
+	flag.StringVar(&cfg.workloads, "workloads", "", "comma-separated workload names, suite names (SPEC, MediaBench, Etch, PointerIntensive) or 'all'")
+	flag.StringVar(&cfg.traces, "trace", "", "comma-separated trace files added to the source axis (digested into the keys)")
+	flag.StringVar(&cfg.mixes, "mix", "", "comma-separated multiprogrammed mixes, each '+'-joined members (workload names or trace files), e.g. galgel+gcc")
+	flag.StringVar(&cfg.quanta, "quantum", "", "mix context-switch quantum axis in references (default 20000)")
+	flag.StringVar(&cfg.policies, "policy", "", "mix prediction-table policy axis: retain, flush, per-process (default retain)")
+	flag.StringVar(&cfg.asids, "asid", "", "mix translation treatment axis: flush (TLB+buffer emptied per switch) or tagged (default flush)")
+	flag.StringVar(&cfg.mechs, "mechs", "DP", "comma-separated mechanism kinds: "+strings.Join(sweep.Kinds(), ", "))
+	flag.StringVar(&cfg.rows, "rows", "256", "prediction-table rows axis (table mechanisms)")
+	flag.StringVar(&cfg.ways, "ways", "1", "prediction-table associativity axis (table mechanisms)")
+	flag.StringVar(&cfg.slots, "slots", "2", "prediction slots per row axis (DP/MP families)")
+	flag.StringVar(&cfg.entries, "entries", "128", "TLB entries axis")
+	flag.StringVar(&cfg.tlbWays, "tlbways", "0", "TLB associativity axis (0 = fully associative)")
+	flag.StringVar(&cfg.buffers, "buffer", "16", "prefetch buffer entries axis")
+	flag.StringVar(&cfg.pageShift, "pageshift", "12", "log2 page size axis")
+	flag.Uint64Var(&cfg.refs, "refs", 1_000_000, "references measured per cell")
+	flag.Uint64Var(&cfg.warmup, "warmup", 0, "references simulated before the counters reset")
+	flag.Uint64Var(&cfg.seed, "seed", 0, "base seed: 0 keeps the models' paper-calibrated streams, nonzero derives an independent per-cell stream seed")
+	flag.BoolVar(&cfg.timing, "timing", false, "run every cell under the cycle model (paper Table 3)")
+	flag.StringVar(&cfg.missPenalty, "miss-penalty", "", "TLB miss penalty axis in cycles (implies -timing; default 100, memop/buffer-hit costs scale with it)")
+	flag.StringVar(&cfg.memopLat, "memop-latency", "", "prefetch memory-op latency axis in cycles (implies -timing; default scales at half the miss penalty; exclusive with -memop-ratio)")
+	flag.StringVar(&cfg.memopRatio, "memop-ratio", "", "prefetch memory-op cost axis as a ratio of the miss penalty (implies -timing; the paper's point is 0.5)")
+	flag.StringVar(&cfg.refsPerCyc, "refs-per-cycle", "", "issue-width axis: references retired per cycle (implies -timing; default 2)")
+	flag.StringVar(&cfg.storePath, "store", "", "JSON result store to read from and merge into")
+	flag.StringVar(&cfg.where, "where", "", "render matching store cells (field=value,... filters) instead of sweeping")
+	flag.StringVar(&cfg.figure, "figure", "", "render matching store cells as a grouped-bar figure of this metric ("+report.MetricNames()+"); combine with -where to subset")
+	flag.BoolVar(&cfg.gc, "gc", false, "drop store cells the declared grid does not reference, then save")
+	flag.StringVar(&cfg.diffPath, "diff", "", "compare the -store file against this second store and exit (1 when they differ)")
+	flag.StringVar(&cfg.serve, "serve", "", "serve the grid as a distributed job feed on this address (coordinator mode, e.g. 127.0.0.1:9177)")
+	flag.StringVar(&cfg.workerURL, "worker", "", "join a coordinator's job feed at this base URL (worker mode; the grid comes from the coordinator)")
+	flag.IntVar(&cfg.batch, "batch", 0, "distributed modes: max cells per lease (0 = coordinator default)")
+	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 30*time.Second, "coordinator mode: a worker silent this long forfeits its leased cells")
+	flag.StringVar(&cfg.workerID, "worker-id", "", "worker mode: name shown in coordinator logs (default worker-<pid>)")
+	flag.StringVar(&cfg.token, "token", "", "distributed modes: bearer token — the coordinator requires it on every request (401 otherwise), workers send it")
+	flag.StringVar(&cfg.tlsCert, "tls-cert", "", "coordinator mode: serve the feed over TLS with this certificate file (requires -tls-key)")
+	flag.StringVar(&cfg.tlsKey, "tls-key", "", "coordinator mode: TLS private key file (requires -tls-cert)")
+	flag.StringVar(&cfg.tlsCA, "tls-ca", "", "worker mode: PEM bundle to trust for an https coordinator (self-signed deployments; default system roots)")
+	flag.DurationVar(&cfg.checkpoint, "checkpoint", 30*time.Second, "coordinator mode: save the store this often mid-grid so a crash resumes from the last checkpoint (0 disables)")
+	flag.StringVar(&cfg.blobCache, "blob-cache", "", "worker mode: directory for trace blobs fetched from the coordinator (default <user-cache-dir>/tlbsweep-blobs)")
+	flag.StringVar(&cfg.format, "format", "table", "output format: table, csv, json, none (-figure mode: table, csv, svg)")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	flag.BoolVar(&cfg.quiet, "q", false, "suppress per-cell progress on stderr")
+	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
 	flag.Usage = func() {
 		o := flag.CommandLine.Output()
 		fmt.Fprintf(o, "usage: tlbsweep [flags]\n\n")
@@ -115,9 +114,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbsweep: unexpected arguments %q (the grid is declared with flags)\n", flag.Args())
 		os.Exit(2)
 	}
-	render := *where != "" || *figure != ""
+	render := cfg.where != "" || cfg.figure != ""
 	modes := 0
-	for _, on := range []bool{render, *gc, *diffPath != "", *serve != "", *workerURL != ""} {
+	for _, on := range []bool{render, cfg.gc, cfg.diffPath != "", cfg.serve != "", cfg.workerURL != ""} {
 		if on {
 			modes++
 		}
@@ -126,15 +125,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tlbsweep: -where/-figure, -gc, -diff, -serve and -worker are mutually exclusive modes")
 		os.Exit(2)
 	}
-	if (render || *gc || *diffPath != "") && *storePath == "" {
+	if (render || cfg.gc || cfg.diffPath != "") && cfg.storePath == "" {
 		fmt.Fprintln(os.Stderr, "tlbsweep: -where/-figure/-gc/-diff operate on a store: -store is required")
 		os.Exit(2)
 	}
-	if *workerURL != "" && *storePath != "" {
+	if cfg.workerURL != "" && cfg.storePath != "" {
 		fmt.Fprintln(os.Stderr, "tlbsweep: a worker holds no store — the coordinator given with -serve owns it")
 		os.Exit(2)
 	}
-	if *workerURL != "" {
+	if cfg.workerURL != "" {
 		// The grid comes from the coordinator: silently dropping axis
 		// flags would let `-worker URL -workloads swim -refs 1e6` look
 		// like it constrained the work. -trace is the exception (it names
@@ -151,28 +150,12 @@ func main() {
 			}
 		})
 	}
-	if !render && *diffPath == "" && *workerURL == "" && *workloads == "" && *traces == "" && *mixes == "" {
+	if !render && cfg.diffPath == "" && cfg.workerURL == "" && cfg.workloads == "" && cfg.traces == "" && cfg.mixes == "" {
 		fmt.Fprintln(os.Stderr, "tlbsweep: need a source axis: -workloads (names, suites, 'all'), -trace files and/or -mix combinations")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	cfg := sweepConfig{
-		workloads: *workloads, traces: *traces, mechs: *mechs,
-		mixes: *mixes, quanta: *quanta, policies: *policies, asids: *asids,
-		rows: *rows, ways: *ways, slots: *slots,
-		entries: *entries, tlbWays: *tlbWays, buffers: *buffers, pageShift: *pageShift,
-		refs: *refs, warmup: *warmup, seed: *seed,
-		timing: *timing, missPenalty: *missPenalty, memopLat: *memopLat,
-		memopRatio: *memopRatio, refsPerCyc: *refsPerCyc,
-		storePath: *storePath, where: *where, figure: *figure, gc: *gc, diffPath: *diffPath,
-		serve: *serve, workerURL: *workerURL, batch: *batch,
-		leaseTTL: *leaseTTL, workerID: *workerID,
-		token: *token, tlsCert: *tlsCert, tlsKey: *tlsKey, tlsCA: *tlsCA,
-		checkpoint: *checkpoint, blobCache: *blobCache,
-		format: *format, workers: *workers, quiet: *quiet,
-		cpuProf: *cpuProf, memProf: *memProf,
-	}
 	code, err := run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tlbsweep:", err)
@@ -505,8 +488,8 @@ func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
 	if err != nil {
 		return g, err
 	}
-	for _, kind := range strings.Split(cfg.mechs, ",") {
-		kind = sweep.ParseKind(strings.TrimSpace(kind))
+	for _, kind := range splitAxis(cfg.mechs) {
+		kind = sweep.ParseKind(kind)
 		for _, r := range rowAxis {
 			for _, w := range wayAxis {
 				for _, s := range slotAxis {

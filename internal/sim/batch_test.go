@@ -72,7 +72,7 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 }
 
 // TestGroupBatchEquivalence extends the shared-frontend differential
-// contract to RunBatch: a chunk-fed group (both shared and heterogeneous
+// contract to RefBatch: a chunk-fed group (both shared and heterogeneous
 // fan-out) must match the per-Ref group exactly.
 func TestGroupBatchEquivalence(t *testing.T) {
 	refs := batchTestStream(t, "swim", 60_000)
@@ -99,8 +99,8 @@ func TestGroupBatchEquivalence(t *testing.T) {
 			perRef.Ref(r.PC, r.VAddr)
 		}
 		batched := mkGroup()
-		if err := batched.RunBatch(trace.NewSliceReader(refs)); err != nil {
-			t.Fatal(err)
+		for pos := 0; pos < len(refs); pos += 4096 {
+			batched.RefBatch(refs[pos:min(pos+4096, len(refs))])
 		}
 		for i := range perRef.Members() {
 			got := batched.Members()[i].Stats()

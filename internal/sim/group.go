@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"io"
-
-	"tlbprefetch/internal/trace"
-)
+import "tlbprefetch/internal/trace"
 
 // Group fans one reference stream out to many simulators, so that the
 // experiment harness can evaluate every mechanism configuration of a figure
@@ -25,7 +21,9 @@ import (
 // a timed member's clock charges the references between its misses from
 // its reference count, so the shared frontend never has to touch a member
 // on a TLB hit. The sweep runner drives every single-source shard,
-// functional or timed, through one Group.
+// functional or timed, through one Group. Group has no drain loop of its
+// own: the caller pulls the stream (a trace.BatchReader, whether the
+// source is a workload model or a recording) and feeds it with RefBatch.
 //
 // Members with heterogeneous geometry fall back to full independent
 // fan-out transparently.
@@ -160,27 +158,5 @@ func (g *Group) RefBatch(refs []trace.Ref) {
 		for _, m := range g.members {
 			m.stat.Refs += hits
 		}
-	}
-}
-
-// Run drains a trace reader through the group. Readers with a native batch
-// decode path are consumed in chunks automatically.
-func (g *Group) Run(src trace.Reader) error {
-	return g.RunBatch(trace.AsBatch(src))
-}
-
-// RunBatch drains a batch reader through the group in cache-sized chunks.
-// The simulated stream is identical to Run over the same records.
-func (g *Group) RunBatch(src trace.BatchReader) error {
-	var buf [runBatchChunk]trace.Ref
-	for {
-		n, err := src.ReadBatch(buf[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		g.RefBatch(buf[:n])
 	}
 }

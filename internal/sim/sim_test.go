@@ -242,9 +242,8 @@ func TestGroupFanout(t *testing.T) {
 	s2 := New(cfgSmall(), core.NewDistance(64, 1, 2))
 	g := NewGroup(s1)
 	g.Add(s2)
-	if err := g.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5))); err != nil {
-		t.Fatal(err)
-	}
+	g.RefBatch(pageRefs(1, 2, 3))
+	g.RefBatch(pageRefs(4, 5))
 	if len(g.Members()) != 2 {
 		t.Fatal("member count")
 	}

@@ -54,7 +54,7 @@ type Runner struct {
 	Progress func(ProgressEvent)
 }
 
-// shardKey identifies cells that can share one generation pass and (for
+// shardKey identifies cells that can share one stream pass and (for
 // single-source cells) one sim.Group: same stream (source, seed, length)
 // and same TLB-frontend geometry. Buffer size, mechanism — and for timing
 // shards the cycle-model constants — may differ within a shard; they live
@@ -278,54 +278,8 @@ func (r *Runner) openTrace() func(src Source) (trace.Reader, io.Closer, error) {
 	}
 }
 
-// stream drives one generation pass over the shard's reference stream:
-// perBatch is called with successive chunks whose lengths sum to exactly
-// total, warmup included. Synthetic streams regenerate from the workload
-// model; trace streams replay the recording in batched decode chunks and
-// fail if it ends before the cells' reference budget.
-func (r *Runner) stream(sh *shard, resolve func(string) (workload.Workload, bool), total uint64, perBatch func(refs []trace.Ref)) error {
-	var buf [streamChunk]trace.Ref
-	if !sh.key.source.IsTrace() {
-		w, _ := resolve(sh.key.source.Workload) // presence checked during sharding
-		if sh.key.seed != 0 {
-			w.Seed = sh.key.seed
-		}
-		n := 0
-		workload.Generate(w, total, func(pc, vaddr uint64) bool {
-			buf[n] = trace.Ref{PC: pc, VAddr: vaddr}
-			n++
-			if n == streamChunk {
-				perBatch(buf[:])
-				n = 0
-			}
-			return true
-		})
-		if n > 0 {
-			perBatch(buf[:n])
-		}
-		return nil
-	}
-	src := sh.key.source
-	src.TracePath = sh.tracePath
-	b, closer, err := r.memberStream(src, total, resolve)
-	if err != nil {
-		return err
-	}
-	defer closer.Close()
-	for {
-		k, err := b.ReadBatch(buf[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		perBatch(buf[:k])
-	}
-}
-
-// runShard simulates one shard: one generation pass over the reference
-// stream feeding every member cell.
+// runShard simulates one shard: one pass over the reference stream
+// feeding every member cell.
 func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
 	if sh.mix != nil {
 		return r.runMixShard(sh, jobs, resolve, settle)
@@ -346,11 +300,25 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 			g.Add(sim.New(j.Config, j.Mech.Build()))
 		}
 	}
-	total := sh.key.warmup + sh.key.refs
-	var seen uint64
-	err := r.stream(sh, resolve, total, func(refs []trace.Ref) {
-		warm := sh.key.warmup
-		if seen < warm && seen+uint64(len(refs)) >= warm {
+	src := sh.key.source
+	src.TracePath = sh.tracePath
+	b, closer, err := r.memberStream(src, sh.key.seed, sh.key.warmup+sh.key.refs, resolve)
+	if err != nil {
+		return err
+	}
+	defer closer.Close()
+	var buf [streamChunk]trace.Ref
+	warm, seen := sh.key.warmup, uint64(0)
+	for {
+		n, err := b.ReadBatch(buf[:])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		refs := buf[:n]
+		if seen < warm && seen+uint64(n) >= warm {
 			// The warmup boundary falls inside this chunk: split there so
 			// the counters reset after exactly warm references, as the
 			// per-reference path did.
@@ -363,10 +331,7 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 		} else {
 			g.RefBatch(refs)
 		}
-		seen += uint64(len(refs))
-	})
-	if err != nil {
-		return err
+		seen += uint64(n)
 	}
 	for mi, s := range g.Members() {
 		idx := sh.indices[mi]
@@ -415,18 +380,22 @@ func (b *boundedTrace) ReadBatch(dst []trace.Ref) (int, error) {
 }
 
 // memberStream opens one source's reference stream, clipped to n
-// references, as a batch reader: a mix member's share, which the
-// interleaver rotates over without materializing it, or a trace shard's
-// whole budget (see stream). Synthetic members regenerate from the workload
-// model at its registry seed (mix cells carry no seed axis) through a
-// chunked pull adapter; trace members replay the recording and fail if it
-// ends early. The returned closer (never nil) must be closed even when the
-// stream is abandoned mid-way.
-func (r *Runner) memberStream(src Source, n uint64, resolve func(string) (workload.Workload, bool)) (trace.BatchReader, io.Closer, error) {
+// references, as a batch reader: a single-source shard's whole budget
+// (warmup included), or a mix member's share, which the interleaver
+// rotates over without materializing it. Synthetic sources are pulled from
+// the workload model, at seed when it is nonzero and at the registry seed
+// otherwise (mix members pass 0: mix cells carry no seed axis); trace
+// sources replay the recording and fail if it ends early. The returned
+// closer (never nil) must be closed even when the stream is abandoned
+// mid-way.
+func (r *Runner) memberStream(src Source, seed, n uint64, resolve func(string) (workload.Workload, bool)) (trace.BatchReader, io.Closer, error) {
 	if !src.IsTrace() {
 		w, _ := resolve(src.Workload) // presence checked during sharding
-		cr := workload.NewChunkedReader(w, n)
-		return cr, cr, nil
+		if seed != 0 {
+			w.Seed = seed
+		}
+		s := workload.NewStream(w, n)
+		return s, s, nil
 	}
 	tr, closer, err := r.openTrace()(src)
 	if err != nil {
@@ -450,7 +419,7 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	shares := multiprog.Split(sh.key.refs, len(sh.mix.Sources))
 	streams := make([]trace.BatchReader, len(sh.mix.Sources))
 	for i, src := range sh.mix.Sources {
-		s, closer, err := r.memberStream(src, shares[i], resolve)
+		s, closer, err := r.memberStream(src, 0, shares[i], resolve)
 		if err != nil {
 			return err
 		}

@@ -179,28 +179,46 @@ func TestSingleCellRerunMatchesSweep(t *testing.T) {
 // TestRunnerMatchesDirectSimulator pins the runner's shard loop (including
 // warmup) against a hand-rolled simulator run.
 func TestRunnerMatchesDirectSimulator(t *testing.T) {
-	w, _ := workload.ByName("gap")
 	cfg := sim.Config{TLB: tlb.Config{Entries: 128}, BufferEntries: 16, PageShift: 12}
-	job := Job{Source: WorkloadSource("gap"), Mech: Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
-		Config: cfg, Refs: 40_000, Warmup: 20_000}
-
-	res, _, err := (&Runner{}).Run([]Job{job})
-	if err != nil {
-		t.Fatal(err)
+	mech := Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}
+	const refs, warmup = 40_000, 20_000
+	direct := func(w workload.Workload) sim.Stats {
+		s := sim.New(cfg, mech.Build())
+		var seen uint64
+		workload.Generate(w, warmup+refs, func(pc, vaddr uint64) bool {
+			s.Ref(pc, vaddr)
+			seen++
+			if seen == warmup {
+				s.ResetStats()
+			}
+			return true
+		})
+		return s.Stats()
 	}
-
-	s := sim.New(cfg, job.Mech.Build())
-	var seen uint64
-	workload.Generate(w, job.Warmup+job.Refs, func(pc, vaddr uint64) bool {
-		s.Ref(pc, vaddr)
-		seen++
-		if seen == job.Warmup {
-			s.ResetStats()
+	// Seed 0 replays the registry stream; a nonzero seed replaces the
+	// model's seed (mcf's stream depends on it, gap's does not).
+	for _, c := range []struct {
+		name string
+		seed uint64
+	}{{"gap", 0}, {"mcf", 7}} {
+		job := Job{Source: WorkloadSource(c.name), Mech: mech,
+			Config: cfg, Refs: refs, Warmup: warmup, Seed: c.seed}
+		res, _, err := (&Runner{}).Run([]Job{job})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if res[0].Stats != s.Stats() {
-		t.Fatalf("runner %+v != direct %+v", res[0].Stats, s.Stats())
+		w, _ := workload.ByName(c.name)
+		registry := direct(w)
+		if c.seed != 0 {
+			w.Seed = c.seed
+		}
+		want := direct(w)
+		if res[0].Stats != want {
+			t.Fatalf("%s seed %d: runner %+v != direct %+v", c.name, c.seed, res[0].Stats, want)
+		}
+		if c.seed != 0 && want == registry {
+			t.Fatalf("%s seed %d: same stats as the registry seed — the case pins nothing", c.name, c.seed)
+		}
 	}
 }
 

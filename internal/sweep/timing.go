@@ -99,6 +99,9 @@ func (a TimingAxes) Points() ([]Timing, error) {
 	}
 	var out []Timing
 	for _, p := range penalties {
+		if p > maxTimingCycles {
+			return nil, fmt.Errorf("sweep: miss penalty %d exceeds %d cycles", p, uint64(maxTimingCycles))
+		}
 		base := ScaledTiming(p)
 		memops := []Timing{base}
 		switch {
@@ -118,7 +121,11 @@ func (a TimingAxes) Points() ([]Timing, error) {
 			memops = memops[:0]
 			for _, r := range a.MemOpRatios {
 				t := base
-				t.MemOpLatency = uint64(float64(p)*r + 0.5)
+				lat := float64(p)*r + 0.5
+				if !(lat <= maxTimingCycles) {
+					return nil, fmt.Errorf("sweep: memory-op ratio %g of miss penalty %d exceeds %d cycles", r, p, uint64(maxTimingCycles))
+				}
+				t.MemOpLatency = uint64(lat)
 				if t.MemOpLatency == 0 {
 					t.MemOpLatency = 1
 				}
@@ -177,8 +184,18 @@ func (t Timing) Normalize() Timing {
 	return t
 }
 
+// maxTimingCycles bounds the miss penalty and memory-op latency a cell may
+// declare. Far above any modelled machine, it keeps the scaled costs and
+// the ratio-derived latencies clear of uint64 wrap-around, so every cell
+// key is the same on every platform.
+const maxTimingCycles = 1 << 32
+
 // Validate reports whether the constants form a usable cycle model.
 func (t Timing) Validate() error {
+	if t.MissPenalty > maxTimingCycles || t.MemOpLatency > maxTimingCycles {
+		return fmt.Errorf("sweep: miss penalty %d or memory-op latency %d exceeds %d cycles",
+			t.MissPenalty, t.MemOpLatency, uint64(maxTimingCycles))
+	}
 	if t.MissPenalty == 0 || t.MemOpLatency == 0 || t.CyclesPerRef == 0 {
 		return fmt.Errorf("sweep: timing constants must be positive (penalty=%d, memop=%d, perRef=%d)",
 			t.MissPenalty, t.MemOpLatency, t.CyclesPerRef)

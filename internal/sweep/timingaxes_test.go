@@ -114,3 +114,23 @@ func TestGridTimingAxesExpansion(t *testing.T) {
 		t.Error("grid with Timings and TimingAxes should fail")
 	}
 }
+
+// TestTimingAxesRejectOverflow pins that axes whose cycle counts would
+// wrap uint64 (or hit Go's implementation-defined float-to-uint
+// conversion) are rejected instead of producing platform-dependent cells.
+func TestTimingAxesRejectOverflow(t *testing.T) {
+	for name, axes := range map[string]TimingAxes{
+		"huge ratio":   {MemOpRatios: []float64{1e30}},
+		"huge penalty": {MissPenalties: []uint64{18446744073709551615}},
+		"huge latency": {MemOpLatencies: []uint64{1<<32 + 1}},
+	} {
+		pts, err := axes.Points()
+		if err == nil || !strings.Contains(err.Error(), "exceeds 4294967296 cycles") || pts != nil {
+			t.Errorf("%s: Points() = %v, %v; want no points and an overflow error", name, pts, err)
+		}
+	}
+	// The bound itself is a valid penalty.
+	if _, err := (TimingAxes{MissPenalties: []uint64{1 << 32}}).Points(); err != nil {
+		t.Errorf("penalty at the bound rejected: %v", err)
+	}
+}

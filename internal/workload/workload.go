@@ -109,19 +109,6 @@ func Generate(w Workload, refs uint64, raw EmitFunc) uint64 {
 	return emitted
 }
 
-// Reader adapts a workload to a trace.Reader producing refs references.
-// The stream is materialized up front (16 bytes per reference), which is
-// fine for the experiment-scale runs; for writing very large trace files
-// use the push-based GenerateTo instead.
-func Reader(w Workload, refs uint64) trace.Reader {
-	buf := make([]trace.Ref, 0, refs)
-	Generate(w, refs, func(pc, vaddr uint64) bool {
-		buf = append(buf, trace.Ref{PC: pc, VAddr: vaddr})
-		return true
-	})
-	return trace.NewSliceReader(buf)
-}
-
 // GenerateTo streams refs references into a trace writer without
 // materializing them. It returns the count written and the first write
 // error, if any.

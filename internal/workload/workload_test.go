@@ -124,25 +124,6 @@ func TestDistinctWorkloadsDiffer(t *testing.T) {
 	}
 }
 
-func TestReaderMatchesGenerate(t *testing.T) {
-	w, _ := ByName("parser")
-	var direct []trace.Ref
-	Generate(w, 5000, func(pc, vaddr uint64) bool {
-		direct = append(direct, trace.Ref{PC: pc, VAddr: vaddr})
-		return true
-	})
-	r := Reader(w, 5000)
-	for i := range direct {
-		ref, err := r.Read()
-		if err != nil {
-			t.Fatalf("ref %d: %v", i, err)
-		}
-		if ref != direct[i] {
-			t.Fatalf("ref %d: reader %v != generate %v", i, ref, direct[i])
-		}
-	}
-}
-
 func TestGenerateTo(t *testing.T) {
 	w, _ := ByName("bc")
 	var sw trace.SliceWriter

@@ -199,18 +199,11 @@ func GenerateWorkload(w Workload, refs uint64, dst TraceWriter) (uint64, error) 
 	return workload.GenerateTo(w, refs, dst)
 }
 
-// WorkloadReader adapts a workload to a TraceReader producing refs
-// references (materialized; 16 bytes per reference).
-func WorkloadReader(w Workload, refs uint64) TraceReader { return workload.Reader(w, refs) }
-
 // RunWorkload simulates refs references of a workload against a mechanism
 // and returns the functional statistics.
 func RunWorkload(cfg Config, pf Prefetcher, w Workload, refs uint64) Stats {
 	s := sim.New(cfg, pf)
-	workload.Generate(w, refs, func(pc, vaddr uint64) bool {
-		s.Ref(pc, vaddr)
-		return true
-	})
+	_ = s.RunBatch(workload.NewStream(w, refs)) // a workload stream never fails
 	return s.Stats()
 }
 
@@ -218,10 +211,7 @@ func RunWorkload(cfg Config, pf Prefetcher, w Workload, refs uint64) Stats {
 // returns the timing statistics.
 func RunWorkloadTimed(cfg TimingConfig, pf Prefetcher, w Workload, refs uint64) TimingStats {
 	s := sim.NewTiming(cfg, pf)
-	workload.Generate(w, refs, func(pc, vaddr uint64) bool {
-		s.Ref(pc, vaddr)
-		return true
-	})
+	_ = s.RunBatch(workload.NewStream(w, refs)) // a workload stream never fails
 	return s.Stats()
 }
 

@@ -2,7 +2,6 @@ package tlbprefetch_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"tlbprefetch"
@@ -106,25 +105,6 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 		tlbprefetch.NewDistance(256, 1, 2), w, 10_000)
 	if fromTrace != direct {
 		t.Fatalf("trace-driven %+v != direct %+v", fromTrace, direct)
-	}
-}
-
-func TestWorkloadReaderFacade(t *testing.T) {
-	w, _ := tlbprefetch.WorkloadByName("eon")
-	r := tlbprefetch.WorkloadReader(w, 1000)
-	n := 0
-	for {
-		_, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 1000 {
-		t.Fatalf("reader yielded %d refs", n)
 	}
 }
 
