@@ -124,6 +124,28 @@ func TestDistinctWorkloadsDiffer(t *testing.T) {
 	}
 }
 
+// TestReaderMatchesGenerate drains a workload's Stream as a plain trace
+// reader through trace.CopyBatch (the facade's CopyTrace) and checks the
+// copied stream is exactly Generate's.
+func TestReaderMatchesGenerate(t *testing.T) {
+	w, _ := ByName("parser")
+	direct := generated(w, 5000)
+	var sw trace.SliceWriter
+	s := NewStream(w, 5000)
+	n, err := trace.CopyBatch(&sw, s)
+	if err != nil || n != 5000 {
+		t.Fatalf("CopyBatch = %d, %v; want 5000, nil", n, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range direct {
+		if sw.Refs[i] != direct[i] {
+			t.Fatalf("ref %d: reader %v != generate %v", i, sw.Refs[i], direct[i])
+		}
+	}
+}
+
 func TestGenerateTo(t *testing.T) {
 	w, _ := ByName("bc")
 	var sw trace.SliceWriter
