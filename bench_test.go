@@ -540,6 +540,67 @@ func BenchmarkMixExec(b *testing.B) {
 	}
 }
 
+// BenchmarkMixShard measures a whole mix shard: galgel+gcc at a 20k
+// quantum, 150k references per process, feeding DP, RP and SBFP under
+// every policy × ASID pair (18 cells). per-ref is the per-reference loop
+// (Next, then Exec.Ref for each cell); shared is the runner's loop
+// (NextRun into a multiprog.Group, whose cells of one ASID mode share one
+// TLB). ns/ref is per interleaved reference, for all 18 cells together.
+func BenchmarkMixShard(b *testing.B) {
+	const perProc = 150_000
+	streams := [][]tlbprefetch.Ref{
+		benchTrace(b, "galgel", perProc),
+		benchTrace(b, "gcc", perProc),
+	}
+	execs := func() []*multiprog.Exec {
+		var out []*multiprog.Exec
+		for _, mech := range []sweep.Mech{{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}, {Kind: "RP"}, {Kind: "SBFP"}} {
+			for _, pol := range []multiprog.Policy{multiprog.Retain, multiprog.Flush, multiprog.PerProcess} {
+				for _, asid := range []multiprog.ASIDMode{multiprog.ASIDFlush, multiprog.ASIDTagged} {
+					out = append(out, multiprog.NewExec(tlbprefetch.DefaultConfig(), pol, asid, len(streams), mech.Build))
+				}
+			}
+		}
+		return out
+	}
+	bench := func(b *testing.B, pass func(*multiprog.StreamInterleaver, []*multiprog.Exec)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			it, es := mixInterleaver(streams), execs()
+			b.StartTimer()
+			pass(it, es)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*perProc), "ns/ref")
+	}
+	b.Run("per-ref", func(b *testing.B) {
+		bench(b, func(it *multiprog.StreamInterleaver, es []*multiprog.Exec) {
+			for {
+				proc, pc, vaddr, ok := it.Next()
+				if !ok {
+					return
+				}
+				for _, e := range es {
+					e.Ref(proc, pc, vaddr)
+				}
+			}
+		})
+	})
+	b.Run("shared", func(b *testing.B) {
+		bench(b, func(it *multiprog.StreamInterleaver, es []*multiprog.Exec) {
+			g := multiprog.NewGroup(es...)
+			for {
+				proc, run, ok := it.NextRun()
+				if !ok {
+					return
+				}
+				g.RefBatch(proc, run)
+			}
+		})
+	})
+}
+
 var benchSink uint64
 
 // --- Trace decode + replay benches -----------------------------------------

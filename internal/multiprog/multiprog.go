@@ -21,10 +21,11 @@
 //
 // The package splits the mechanics in two so the sweep runner can share
 // work: a StreamInterleaver deterministically round-robins per-process
-// reference sources (allocation-free per reference, so one interleaving
-// pass can feed many cells), and an Exec drives one simulator under one
-// (Policy, ASIDMode) pair, attributing counters to the process that was
-// running.
+// reference sources and hands the schedule out in runs (allocation-free,
+// so one interleaving pass can feed many cells), and an Exec drives one
+// simulator under one (Policy, ASIDMode) pair, attributing counters to the
+// process that was running. A Group feeds each run to many Execs at once,
+// with the Execs of one ASID mode sharing one TLB frontend.
 package multiprog
 
 import (
@@ -32,6 +33,7 @@ import (
 
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
+	"tlbprefetch/internal/trace"
 )
 
 // Policy selects the prediction-table treatment at a context switch.
@@ -178,21 +180,27 @@ func NewExec(cfg sim.Config, policy Policy, asid ASIDMode, nprocs int, mk func()
 
 // Ref feeds one scheduled reference (as produced by StreamInterleaver.Next)
 // into the pipeline, performing switch actions when the process changed.
+// It is the per-reference path; Group drives the same switch actions over
+// whole runs on a shared TLB. An Exec is fed by one of them, never both.
 func (e *Exec) Ref(proc int, pc, vaddr uint64) {
 	if proc != e.cur {
-		e.contextSwitch(proc)
+		if e.cur >= 0 && e.asid == ASIDFlush {
+			e.sim.TLB().Reset()
+		}
+		e.switchTo(proc)
 	}
 	e.sim.Ref(pc, vaddr)
 }
 
-// contextSwitch attributes the outgoing process's counters and applies the
-// configured switch actions. The first dispatch installs the process
+// switchTo attributes the outgoing process's counters and applies the
+// switch actions of the pipeline's back half: buffer flush (ASIDFlush) and
+// prefetcher reset or swap. The TLB is the caller's to flush, because a
+// Group shares it between Execs. The first dispatch installs the process
 // without any flushing — nothing ran yet, there is nothing to invalidate.
-func (e *Exec) contextSwitch(next int) {
+func (e *Exec) switchTo(next int) {
 	e.attribute()
 	if e.cur >= 0 {
 		if e.asid == ASIDFlush {
-			e.sim.TLB().Reset()
 			e.sim.Buffer().Flush()
 		}
 		if e.policy == Flush {
@@ -247,5 +255,66 @@ func (e *Exec) Results() ExecResult {
 	return ExecResult{
 		Aggregate: e.sim.Stats(),
 		Apps:      append([]sim.Stats(nil), e.apps...),
+	}
+}
+
+// Group drives many Execs over one interleaved stream, a run at a time.
+// A TLB's contents depend only on its geometry and on the ASID mode —
+// fills happen at miss time, so neither the mechanism, the table policy
+// nor the buffer size changes them — and every Exec sees its switches at
+// the same references. So the Execs of one ASID mode share one sim.Group:
+// one TLB probe per reference, with only the misses fanning out to the
+// members' buffers and mechanisms. At a real process change the Group
+// empties each ASIDFlush frontend's TLB once and applies every Exec's
+// back-half switch actions. sim.Group settles its members' counters at
+// the end of every batch and a switch always falls between batches, so
+// the per-process attribution is exact (pinned against per-reference
+// Exec.Ref by TestGroupMatchesPerRefExec).
+type Group struct {
+	execs  []*Exec
+	fronts []*sim.Group
+	flush  []bool // fronts[i] empties its TLB at a switch (ASIDFlush)
+	cur    int    // running process (-1 before the first run)
+}
+
+// NewGroup builds a Group over fresh Execs, which it then owns: they must
+// not be fed through Exec.Ref. Execs of one ASID mode must agree on TLB
+// geometry and page shift to share a frontend; sim.Group falls back to
+// private TLBs when they do not.
+func NewGroup(execs ...*Exec) *Group {
+	g := &Group{execs: execs, cur: -1}
+	byMode := map[ASIDMode]*sim.Group{}
+	for _, e := range execs {
+		f, ok := byMode[e.asid]
+		if !ok {
+			f = sim.NewGroup()
+			byMode[e.asid] = f
+			g.fronts = append(g.fronts, f)
+			g.flush = append(g.flush, e.asid == ASIDFlush)
+		}
+		f.Add(e.sim)
+	}
+	return g
+}
+
+// RefBatch feeds one run of process proc (as produced by
+// StreamInterleaver.NextRun) to every Exec, performing the switch actions
+// first when the process changed.
+func (g *Group) RefBatch(proc int, run []trace.Ref) {
+	if proc != g.cur {
+		if g.cur >= 0 {
+			for i, f := range g.fronts {
+				if g.flush[i] {
+					f.ResetTLB()
+				}
+			}
+		}
+		for _, e := range g.execs {
+			e.switchTo(proc)
+		}
+		g.cur = proc
+	}
+	for _, f := range g.fronts {
+		f.RefBatch(run)
 	}
 }

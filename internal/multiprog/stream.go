@@ -17,14 +17,19 @@ const streamBuf = 4096
 // quantum: process 0 runs first, a process runs until its quantum expires
 // or its stream ends, and exhausted processes drop out of the rotation —
 // when one process remains it simply keeps running (no spurious switches
-// to itself). A process drops out the moment its last reference is
-// consumed, because its buffer is refilled eagerly right then; the
-// schedule therefore does not depend on how the sources chunk their
+// to itself). A drained chunk is refilled before the next rotation
+// decision, so a process whose stream ends mid-quantum hands the CPU on at
+// once and the schedule does not depend on how the sources chunk their
 // references (pinned against a slice reference model by
-// TestStreamInterleaverMatchesSlice). Next is allocation-free.
+// TestStreamInterleaverMatchesSlice).
 //
-// A source error stops the schedule: Next returns ok=false and Err reports
-// the error. Callers must check Err after draining.
+// NextRun hands the schedule out one run at a time: the longest slice of
+// one process's buffered chunk that stays inside its quantum. Next is a
+// per-reference view over the same runs; a caller drains with one or the
+// other. Both are allocation-free.
+//
+// A source error stops the schedule: NextRun and Next return ok=false and
+// Err reports the error. Callers must check Err after draining.
 type StreamInterleaver struct {
 	srcs    []trace.BatchReader
 	bufs    [][]trace.Ref // current chunk per process (refs at pos[p]:)
@@ -33,7 +38,11 @@ type StreamInterleaver struct {
 	proc    int    // current process
 	left    uint64 // references left in the current quantum
 	live    int    // processes with references remaining
+	drained bool   // proc's chunk is used up; refill before the next run
 	err     error
+
+	run     []trace.Ref // Next's unread part of the current run
+	runProc int
 }
 
 // NewStreamInterleaver builds an interleaver over the given sources. It
@@ -77,12 +86,26 @@ func (it *StreamInterleaver) refill(p int) {
 // error; references delivered before it are valid.
 func (it *StreamInterleaver) Err() error { return it.err }
 
-// Next returns the next scheduled reference and the process it belongs to,
-// with the process's ASID tag already applied to the address. ok is false
-// when every stream is exhausted or a source failed.
-func (it *StreamInterleaver) Next() (proc int, pc, vaddr uint64, ok bool) {
+// NextRun returns the next run of the schedule and the process it belongs
+// to: the longest slice of that process's buffered chunk that ends at its
+// quantum end or its chunk end, with the process's ASID tag already
+// applied to every address. The slice aliases the interleaver's buffer and
+// is valid until the next call. ok is false when every stream is exhausted
+// or a source failed.
+func (it *StreamInterleaver) NextRun() (proc int, run []trace.Ref, ok bool) {
+	if it.drained {
+		// The previous run emptied the chunk. Refill it now, after the
+		// caller is done with the run and before the rotation decision,
+		// which must know whether this process still has references.
+		it.drained = false
+		it.refill(it.proc)
+		if len(it.bufs[it.proc]) == 0 {
+			it.live--
+			it.left = 0
+		}
+	}
 	if it.live == 0 || it.err != nil {
-		return 0, 0, 0, false
+		return 0, nil, false
 	}
 	if it.left == 0 {
 		for i := 1; i <= len(it.srcs); i++ {
@@ -95,18 +118,33 @@ func (it *StreamInterleaver) Next() (proc int, pc, vaddr uint64, ok bool) {
 		}
 	}
 	p := it.proc
-	ref := it.bufs[p][it.pos[p]]
-	it.pos[p]++
-	it.left--
-	if it.pos[p] == len(it.bufs[p]) {
-		// Eager refill: the rotation must know *now* whether this process
-		// still has references, so a stream that ends mid-quantum hands
-		// the CPU on immediately.
-		it.refill(p)
-		if len(it.bufs[p]) == 0 {
-			it.live--
-			it.left = 0
+	start := it.pos[p]
+	end := len(it.bufs[p])
+	if uint64(end-start) > it.left {
+		end = start + int(it.left)
+	}
+	run = it.bufs[p][start:end]
+	tag := uint64(p+1) << ASIDShift
+	for i := range run {
+		run[i].VAddr |= tag
+	}
+	it.pos[p] = end
+	it.left -= uint64(len(run))
+	it.drained = end == len(it.bufs[p])
+	return p, run, true
+}
+
+// Next returns the next scheduled reference and the process it belongs to,
+// with the process's ASID tag already applied to the address: NextRun's
+// runs, one reference at a time. ok is false when every stream is
+// exhausted or a source failed.
+func (it *StreamInterleaver) Next() (proc int, pc, vaddr uint64, ok bool) {
+	if len(it.run) == 0 {
+		if it.runProc, it.run, ok = it.NextRun(); !ok {
+			return 0, 0, 0, false
 		}
 	}
-	return p, ref.PC, ref.VAddr | uint64(p+1)<<ASIDShift, true
+	ref := it.run[0]
+	it.run = it.run[1:]
+	return it.runProc, ref.PC, ref.VAddr, true
 }

@@ -21,9 +21,11 @@ import "tlbprefetch/internal/trace"
 // a timed member's clock charges the references between its misses from
 // its reference count, so the shared frontend never has to touch a member
 // on a TLB hit. The sweep runner drives every single-source shard,
-// functional or timed, through one Group. Group has no drain loop of its
-// own: the caller pulls the stream (a trace.BatchReader, whether the
-// source is a workload model or a recording) and feeds it with RefBatch.
+// functional or timed, through one Group, and every mix shard through one
+// Group per ASID mode (multiprog.Group, which flushes the shared TLB with
+// ResetTLB at a context switch). Group has no drain loop of its own: the
+// caller pulls the stream (a trace.BatchReader, whether the source is a
+// workload model or a recording) and feeds it with RefBatch.
 //
 // Members with heterogeneous geometry fall back to full independent
 // fan-out transparently.
@@ -87,6 +89,19 @@ func (g *Group) prepare() {
 		}
 	}
 	g.shared = true
+}
+
+// ResetTLB empties the TLB every member sees: the canonical frontend once
+// in shared-frontend mode, each member's own TLB otherwise. It is the
+// translation flush of a context switch without address-space tags.
+func (g *Group) ResetTLB() {
+	if g.SharedFrontend() {
+		g.members[0].tlb.Reset()
+		return
+	}
+	for _, m := range g.members {
+		m.tlb.Reset()
+	}
 }
 
 // Ref delivers one reference to every member.

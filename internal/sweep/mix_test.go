@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 
 	"tlbprefetch/internal/multiprog"
@@ -254,6 +256,129 @@ func TestMixCellMatchesDirectMultiprog(t *testing.T) {
 			if a != direct.Apps[i] {
 				t.Errorf("%s/%s: app %d attribution %+v != direct %+v",
 					tc.policy, tc.asid, i, a, direct.Apps[i])
+			}
+		}
+	}
+}
+
+// TestGridRejectsZeroQuantum pins that an explicit zero on the quantum axis
+// is an error, not a silent rewrite to DefaultQuantum (a zero Mix.Quantum
+// still means the default; see TestGridMixSchedulerFallbacks).
+func TestGridRejectsZeroQuantum(t *testing.T) {
+	for _, quanta := range [][]uint64{{0}, {0, 20_000}, {20_000, 0}} {
+		g := mixGrid(2_000)
+		g.Quanta = quanta
+		_, err := g.Jobs()
+		if err == nil || err.Error() != "sweep: mix quantum must be positive" {
+			t.Errorf("quanta %v: err = %v, want the positive-quantum error", quanta, err)
+		}
+	}
+}
+
+// TestMixSharedFrontendMatchesPerRefExec pins the mix shard's batched path
+// (StreamInterleaver.NextRun feeding a multiprog.Group, whose cells of one
+// ASID mode share one TLB) to the per-reference path (Next feeding each
+// cell's own Exec.Ref), over whole sim.Stats: aggregate and per app. One
+// shard per quantum holds every policy × ASID pair × {none, DP, RP, SBFP}
+// × buffers {8, 16}. With 5000 references per process, quantum 4096 ends
+// runs exactly at the interleaver's chunk ends and quanta 1, 3 and 5000
+// cut quanta across them. One mix is synthetic; the other's members are
+// in-memory traces served through the OpenTrace hook.
+func TestMixSharedFrontendMatchesPerRefExec(t *testing.T) {
+	const refs = 10_000
+	shares := multiprog.Split(refs, 2)
+	gen := func(name string, n uint64) []trace.Ref {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		out := make([]trace.Ref, 0, n)
+		workload.Generate(w, n, func(pc, vaddr uint64) bool {
+			out = append(out, trace.Ref{PC: pc, VAddr: vaddr})
+			return true
+		})
+		return out
+	}
+	recorded := map[string][]trace.Ref{"mcf-digest": gen("mcf", shares[0]), "twolf-digest": gen("twolf", shares[1])}
+	streams := map[Source][]trace.Ref{
+		WorkloadSource("galgel"): gen("galgel", shares[0]),
+		WorkloadSource("gcc"):    gen("gcc", shares[1]),
+	}
+	for digest, refs := range recorded {
+		streams[Source{TraceSHA256: digest}] = refs
+	}
+	g := Grid{
+		Mixes: []Mix{
+			{Sources: []Source{WorkloadSource("galgel"), WorkloadSource("gcc")}},
+			{Sources: []Source{
+				{TracePath: "mcf.trc", TraceSHA256: "mcf-digest"},
+				{TracePath: "twolf.trc", TraceSHA256: "twolf-digest"},
+			}},
+		},
+		Mechs: []Mech{
+			{Kind: "none"},
+			{Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
+			{Kind: "RP"},
+			{Kind: "SBFP"},
+		},
+		Buffers:  []int{8, 16},
+		Quanta:   []uint64{1, 3, 4096, 5000},
+		Policies: []string{"retain", "flush", "per-process"},
+		ASIDs:    []string{"flush", "tagged"},
+		Refs:     refs,
+	}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2*4*6*4*2 {
+		t.Fatalf("jobs = %d, want 384", len(jobs))
+	}
+	r := &Runner{OpenTrace: func(src Source) (trace.Reader, io.Closer, error) {
+		refs, ok := recorded[src.TraceSHA256]
+		if !ok {
+			return nil, nil, fmt.Errorf("no recording %s", src.TraceSHA256)
+		}
+		return trace.NewSliceReader(refs), nil, nil
+	}}
+	res, sum, err := r.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Shards != 8 {
+		t.Fatalf("shards = %d, want 8 (one per mix × quantum)", sum.Shards)
+	}
+	for i, j := range jobs {
+		m := j.Mix.Canonical()
+		pol, _ := multiprog.ParsePolicy(m.Policy)
+		asid, _ := multiprog.ParseASID(m.ASID)
+		srcs := make([]trace.BatchReader, len(j.Mix.Sources))
+		for p, src := range m.Sources {
+			srcs[p] = trace.NewSliceReader(streams[src])
+		}
+		it := multiprog.NewStreamInterleaver(srcs, m.Quantum)
+		e := multiprog.NewExec(j.Config, pol, asid, len(srcs), j.Mech.Build)
+		for {
+			proc, pc, vaddr, ok := it.Next()
+			if !ok {
+				break
+			}
+			e.Ref(proc, pc, vaddr)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		want := e.Results()
+		name := fmt.Sprintf("%s q=%d %s/%s %s buf=%d", j.Mix.Label(), m.Quantum, m.Policy, m.ASID, j.Mech.Label(), j.Config.BufferEntries)
+		if res[i].Stats != want.Aggregate {
+			t.Errorf("%s: aggregate %+v, per-reference path %+v", name, res[i].Stats, want.Aggregate)
+		}
+		if len(res[i].Apps) != len(want.Apps) {
+			t.Fatalf("%s: %d apps, want %d", name, len(res[i].Apps), len(want.Apps))
+		}
+		for p := range want.Apps {
+			if res[i].Apps[p] != want.Apps[p] {
+				t.Errorf("%s: app %d %+v, per-reference path %+v", name, p, res[i].Apps[p], want.Apps[p])
 			}
 		}
 	}

@@ -410,10 +410,11 @@ func (r *Runner) memberStream(src Source, seed, n uint64, resolve func(string) (
 // runMixShard simulates one mix shard: the cell's reference budget is split
 // across the member sources, each member stream is opened as a bounded
 // batch reader, and a single streaming round-robin interleaving pass feeds
-// every member cell's Exec — no member stream is ever materialized. The
-// interleaver tags addresses unconditionally, so cells differing in switch
-// policy, ASID mode, mechanism or buffer size consume the identical stream
-// — exactly what the shard key promises.
+// every member cell's Exec a run at a time — no member stream is ever
+// materialized. The interleaver tags addresses unconditionally, so cells
+// differing in switch policy, ASID mode, mechanism or buffer size consume
+// the identical stream — exactly what the shard key promises — and the
+// cells of one ASID mode share one TLB frontend (multiprog.Group).
 func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
 	canon := sh.mix.Canonical()
 	shares := multiprog.Split(sh.key.refs, len(sh.mix.Sources))
@@ -445,15 +446,14 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 		})
 	}
 
+	g := multiprog.NewGroup(execs...)
 	it := multiprog.NewStreamInterleaver(streams, canon.Quantum)
 	for {
-		proc, pc, vaddr, ok := it.Next()
+		proc, run, ok := it.NextRun()
 		if !ok {
 			break
 		}
-		for _, e := range execs {
-			e.Ref(proc, pc, vaddr)
-		}
+		g.RefBatch(proc, run)
 	}
 	if err := it.Err(); err != nil {
 		return err

@@ -426,8 +426,9 @@ type Grid struct {
 	// (context-switch quanta in refs), Policies (table policies) and
 	// ASIDs (ASID modes). An empty scheduler axis falls back to the mix's
 	// own field, then to the default (DefaultQuantum / "retain" /
-	// "flush"). Mix cells ignore Seed and are incompatible with Warmup
-	// and the timing axes.
+	// "flush"); a zero entry in Quanta is an error, not the default. Mix
+	// cells ignore Seed and are incompatible with Warmup and the timing
+	// axes.
 	Mixes      []Mix
 	Quanta     []uint64
 	Policies   []string
@@ -561,6 +562,11 @@ func (g Grid) Jobs() ([]Job, error) {
 					}
 				}
 			}
+		}
+	}
+	for _, q := range g.Quanta {
+		if q == 0 {
+			return nil, fmt.Errorf("sweep: mix quantum must be positive")
 		}
 	}
 	for _, mix := range g.Mixes {
