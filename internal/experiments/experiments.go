@@ -8,6 +8,9 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
+
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
@@ -59,16 +62,40 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate reports whether the options name a pipeline geometry the
+// Validate reports whether the options name a run the harness can
+// simulate: a positive reference budget and a pipeline geometry the
 // simulator can model (see sim.Config.Validate).
-func (o Options) Validate() error { return o.simConfig().Validate() }
-
-func (o Options) simConfig() sim.Config {
+func (o Options) Validate() error {
+	if o.Refs == 0 {
+		return fmt.Errorf("refs must be positive")
+	}
 	return sim.Config{
 		TLB:           tlb.Config{Entries: o.TLBEntries, Ways: o.TLBWays},
 		BufferEntries: o.Buffer,
 		PageShift:     o.PageShift,
+	}.Validate()
+}
+
+// grid declares a panel of the workloads × mechanisms at the harness
+// operating point: Options' TLB geometry, buffer, page size, reference
+// budget and warmup, with Slots defaulting through MechConfig.sweepMech.
+// Each experiment then widens the one axis it varies.
+func (o Options) grid(ws []workload.Workload, mechs ...MechConfig) sweep.Grid {
+	g := sweep.Grid{
+		TLBEntries: []int{o.TLBEntries},
+		TLBWays:    []int{o.TLBWays},
+		Buffers:    []int{o.Buffer},
+		PageShifts: []uint{o.PageShift},
+		Refs:       o.Refs,
+		Warmup:     o.WarmupRefs,
 	}
+	for _, w := range ws {
+		g.Workloads = append(g.Workloads, w.Name)
+	}
+	for _, m := range mechs {
+		g.Mechs = append(g.Mechs, m.sweepMech(o))
+	}
+	return g
 }
 
 // MechConfig names one mechanism configuration (a bar in the paper's
@@ -138,41 +165,53 @@ func RunApp(w workload.Workload, opts Options, mechs []MechConfig) AppResult {
 // the store are not re-simulated. Results keep the input order and are
 // bit-identical to a serial run.
 func RunSuite(ws []workload.Workload, opts Options, mechs []MechConfig) []AppResult {
-	jobs := make([]sweep.Job, 0, len(ws)*len(mechs))
-	for _, w := range ws {
-		for _, m := range mechs {
-			jobs = append(jobs, sweep.Job{
-				Source: sweep.WorkloadSource(w.Name),
-				Mech:   m.sweepMech(opts),
-				Config: opts.simConfig(),
-				Refs:   opts.Refs,
-				Warmup: opts.WarmupRefs,
-			})
-		}
+	labels := make([]string, len(mechs))
+	for i, m := range mechs {
+		labels[i] = m.Label()
 	}
-	results := runJobs(ws, opts, jobs)
+	return appResults(ws, labels, runGrid(ws, opts, opts.grid(ws, mechs...), len(ws)*len(mechs)))
+}
+
+// appResults builds one AppResult per workload from a panel's results in
+// Grid.Jobs order: each workload's cells are consecutive, one per label.
+// The miss rate is the first cell's.
+func appResults(ws []workload.Workload, labels []string, results []sweep.Result) []AppResult {
 	out := make([]AppResult, len(ws))
 	for i, w := range ws {
-		res := AppResult{App: w.Name, Suite: w.Suite}
-		for j, m := range mechs {
-			st := results[i*len(mechs)+j].Stats
-			res.Labels = append(res.Labels, m.Label())
-			res.Acc = append(res.Acc, st.Accuracy())
-			res.Stats = append(res.Stats, st)
-			if j == 0 {
-				res.MissRate = st.MissRate()
-			}
+		res := AppResult{App: w.Name, Suite: w.Suite, Labels: slices.Clone(labels)}
+		for _, r := range results[i*len(labels) : (i+1)*len(labels)] {
+			res.Acc = append(res.Acc, r.Stats.Accuracy())
+			res.Stats = append(res.Stats, r.Stats)
 		}
+		res.MissRate = res.Stats[0].MissRate()
 		out[i] = res
 	}
 	return out
 }
 
-// runJobs executes sweep jobs with the harness conventions: workloads
+// axisLabels renders one label per value of a panel's varied axis.
+func axisLabels[T any](format string, vals []T) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
+// runGrid executes a panel with the harness conventions: workloads
 // resolve from the slice the experiment was handed (so unregistered models
 // work too), the store comes from Options, and failures — impossible for
-// well-formed experiment declarations — panic, as the bespoke loops did.
-func runJobs(ws []workload.Workload, opts Options, jobs []sweep.Job) []sweep.Result {
+// well-formed experiment declarations — panic. So does a grid that does
+// not enumerate exactly cells distinct cells: a duplicate the grid drops
+// would shift every later result onto the wrong label.
+func runGrid(ws []workload.Workload, opts Options, g sweep.Grid, cells int) []sweep.Result {
+	jobs, err := g.Jobs()
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	if len(jobs) != cells {
+		panic(fmt.Sprintf("experiments: panel declares %d cells but its grid enumerates %d distinct ones", cells, len(jobs)))
+	}
 	byName := make(map[string]workload.Workload, len(ws))
 	for _, w := range ws {
 		byName[w.Name] = w

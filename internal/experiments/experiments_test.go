@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/workload"
 )
 
@@ -455,5 +457,47 @@ func TestOptionsValidate(t *testing.T) {
 	o.Buffer = 0
 	if err := o.Validate(); err == nil {
 		t.Fatal("zero-entry prefetch buffer accepted")
+	}
+	o = DefaultOptions()
+	o.Refs = 0
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "refs must be positive") {
+		t.Fatalf("zero reference budget: err = %v", err)
+	}
+}
+
+// TestWarmupReachesEveryPanel pins that the panels varying the simulator
+// around DP,256,D run at the harness warmup like Figure 9a does: 9c's
+// b=16, 9d's tlb=<TLBEntries> and ext-tlbassoc's full column are the same
+// cell as 9a's DP,256,D, so every app's stats must agree.
+func TestWarmupReachesEveryPanel(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Refs = 40_000
+	opts.WarmupRefs = 40_000
+	stats := func(r AppResult, label string) sim.Stats {
+		t.Helper()
+		for i, l := range r.Labels {
+			if l == label {
+				return r.Stats[i]
+			}
+		}
+		t.Fatalf("%s: no %q column in %v", r.App, label, r.Labels)
+		return sim.Stats{}
+	}
+	f := Fig9(opts)
+	assoc := ExtTLBAssoc(opts)
+	for i, a := range f.TableGeometry {
+		want := stats(a, "DP,256,D")
+		for _, c := range []struct {
+			panel, label string
+			r            AppResult
+		}{
+			{"9c", "b=16", f.BufferSize[i]},
+			{"9d", fmt.Sprintf("tlb=%d", opts.TLBEntries), f.TLBSize[i]},
+			{"ext-tlbassoc", "full", assoc[i]},
+		} {
+			if got := stats(c.r, c.label); got != want {
+				t.Errorf("%s %s %s: stats %+v, want 9a's DP,256,D %+v", a.App, c.panel, c.label, got, want)
+			}
+		}
 	}
 }

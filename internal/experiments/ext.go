@@ -5,10 +5,8 @@ import (
 
 	"tlbprefetch/internal/multiprog"
 	"tlbprefetch/internal/report"
-	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/stats"
 	"tlbprefetch/internal/sweep"
-	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/workload"
 	"tlbprefetch/internal/xrand"
 )
@@ -51,7 +49,9 @@ type ExtCacheRow struct {
 // behaviour classes. Block distances play the role page distances play in
 // the TLB: the mechanism is unchanged. The cells run through the sweep
 // engine like every other artifact's: a workload's three mechanisms share
-// one generation pass, and Options.Store caches them.
+// one generation pass, and Options.Store caches them. The cells run with
+// warmup 0 (Options.WarmupRefs is ignored): the cache-grained streams
+// take a quarter of Options.Refs as their whole budget.
 func ExtCache(opts Options) []ExtCacheRow {
 	// Streams are written at cache-block granularity (64-byte steps), the
 	// unit the cache-level DP predictor works in.
@@ -108,9 +108,6 @@ func ExtCache(opts Options) []ExtCacheRow {
 			})}
 		}),
 	}
-	// A 32 KiB 4-way cache of 64-byte blocks is the Figure 1 pipeline at
-	// block granularity: 512 four-way "TLB" entries holding block numbers.
-	cfg := sim.Config{TLB: tlb.Config{Entries: 512, Ways: 4}, BufferEntries: 16, PageShift: 6}
 	mechs := []MechConfig{{Kind: "DP", Rows: 256, Ways: 1}, {Kind: "ASP", Rows: 256, Ways: 1}, {Kind: "SP"}}
 	out := make([]ExtCacheRow, len(cacheWls))
 	for i, w := range cacheWls {
@@ -120,18 +117,12 @@ func ExtCache(opts Options) []ExtCacheRow {
 	if refs == 0 {
 		return out // nothing to simulate: all-zero rows
 	}
-	var jobs []sweep.Job
-	for _, w := range cacheWls {
-		for _, m := range mechs {
-			jobs = append(jobs, sweep.Job{
-				Source: sweep.WorkloadSource(w.Name),
-				Mech:   m.sweepMech(opts),
-				Config: cfg,
-				Refs:   refs,
-			})
-		}
-	}
-	results := runJobs(cacheWls, opts, jobs)
+	// A 32 KiB 4-way cache of 64-byte blocks is the Figure 1 pipeline at
+	// block granularity: 512 four-way "TLB" entries holding block numbers.
+	g := opts.grid(cacheWls, mechs...)
+	g.TLBEntries, g.TLBWays, g.Buffers, g.PageShifts = []int{512}, []int{4}, []int{16}, []uint{6}
+	g.Refs, g.Warmup = refs, 0
+	results := runGrid(cacheWls, opts, g, len(cacheWls)*len(mechs))
 	for i := range out {
 		n := len(mechs) * i
 		dp, asp, sp := results[n].Stats, results[n+1].Stats, results[n+2].Stats
@@ -174,32 +165,22 @@ type ExtMultiprogRow struct {
 // the context-switch quantum under the three table policies, declared as a
 // mix grid to the sweep engine — so an Options.Store caches the cells like
 // any other experiment, and the rows match a tlbsweep -mix galgel+gcc run
-// cell for cell. Mix cells carry no warmup axis; Options.WarmupRefs is
-// ignored here.
+// cell for cell. Mix cells carry no warmup axis: they run with warmup 0
+// and Options.WarmupRefs is ignored here.
 func ExtMultiprog(opts Options) []ExtMultiprogRow {
-	jobs := make([]sweep.Job, 0, 9)
-	for _, quantum := range []uint64{5_000, 20_000, 100_000} {
-		for _, pol := range []multiprog.Policy{multiprog.Retain, multiprog.Flush, multiprog.PerProcess} {
-			jobs = append(jobs, sweep.Job{
-				Mix: &sweep.Mix{
-					Sources: []sweep.Source{sweep.WorkloadSource("galgel"), sweep.WorkloadSource("gcc")},
-					Quantum: quantum,
-					Policy:  pol.String(),
-					ASID:    multiprog.ASIDFlush.String(),
-				},
-				Mech:   MechConfig{Kind: "DP", Rows: 256, Ways: 1}.sweepMech(opts),
-				Config: opts.simConfig(),
-				Refs:   opts.Refs,
-			})
-		}
-	}
-	results := runJobs(nil, opts, jobs)
+	g := opts.grid(nil, MechConfig{Kind: "DP", Rows: 256, Ways: 1})
+	g.Warmup = 0
+	g.Mixes = []sweep.Mix{{Sources: []sweep.Source{sweep.WorkloadSource("galgel"), sweep.WorkloadSource("gcc")}}}
+	g.Quanta = []uint64{5_000, 20_000, 100_000}
+	g.Policies = []string{multiprog.Retain.String(), multiprog.Flush.String(), multiprog.PerProcess.String()}
+	g.ASIDs = []string{multiprog.ASIDFlush.String()}
+	results := runGrid(nil, opts, g, len(g.Quanta)*len(g.Policies))
 	out := make([]ExtMultiprogRow, len(results))
 	for i, r := range results {
 		st := r.Stats
 		row := ExtMultiprogRow{
-			Quantum:  jobs[i].Mix.Quantum,
-			Policy:   jobs[i].Mix.Policy,
+			Quantum:  r.Key.Mix.Quantum,
+			Policy:   r.Key.Mix.Policy,
 			Coverage: st.Accuracy(),
 			Misses:   st.Misses,
 		}
@@ -228,11 +209,10 @@ func FormatExtMultiprog(rows []ExtMultiprogRow) string {
 // paper's §3.1 sweeps): "DP is able to make good predictions across
 // different TLB configurations".
 func ExtTLBAssoc(opts Options) []AppResult {
-	return runPanelVaryingSim(fig9Workloads(), opts, []panelVariant{
-		{label: "2-way", mutate: func(o *Options) { o.TLBWays = 2 }},
-		{label: "4-way", mutate: func(o *Options) { o.TLBWays = 4 }},
-		{label: "full", mutate: func(o *Options) { o.TLBWays = 0 }},
-	})
+	apps := fig9Workloads()
+	g := opts.grid(apps, MechConfig{Kind: "DP", Rows: 256, Ways: 1})
+	g.TLBWays = []int{2, 4, 0}
+	return appResults(apps, []string{"2-way", "4-way", "full"}, runGrid(apps, opts, g, len(apps)*len(g.TLBWays)))
 }
 
 // FormatExtTLBAssoc renders the associativity sweep.
@@ -256,30 +236,13 @@ type ExtPageSizeRow struct {
 // different TLB configurations and page sizes" — is the shape to check).
 func ExtPageSize(opts Options) []ExtPageSizeRow {
 	apps := fig9Workloads()
-	dp := MechConfig{Kind: "DP", Rows: 256, Ways: 1}
-	shifts := []uint{12, 13, 14}
-	jobs := make([]sweep.Job, 0, len(apps)*len(shifts))
-	for _, w := range apps {
-		for _, shift := range shifts {
-			o := opts
-			o.PageShift = shift
-			jobs = append(jobs, sweep.Job{
-				Source: sweep.WorkloadSource(w.Name),
-				Mech:   dp.sweepMech(o),
-				Config: o.simConfig(),
-				Refs:   o.Refs,
-				Warmup: o.WarmupRefs,
-			})
-		}
-	}
-	results := runJobs(apps, opts, jobs)
-	var out []ExtPageSizeRow
+	g := opts.grid(apps, MechConfig{Kind: "DP", Rows: 256, Ways: 1})
+	g.PageShifts = []uint{12, 13, 14}
+	results := runGrid(apps, opts, g, len(apps)*len(g.PageShifts))
+	out := make([]ExtPageSizeRow, len(apps))
 	for i, w := range apps {
-		row := ExtPageSizeRow{App: w.Name}
-		row.Acc4K = results[i*len(shifts)+0].Stats.Accuracy()
-		row.Acc8K = results[i*len(shifts)+1].Stats.Accuracy()
-		row.Acc16K = results[i*len(shifts)+2].Stats.Accuracy()
-		out = append(out, row)
+		r := results[i*len(g.PageShifts):]
+		out[i] = ExtPageSizeRow{App: w.Name, Acc4K: r[0].Stats.Accuracy(), Acc8K: r[1].Stats.Accuracy(), Acc16K: r[2].Stats.Accuracy()}
 	}
 	return out
 }

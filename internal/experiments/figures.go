@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"tlbprefetch/internal/stats"
-	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/workload"
 )
 
@@ -111,76 +109,27 @@ func Fig9(opts Options) Fig9Result {
 	res.TableGeometry = RunSuite(apps, opts, geom)
 
 	// Panel b: prediction slots per row.
+	slots := []int{2, 4, 6}
 	var slotCfg []MechConfig
-	for _, s := range []int{2, 4, 6} {
+	for _, s := range slots {
 		slotCfg = append(slotCfg, MechConfig{Kind: "DP", Rows: 256, Ways: 1, Slots: s})
 	}
-	slotRes := RunSuite(apps, opts, slotCfg)
-	for i := range slotRes {
-		for j, s := range []int{2, 4, 6} {
-			slotRes[i].Labels[j] = fmt.Sprintf("s=%d", s)
-		}
-	}
-	res.SlotCount = slotRes
+	res.SlotCount = appResults(apps, axisLabels("s=%d", slots),
+		runGrid(apps, opts, opts.grid(apps, slotCfg...), len(apps)*len(slots)))
 
-	// Panel c: prefetch buffer size (simulator-level variation, so each
-	// variant is its own fan-out member over the shared stream).
-	res.BufferSize = runPanelVaryingSim(apps, opts, []panelVariant{
-		{label: "b=16", mutate: func(o *Options) { o.Buffer = 16 }},
-		{label: "b=32", mutate: func(o *Options) { o.Buffer = 32 }},
-		{label: "b=64", mutate: func(o *Options) { o.Buffer = 64 }},
-	})
-
-	// Panel d: TLB size.
-	res.TLBSize = runPanelVaryingSim(apps, opts, []panelVariant{
-		{label: "tlb=64", mutate: func(o *Options) { o.TLBEntries = 64 }},
-		{label: "tlb=128", mutate: func(o *Options) { o.TLBEntries = 128 }},
-		{label: "tlb=256", mutate: func(o *Options) { o.TLBEntries = 256 }},
-	})
-	return res
-}
-
-type panelVariant struct {
-	label  string
-	mutate func(*Options)
-}
-
-// runPanelVaryingSim evaluates DP,256,D under simulator-level variations
-// (buffer size, TLB size), declared as a workload × variant grid. Variants
-// that keep the TLB geometry (the buffer panel) coalesce onto one shared
-// frontend per workload; the rest shard into independent cells — exactly
-// the fan-out the bespoke loop used to wire by hand.
-func runPanelVaryingSim(apps []workload.Workload, opts Options, variants []panelVariant) []AppResult {
+	// Panels c and d vary the simulator around DP,256,D: the buffer sizes
+	// share one frontend per workload, the TLB sizes shard apart.
 	dp := MechConfig{Kind: "DP", Rows: 256, Ways: 1}
-	jobs := make([]sweep.Job, 0, len(apps)*len(variants))
-	for _, w := range apps {
-		for _, v := range variants {
-			o := opts
-			v.mutate(&o)
-			jobs = append(jobs, sweep.Job{
-				Source: sweep.WorkloadSource(w.Name),
-				Mech:   dp.sweepMech(o),
-				Config: o.simConfig(),
-				Refs:   opts.Refs,
-			})
-		}
-	}
-	results := runJobs(apps, opts, jobs)
-	var out []AppResult
-	for i, w := range apps {
-		res := AppResult{App: w.Name, Suite: w.Suite}
-		for j, v := range variants {
-			st := results[i*len(variants)+j].Stats
-			res.Labels = append(res.Labels, v.label)
-			res.Acc = append(res.Acc, st.Accuracy())
-			res.Stats = append(res.Stats, st)
-			if j == 0 {
-				res.MissRate = st.MissRate()
-			}
-		}
-		out = append(out, res)
-	}
-	return out
+	g := opts.grid(apps, dp)
+	g.Buffers = []int{16, 32, 64}
+	res.BufferSize = appResults(apps, axisLabels("b=%d", g.Buffers),
+		runGrid(apps, opts, g, len(apps)*len(g.Buffers)))
+
+	g = opts.grid(apps, dp)
+	g.TLBEntries = []int{64, 128, 256}
+	res.TLBSize = appResults(apps, axisLabels("tlb=%d", g.TLBEntries),
+		runGrid(apps, opts, g, len(apps)*len(g.TLBEntries)))
+	return res
 }
 
 // FormatFig9 renders the four panels.

@@ -125,11 +125,11 @@ type Table3Row struct {
 // normalized to no prefetching, under the paper's timing model (100-cycle
 // TLB miss penalty, 50-cycle prefetch memory operations contending only
 // with each other, RP's skip-when-busy rule). It is the default point of
-// the latency-sensitivity grid Table3Latency sweeps: one timing axis
-// (sweep.DefaultTiming), five apps, three mechanisms, every cell rendered
-// from the sweep store.
+// the latency-sensitivity grid Table3Latency sweeps: the one-point timing
+// axis {100} (ScaledTiming(100) is sweep.DefaultTiming), five apps, three
+// mechanisms, every cell rendered from the sweep store.
 func Table3(opts Options) []Table3Row {
-	rows := Table3Latency(opts, []sweep.Timing{sweep.DefaultTiming()})
+	rows := Table3Latency(opts, sweep.TimingAxes{MissPenalties: []uint64{100}})
 	out := make([]Table3Row, len(rows))
 	for i, r := range rows {
 		out[i] = r.Table3Row
@@ -145,11 +145,17 @@ type Table3LatencyRow struct {
 }
 
 // Table3Latency generalizes Table 3 into a latency-sensitivity study: the
-// (5 apps) × (baseline, RP, DP) × (timing points) grid, each app's cells
-// at one timing point sharing a generation pass in the sweep shard, with
-// every cell content-addressed — so re-rendering at the default point, or
-// extending the penalty axis later, only simulates cells the store lacks.
-func Table3Latency(opts Options, timings []sweep.Timing) []Table3LatencyRow {
+// (5 apps) × (baseline, RP, DP) grid crossed with every point of the
+// timing axes, each app's cells sharing a generation pass in the sweep
+// shard, with every cell content-addressed — so re-rendering at the
+// default point, or extending an axis later, only simulates cells the
+// store lacks. Rows come app by app, each app's in TimingAxes.Points
+// order. The cells run with warmup 0 (Options.WarmupRefs is ignored): the
+// cycle model has no statistics fast-forward. The axes must declare at
+// least one axis (the zero value is the functional simulator); axes whose
+// points do not expand panic, like any malformed experiment declaration,
+// and Table3Space returns that error instead.
+func Table3Latency(opts Options, axes sweep.TimingAxes) []Table3LatencyRow {
 	apps := make([]workload.Workload, 0, len(Table3AppNames()))
 	for _, name := range Table3AppNames() {
 		w, ok := workload.ByName(name)
@@ -158,29 +164,23 @@ func Table3Latency(opts Options, timings []sweep.Timing) []Table3LatencyRow {
 		}
 		apps = append(apps, w)
 	}
-	mechs := []MechConfig{{Kind: "none"}, {Kind: "RP"}, {Kind: "DP", Rows: 256, Ways: 1}}
-	jobs := make([]sweep.Job, 0, len(apps)*len(mechs)*len(timings))
-	for _, w := range apps {
-		for ti := range timings {
-			for _, m := range mechs {
-				jobs = append(jobs, sweep.Job{
-					Source: sweep.WorkloadSource(w.Name),
-					Mech:   m.sweepMech(opts),
-					Config: opts.simConfig(),
-					Refs:   opts.Refs,
-					Timing: &timings[ti],
-				})
-			}
-		}
+	pts, err := axes.Points()
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	results := runJobs(apps, opts, jobs)
+	mechs := []MechConfig{{Kind: "none"}, {Kind: "RP"}, {Kind: "DP", Rows: 256, Ways: 1}}
+	g := opts.grid(apps, mechs...)
+	g.Warmup = 0
+	g.TimingAxes = axes
+	results := runGrid(apps, opts, g, len(apps)*len(mechs)*len(pts))
+	// Grid.Jobs orders a panel's cells app, then mechanism, then point.
+	cell := func(app, mech, pt int) sim.TimingStats {
+		return *results[(app*len(mechs)+mech)*len(pts)+pt].Timing
+	}
 	var out []Table3LatencyRow
 	for i, w := range apps {
-		for ti, tm := range timings {
-			base := (i*len(timings) + ti) * len(mechs)
-			bs := *results[base+0].Timing
-			rs := *results[base+1].Timing
-			ds := *results[base+2].Timing
+		for pi, tm := range pts {
+			bs, rs, ds := cell(i, 0, pi), cell(i, 1, pi), cell(i, 2, pi)
 			row := Table3LatencyRow{
 				Table3Row: Table3Row{
 					App:            w.Name,
@@ -204,17 +204,14 @@ func Table3Latency(opts Options, timings []sweep.Timing) []Table3LatencyRow {
 
 // DefaultLatencyAxis is the miss-penalty sensitivity axis of the
 // table3-lat experiment: the paper's 100-cycle point bracketed by a
-// faster and two slower memory systems. The costs that are fractions of
-// a page-table walk scale with it — the prefetch memory-op cost at the
-// paper's 1:2 ratio, and the buffer-hit residual (fill + pipeline
-// restart, 65% of the walk at the default point) in proportion, so a
-// successful prefetch never models as costlier than the miss it avoids.
-func DefaultLatencyAxis() []sweep.Timing {
-	var out []sweep.Timing
-	for _, penalty := range []uint64{50, 100, 200, 400} {
-		out = append(out, sweep.ScaledTiming(penalty))
-	}
-	return out
+// faster and two slower memory systems. Each point is ScaledTiming at its
+// penalty, so the costs that are fractions of a page-table walk scale
+// with it — the prefetch memory-op cost at the paper's 1:2 ratio, and the
+// buffer-hit residual (fill + pipeline restart, 65% of the walk at the
+// default point) in proportion, so a successful prefetch never models as
+// costlier than the miss it avoids.
+func DefaultLatencyAxis() sweep.TimingAxes {
+	return sweep.TimingAxes{MissPenalties: []uint64{50, 100, 200, 400}}
 }
 
 // DefaultTable3SpaceAxes declares the table3-space design space: the
@@ -233,15 +230,14 @@ func DefaultTable3SpaceAxes() sweep.TimingAxes {
 // Table3Space maps the full Table 3 design space: the (5 apps) ×
 // (baseline, RP, DP) grid crossed with every point of the decoupled
 // (MissPenalty × memop ratio × RefsPerCycle) axes. It is Table3Latency
-// over TimingAxes.Points — every cell content-addressed, so the default
-// Table 3 point is shared with table3/table3-lat through the store and a
-// re-render recomputes nothing.
+// with the axes' expansion error returned rather than panicked — every
+// cell content-addressed, so the default Table 3 point is shared with
+// table3/table3-lat through the store and a re-render recomputes nothing.
 func Table3Space(opts Options, axes sweep.TimingAxes) ([]Table3LatencyRow, error) {
-	pts, err := axes.Points()
-	if err != nil {
+	if _, err := axes.Points(); err != nil {
 		return nil, err
 	}
-	return Table3Latency(opts, pts), nil
+	return Table3Latency(opts, axes), nil
 }
 
 // FormatTable3Space renders the design-space grid flat, one row per

@@ -33,8 +33,11 @@ func (d StoreDiff) Summary() string {
 	fmt.Fprintf(&b, "%d cells only in A, %d only in B, %d changed\n",
 		len(d.OnlyA), len(d.OnlyB), len(d.Changed))
 	cell := func(k Key) string {
-		s := fmt.Sprintf("%s %s tlb=%d buf=%d refs=%d", k.Source.Label(), k.Mech.Label(),
+		s := fmt.Sprintf("%s %s tlb=%d buf=%d refs=%d", k.SourceLabel(), k.Mech.Label(),
 			k.TLBEntries, k.Buffer, k.Refs)
+		if k.Mix != nil {
+			s += fmt.Sprintf(" q=%d policy=%s asid=%s", k.Mix.Quantum, k.Mix.Policy, k.Mix.ASID)
+		}
 		if k.Timing != nil {
 			s += fmt.Sprintf(" penalty=%d memop=%d", k.Timing.MissPenalty, k.Timing.MemOpLatency)
 		}

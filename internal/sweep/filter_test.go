@@ -10,9 +10,6 @@ import (
 
 func filterTestStore(t *testing.T) *Store {
 	t.Helper()
-	fast := DefaultTiming()
-	slow := DefaultTiming()
-	slow.MissPenalty = 200
 	g := Grid{
 		Workloads:  []string{"swim", "mcf"},
 		Mechs:      []Mech{{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}, {Kind: "RP"}},
@@ -27,7 +24,9 @@ func filterTestStore(t *testing.T) *Store {
 		Workloads: []string{"swim"},
 		Mechs:     []Mech{{Kind: "none"}, {Kind: "RP"}},
 		Refs:      5_000,
-		Timings:   []Timing{fast, slow},
+		// The default point (ScaledTiming(100) == DefaultTiming) and a
+		// slow point at twice the penalty.
+		TimingAxes: TimingAxes{MissPenalties: []uint64{100, 200}},
 	}
 	tjobs, err := tg.Jobs()
 	if err != nil {
@@ -143,6 +142,30 @@ func TestDiffStores(t *testing.T) {
 	}
 	if s := d.Summary(); !strings.Contains(s, "1 changed") {
 		t.Errorf("summary missing changed count: %s", s)
+	}
+
+	// A mix cell is named by its mix and scheduler point, so two cells
+	// that differ only in policy read apart.
+	mixJobs, err := mixGrid(10_000).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixA := NewStore()
+	if _, _, err := (&Runner{Store: mixA}).Run(mixJobs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	d, err = DiffStores(mixA, NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.Summary()
+	for _, want := range []string{
+		"  A galgel+gcc DP,256,D tlb=128 buf=16 refs=10000 q=5000 policy=retain asid=flush\n",
+		"  A galgel+gcc DP,256,D tlb=128 buf=16 refs=10000 q=5000 policy=flush asid=flush\n",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("mix summary missing %q:\n%s", want, s)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tlbprefetch/internal/prefetch"
@@ -87,6 +89,96 @@ func FuzzOnMiss(f *testing.F) {
 					p.Reset()
 				}
 			}
+		}
+	})
+}
+
+// FuzzOpenStore writes arbitrary bytes at a store's index path, next to
+// the segment files of a real saved store, and opens it. OpenStore must
+// return an error or a usable store: every lookup, the full result scan,
+// GC and Save then return errors rather than panic, and a store that
+// saved reopens.
+func FuzzOpenStore(f *testing.F) {
+	seedDir := f.TempDir()
+	seedPath := filepath.Join(seedDir, "store.json")
+	st, err := OpenStore(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	jobs, err := Grid{Workloads: []string{"swim", "mcf"}, Mechs: []Mech{{Kind: "RP"}}, Refs: 2_000}.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := (&Runner{Store: st}).Run(jobs); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Save(); err != nil {
+		f.Fatal(err)
+	}
+	index, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	segs := map[string][]byte{}
+	ents, err := os.ReadDir(seedPath + ".d")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range ents {
+		if segs[e.Name()], err = os.ReadFile(filepath.Join(seedPath+".d", e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	// Durability is store_crash_test's subject; fsync per input would
+	// only throttle the fuzzer.
+	sync, dsync := saveSync, dirSync
+	saveSync = func(*os.File) error { return nil }
+	dirSync = func(*os.File) error { return nil }
+	f.Cleanup(func() { saveSync, dirSync = sync, dsync })
+
+	f.Add(index)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"schema": 3, "results": {}}`))
+	f.Add([]byte(`{"schema":3,"layout":"sharded-v1","segments":{"..":"../../x"},"keys":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "store.json")
+		if err := os.Mkdir(path+".d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range segs {
+			if err := os.WriteFile(filepath.Join(path+".d", name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(path)
+		if err != nil {
+			return
+		}
+		st.Len()
+		keep := map[string]bool{}
+		for i, k := range st.IndexKeys() {
+			h := k.Hash()
+			st.Has(h)
+			st.Get(h)
+			keep[h] = i%2 == 0
+		}
+		for _, h := range st.indexHashes() {
+			st.Get(h)
+		}
+		st.Results()
+		if _, err := st.GC(keep); err != nil {
+			return
+		}
+		if err := st.Save(); err != nil {
+			return
+		}
+		if _, err := OpenStore(path); err != nil {
+			t.Fatalf("saved store does not reopen: %v", err)
 		}
 	})
 }

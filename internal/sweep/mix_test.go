@@ -140,7 +140,7 @@ func TestGridRejectsMixWithTimingOrWarmup(t *testing.T) {
 		t.Error("mix grid with warmup enumerated")
 	}
 	g = mixGrid(10_000)
-	g.Timing = true
+	g.TimingAxes = TimingAxes{MissPenalties: []uint64{100}}
 	if _, err := g.Jobs(); err == nil {
 		t.Error("mix grid with timing enumerated")
 	}

@@ -284,31 +284,7 @@ func (s *Store) writeSegment(prefix, digest string, data []byte) (wrote bool, er
 	if _, err := os.Stat(name); err == nil {
 		return false, nil
 	}
-	tmp, err := os.CreateTemp(dir, ".seg-*")
-	if err != nil {
-		return false, fmt.Errorf("sweep: saving store: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) (bool, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return false, fmt.Errorf("sweep: saving store segment %s: %w", filepath.Base(name), err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if _, err := saveWrite(tmp, data); err != nil {
-		return fail(err)
-	}
-	if err := saveSync(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return false, fmt.Errorf("sweep: saving store segment %s: %w", filepath.Base(name), err)
-	}
-	if err := saveRename(tmpName, name); err != nil {
-		os.Remove(tmpName)
+	if err := writeDurably(dir, ".seg-*", name, 0o644, data); err != nil {
 		return false, fmt.Errorf("sweep: saving store segment %s: %w", filepath.Base(name), err)
 	}
 	s.mu.Lock()
@@ -329,40 +305,43 @@ func (s *Store) writeIndex(segs map[string]string, keys map[string]Key) error {
 		return err
 	}
 	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".sweep-store-*")
-	if err != nil {
-		return fmt.Errorf("sweep: saving store: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("sweep: saving store: %w", err)
-	}
 	// CreateTemp makes the file 0600; keep the existing store's mode (or a
 	// conventional 0644) so the rename does not silently tighten it.
 	mode := os.FileMode(0o644)
 	if fi, err := os.Stat(s.path); err == nil {
 		mode = fi.Mode().Perm()
 	}
-	if err := tmp.Chmod(mode); err != nil {
-		return fail(err)
-	}
-	if _, err := saveWrite(tmp, buf.Bytes()); err != nil {
-		return fail(err)
-	}
-	if err := saveSync(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("sweep: saving store: %w", err)
-	}
-	if err := saveRename(tmpName, s.path); err != nil {
-		os.Remove(tmpName)
+	if err := writeDurably(dir, ".sweep-store-*", s.path, mode, buf.Bytes()); err != nil {
 		return fmt.Errorf("sweep: saving store: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// writeDurably lands data at name through a temp file in dir: create,
+// chmod, write, fsync, close, rename, each step through the crash-test
+// seams. On failure the temp file is removed and name is untouched.
+func writeDurably(dir, pattern, name string, mode os.FileMode, data []byte) error {
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	err = tmp.Chmod(mode)
+	if err == nil {
+		_, err = saveWrite(tmp, data)
+	}
+	if err == nil {
+		err = saveSync(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = saveRename(tmp.Name(), name)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // pruneSegments removes segment files the just-committed index does not

@@ -208,15 +208,12 @@ func TestSourceValidate(t *testing.T) {
 func TestGridCrossesTracesAndTimings(t *testing.T) {
 	dir := t.TempDir()
 	src := recordTrace(t, filepath.Join(dir, "swim.trc"), "swim", 2_000)
-	fast := DefaultTiming()
-	slow := DefaultTiming()
-	slow.MissPenalty = 200
 	g := Grid{
-		Workloads: []string{"mcf"},
-		Traces:    []Source{src},
-		Mechs:     []Mech{{Kind: "RP"}, {Kind: "none"}},
-		Refs:      2_000,
-		Timings:   []Timing{fast, slow},
+		Workloads:  []string{"mcf"},
+		Traces:     []Source{src},
+		Mechs:      []Mech{{Kind: "RP"}, {Kind: "none"}},
+		Refs:       2_000,
+		TimingAxes: TimingAxes{MissPenalties: []uint64{100, 200}},
 	}
 	jobs, err := g.Jobs()
 	if err != nil {
@@ -229,7 +226,7 @@ func TestGridCrossesTracesAndTimings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		if j.Timing == nil {
-			t.Fatal("Timings axis produced a functional cell")
+			t.Fatal("timing axis produced a functional cell")
 		}
 		h := j.Key().Hash()
 		if seen[h] {

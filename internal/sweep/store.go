@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -132,9 +134,13 @@ func OpenStore(path string) (*Store, error) {
 		return nil, fmt.Errorf("sweep: store %s has schema %d, this binary speaks %d: delete it or choose another -store",
 			path, f.Schema, KeySchema)
 	}
-	for p := range f.Segments {
-		if len(p) != segPrefixLen {
+	for p, dig := range f.Segments {
+		if _, err := hex.DecodeString(p); err != nil || len(p) != segPrefixLen {
 			return nil, fmt.Errorf("sweep: store %s index names malformed segment prefix %q", path, p)
+		}
+		// The digest names the segment's file: it must be a SHA-256.
+		if _, err := hex.DecodeString(dig); err != nil || len(dig) != 2*sha256.Size {
+			return nil, fmt.Errorf("sweep: store %s index names malformed digest %q for segment %s", path, dig, p)
 		}
 	}
 	for h, k := range f.Keys {

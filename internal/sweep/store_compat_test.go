@@ -24,10 +24,10 @@ func fixtureGrids() []Grid {
 			Refs:       20_000,
 		},
 		{
-			Workloads: []string{"swim"},
-			Mechs:     []Mech{{Kind: "none"}, {Kind: "RP"}},
-			Refs:      20_000,
-			Timing:    true,
+			Workloads:  []string{"swim"},
+			Mechs:      []Mech{{Kind: "none"}, {Kind: "RP"}},
+			Refs:       20_000,
+			TimingAxes: TimingAxes{MissPenalties: []uint64{100}},
 		},
 	}
 }

@@ -5,6 +5,9 @@
 // timing points — and sweep makes that cross-product a first-class object:
 //
 //   - A Grid declares axes and enumerates Jobs (one simulation cell each).
+//     Every study declares its cells this way: the figure and table
+//     experiments, tlbsweep grids and the benchmark panels. The cycle
+//     model is one axis (TimingAxes), like any other.
 //   - Every Job is content-addressed: a canonical Key (schema-versioned,
 //     fully resolved configuration) hashes to a stable identity, so the
 //     same cell always lands in the same place no matter which sweep asked
@@ -13,9 +16,8 @@
 //     share a reference stream (workload or trace) and TLB geometry onto
 //     one sim.Group shared frontend (the 21-way fan-out win of the figure
 //     harness, applied automatically), and skips cells already present in
-//     a Store. Work arrives either as a fixed slice (Run) or through the
-//     JobSource seam (RunSource), which the distributed backend in
-//     internal/sweepd implements as a remote lease feed.
+//     a Store. Run takes a job slice; the distributed backend in
+//     internal/sweepd calls it once per leased batch.
 //   - A Store maps key hashes to results and persists as deterministic
 //     JSON: re-running a sweep after editing one mechanism recomputes only
 //     the dirty cells, and two runs of the same grid produce byte-identical
@@ -411,9 +413,11 @@ func hexVal(c byte) byte {
 }
 
 // Grid declares the axes of a sweep. Jobs enumerates the full cross
-// product in a deterministic order (sources outermost, then mechanisms,
-// TLB entries, TLB ways, buffer sizes, page shifts, timing points),
-// dropping cells that canonicalize to an already-enumerated key (e.g. a
+// product in a deterministic order — stream roots outermost (workloads,
+// then traces, then mixes), then mechanisms, TLB entries, TLB ways,
+// buffer sizes and page shifts, then the root's own innermost variants (a
+// single source's timing points; a mix's quanta × policies × ASID modes)
+// — dropping cells that canonicalize to an already-enumerated key (e.g. a
 // table-less kind crossed with a table axis it ignores).
 type Grid struct {
 	// Workloads are synthetic-registry names; Traces are recorded trace
@@ -444,15 +448,11 @@ type Grid struct {
 	// derived stream seed (DeriveSeed(Seed, key)); 0 keeps the workload
 	// models' own paper-calibrated streams. Trace cells always keep 0.
 	Seed uint64
-	// Timings is the cycle-model axis: each cell is crossed with every
-	// timing point. When Timings is empty, a non-empty TimingAxes expands
-	// into the axis instead (the decoupled penalty × memory-op-cost ×
-	// issue-width design space); declaring both is an error. Failing both,
-	// Timing set runs every cell at DefaultTiming, and everything empty
-	// runs the functional simulator.
-	Timings    []Timing
+	// TimingAxes is the cycle-model axis: a non-empty declaration crosses
+	// every single-source cell with each of its Points (the paper's Table
+	// 3 point alone is MissPenalties {100}, since ScaledTiming(100) is
+	// DefaultTiming); the zero value runs the functional simulator.
 	TimingAxes TimingAxes
-	Timing     bool
 }
 
 // Jobs enumerates and validates the grid's cells.
@@ -472,32 +472,60 @@ func (g Grid) Jobs() ([]Job, error) {
 		if g.Warmup != 0 {
 			return nil, fmt.Errorf("sweep: mix cells do not support warmup — split warmup grids and mix grids")
 		}
-		if len(g.Timings) > 0 || !g.TimingAxes.Empty() || g.Timing {
+		if !g.TimingAxes.Empty() {
 			return nil, fmt.Errorf("sweep: mix cells run the functional simulator — a grid cannot cross mixes with timing axes")
 		}
 	}
-	timings := make([]*Timing, 0, 1)
-	switch {
-	case len(g.Timings) > 0 && !g.TimingAxes.Empty():
-		return nil, fmt.Errorf("sweep: grid declares both explicit Timings and TimingAxes — pick one cycle-model axis")
-	case len(g.Timings) > 0:
-		for i := range g.Timings {
-			timings = append(timings, &g.Timings[i])
+	for _, q := range g.Quanta {
+		if q == 0 {
+			return nil, fmt.Errorf("sweep: mix quantum must be positive")
 		}
-	case !g.TimingAxes.Empty():
+	}
+	timings := []*Timing{nil}
+	if !g.TimingAxes.Empty() {
 		pts, err := g.TimingAxes.Points()
 		if err != nil {
 			return nil, err
 		}
+		timings = timings[:0]
 		for i := range pts {
 			timings = append(timings, &pts[i])
 		}
-	case g.Timing:
-		dt := DefaultTiming()
-		timings = append(timings, &dt)
-	default:
-		timings = append(timings, nil)
 	}
+
+	// Each stream root carries its innermost variants as partial jobs:
+	// a single source one per timing point, a mix one per scheduler point.
+	var roots [][]Job
+	for _, src := range sources {
+		leaves := make([]Job, len(timings))
+		for i, tm := range timings {
+			leaves[i] = Job{Source: src, Timing: tm}
+		}
+		roots = append(roots, leaves)
+	}
+	for _, mix := range g.Mixes {
+		c := mix.Canonical()
+		quanta, policies, asids := g.Quanta, g.Policies, g.ASIDs
+		if len(quanta) == 0 {
+			quanta = []uint64{c.Quantum}
+		}
+		if len(policies) == 0 {
+			policies = []string{c.Policy}
+		}
+		if len(asids) == 0 {
+			asids = []string{c.ASID}
+		}
+		var leaves []Job
+		for _, q := range quanta {
+			for _, pol := range policies {
+				for _, as := range asids {
+					leaves = append(leaves, Job{Mix: &Mix{Sources: mix.Sources, Quantum: q, Policy: pol, ASID: as}})
+				}
+			}
+		}
+		roots = append(roots, leaves)
+	}
+
 	entries := g.TLBEntries
 	if len(entries) == 0 {
 		entries = []int{sim.Default().TLB.Entries}
@@ -521,98 +549,34 @@ func (g Grid) Jobs() ([]Job, error) {
 
 	seen := make(map[string]bool)
 	var jobs []Job
-	add := func(j Job) error {
-		if err := j.Validate(); err != nil {
-			return err
-		}
-		h := j.Key().Hash()
-		if !seen[h] {
-			seen[h] = true
-			jobs = append(jobs, j)
-		}
-		return nil
-	}
-	for _, src := range sources {
+	for _, leaves := range roots {
 		for _, m := range g.Mechs {
 			for _, e := range entries {
 				for _, tw := range ways {
 					for _, b := range buffers {
 						for _, ps := range shifts {
-							for _, tm := range timings {
-								j := Job{
-									Source: src,
-									Mech:   m.Normalize(),
-									Config: sim.Config{
-										TLB:           tlb.Config{Entries: e, Ways: tw},
-										BufferEntries: b,
-										PageShift:     ps,
-									},
-									Refs:   refs,
-									Warmup: g.Warmup,
-									Timing: tm,
+							for _, leaf := range leaves {
+								j := leaf
+								j.Mech = m.Normalize()
+								j.Config = sim.Config{
+									TLB:           tlb.Config{Entries: e, Ways: tw},
+									BufferEntries: b,
+									PageShift:     ps,
 								}
-								if !src.IsTrace() {
+								j.Refs = refs
+								j.Warmup = g.Warmup
+								if j.Mix != nil {
+									mix := *j.Mix
+									j.Mix = &mix
+								} else if !j.Source.IsTrace() {
 									j.Seed = DeriveSeed(g.Seed, j.Key())
 								}
-								if err := add(j); err != nil {
+								if err := j.Validate(); err != nil {
 									return nil, err
 								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, q := range g.Quanta {
-		if q == 0 {
-			return nil, fmt.Errorf("sweep: mix quantum must be positive")
-		}
-	}
-	for _, mix := range g.Mixes {
-		quanta := g.Quanta
-		if len(quanta) == 0 {
-			q := mix.Quantum
-			if q == 0 {
-				q = DefaultQuantum
-			}
-			quanta = []uint64{q}
-		}
-		policies := g.Policies
-		if len(policies) == 0 {
-			policies = []string{mix.Canonical().Policy}
-		}
-		asids := g.ASIDs
-		if len(asids) == 0 {
-			asids = []string{mix.Canonical().ASID}
-		}
-		for _, m := range g.Mechs {
-			for _, e := range entries {
-				for _, tw := range ways {
-					for _, b := range buffers {
-						for _, ps := range shifts {
-							for _, q := range quanta {
-								for _, pol := range policies {
-									for _, as := range asids {
-										j := Job{
-											Mix: &Mix{
-												Sources: mix.Sources,
-												Quantum: q,
-												Policy:  pol,
-												ASID:    as,
-											},
-											Mech: m.Normalize(),
-											Config: sim.Config{
-												TLB:           tlb.Config{Entries: e, Ways: tw},
-												BufferEntries: b,
-												PageShift:     ps,
-											},
-											Refs: refs,
-										}
-										if err := add(j); err != nil {
-											return nil, err
-										}
-									}
+								if h := j.Key().Hash(); !seen[h] {
+									seen[h] = true
+									jobs = append(jobs, j)
 								}
 							}
 						}

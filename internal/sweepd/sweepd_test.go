@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -147,23 +146,6 @@ func TestCrossProcessDeterminism(t *testing.T) {
 	status := coord.Status()
 	if !status.Complete || status.Done != len(jobs) || status.Failed != 0 {
 		t.Fatalf("final status %+v", status)
-	}
-	storesEqual(t, want, st)
-}
-
-// TestRunSourceMatchesRun pins the job-source seam: draining a SliceSource
-// through RunSource is the same execution as Run on the slice.
-func TestRunSourceMatchesRun(t *testing.T) {
-	jobs := testJobs(t, 10_000)
-	want := referenceStore(t, jobs)
-
-	st := sweep.NewStore()
-	sum, err := (&sweep.Runner{Store: st}).RunSource(&sweep.SliceSource{Jobs: jobs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Ran != len(jobs) {
-		t.Fatalf("summary %+v, want %d ran", sum, len(jobs))
 	}
 	storesEqual(t, want, st)
 }
@@ -629,16 +611,5 @@ func TestMergeConflictFailsTheRun(t *testing.T) {
 	got, ok, _ := coord.Store().Get(results[0].Key.Hash())
 	if !ok || got.Stats != results[0].Stats {
 		t.Fatal("conflict replaced the first-accepted value")
-	}
-}
-
-// TestSliceSourceReportsBatchError pins the local adapter's error path: a
-// batch that cannot execute must fail RunSource, not count as ran.
-func TestSliceSourceReportsBatchError(t *testing.T) {
-	job := sweep.Job{Source: sweep.WorkloadSource("no-such-app"),
-		Mech: sweep.Mech{Kind: "RP"}, Config: sim.Default(), Refs: 1000}
-	_, err := (&sweep.Runner{}).RunSource(&sweep.SliceSource{Jobs: []sweep.Job{job}})
-	if err == nil || !strings.Contains(err.Error(), "unknown workload") {
-		t.Fatalf("batch error swallowed: %v", err)
 	}
 }

@@ -85,7 +85,24 @@ func (w *Worker) Run(ctx context.Context) (sweep.Summary, error) {
 	}
 	f := &feed{w: w, ctx: ctx, rng: rng}
 	defer f.stopHeartbeat()
-	return runner.RunSource(f)
+	// Each lease runs on the local sharded path. A batch execution error
+	// goes to Report, which fails the lease's cells back to the
+	// coordinator for re-queueing, rather than ending the run.
+	var total sweep.Summary
+	for {
+		jobs, err := f.NextBatch()
+		if err != nil || len(jobs) == 0 {
+			return total, err
+		}
+		results, sum, runErr := runner.Run(jobs)
+		total.Total += sum.Total
+		total.Cached += sum.Cached
+		total.Ran += sum.Ran
+		total.Shards += sum.Shards
+		if err := f.Report(results, runErr); err != nil {
+			return total, err
+		}
+	}
 }
 
 func (w *Worker) id() string {
@@ -216,8 +233,8 @@ func (w *Worker) fetchBlob(ctx context.Context, digest string) (io.ReadCloser, e
 	return resp.Body, nil
 }
 
-// feed adapts the coordinator's lease protocol to sweep.JobSource, so the
-// worker drains it through the exact Runner loop the local path uses.
+// feed speaks the coordinator's lease protocol for Worker.Run: NextBatch
+// leases cells, Report uploads their outcome.
 type feed struct {
 	w   *Worker
 	ctx context.Context
