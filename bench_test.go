@@ -430,9 +430,9 @@ func BenchmarkSimulatorThroughputGenerated(b *testing.B) {
 }
 
 // BenchmarkGroupFanout measures the shared-frontend win: the full 21-way
-// mechanism fan-out of Figure 7 driven per reference, with the canonical
-// shared TLB (the Group default for homogeneous members) against 21
-// independent pipelines. ns/op is ns per reference delivered to the group.
+// mechanism fan-out of Figure 7 fed in runner-sized RefBatch chunks, with
+// the canonical shared TLB of a Group against 21 independent pipelines.
+// ns/op is ns per reference delivered.
 func BenchmarkGroupFanout(b *testing.B) {
 	refs := benchTrace(b, "swim", 4_000_000)
 	build := func() []*tlbprefetch.Simulator {
@@ -443,36 +443,32 @@ func BenchmarkGroupFanout(b *testing.B) {
 		}
 		return ms
 	}
-	b.Run("shared", func(b *testing.B) {
-		g := tlbprefetch.NewGroup(build()...)
-		if !g.SharedFrontend() {
-			b.Fatal("homogeneous group did not share the frontend")
-		}
+	// chunks calls feed with b.N references in chunks of at most 4096,
+	// cycling through refs.
+	chunks := func(b *testing.B, feed func([]tlbprefetch.Ref)) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		idx := 0
-		for i := 0; i < b.N; i++ {
-			r := refs[idx]
-			if idx++; idx == len(refs) {
+		for left := b.N; left > 0; {
+			n := min(4096, left, len(refs)-idx)
+			feed(refs[idx : idx+n])
+			left -= n
+			if idx += n; idx == len(refs) {
 				idx = 0
 			}
-			g.Ref(r.PC, r.VAddr)
 		}
+	}
+	b.Run("shared", func(b *testing.B) {
+		g := tlbprefetch.NewGroup(build()...)
+		chunks(b, g.RefBatch)
 	})
 	b.Run("independent", func(b *testing.B) {
 		members := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		idx := 0
-		for i := 0; i < b.N; i++ {
-			r := refs[idx]
-			if idx++; idx == len(refs) {
-				idx = 0
-			}
+		chunks(b, func(c []tlbprefetch.Ref) {
 			for _, m := range members {
-				m.Ref(r.PC, r.VAddr)
+				m.RefBatch(c)
 			}
-		}
+		})
 	})
 }
 

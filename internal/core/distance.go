@@ -53,11 +53,6 @@ func NewDistance(entries, ways, s int) *Distance {
 // Name implements prefetch.Prefetcher.
 func (d *Distance) Name() string { return "DP" }
 
-// ConfigString describes the geometry (for experiment labels).
-func (d *Distance) ConfigString() string {
-	return fmt.Sprintf("DP,r=%d,w=%d,s=%d", d.t.Entries(), d.t.Ways(), d.slots)
-}
-
 // OnMiss implements prefetch.Prefetcher, following the five steps of the
 // paper's Figure 6:
 //  1. calculate the current distance;

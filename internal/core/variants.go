@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/table"
 )
@@ -44,11 +42,6 @@ func pcDistKey(pc uint64, dist int64) uint64 {
 
 // Name implements prefetch.Prefetcher.
 func (d *DistancePC) Name() string { return "DP-PC" }
-
-// ConfigString describes the geometry.
-func (d *DistancePC) ConfigString() string {
-	return fmt.Sprintf("DP-PC,r=%d,w=%d,s=%d", d.t.Entries(), d.t.Ways(), d.slots)
-}
 
 // OnMiss implements prefetch.Prefetcher.
 func (d *DistancePC) OnMiss(ev prefetch.Event, dst []uint64) prefetch.Action {
@@ -116,11 +109,6 @@ func distPairKey(d1, d2 int64) uint64 {
 
 // Name implements prefetch.Prefetcher.
 func (d *Distance2) Name() string { return "DP2" }
-
-// ConfigString describes the geometry.
-func (d *Distance2) ConfigString() string {
-	return fmt.Sprintf("DP2,r=%d,w=%d,s=%d", d.t.Entries(), d.t.Ways(), d.slots)
-}
 
 // OnMiss implements prefetch.Prefetcher.
 func (d *Distance2) OnMiss(ev prefetch.Event, dst []uint64) prefetch.Action {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -497,6 +498,36 @@ func TestWarmupReachesEveryPanel(t *testing.T) {
 		} {
 			if got := stats(c.r, c.label); got != want {
 				t.Errorf("%s %s %s: stats %+v, want 9a's DP,256,D %+v", a.App, c.panel, c.label, got, want)
+			}
+		}
+	}
+}
+
+// TestExtTLBAssocAtAnyTLBSize: at a TLB size where a 2- or 4-way
+// organization does not exist (entries not divisible by the ways) or is
+// the fully associative one (ways == entries), ext-tlbassoc drops that
+// column instead of panicking, and its column labels stay unique.
+func TestExtTLBAssocAtAnyTLBSize(t *testing.T) {
+	for _, c := range []struct {
+		entries int
+		labels  []string
+	}{
+		{2, []string{"full"}},
+		{4, []string{"2-way", "full"}},
+		{6, []string{"2-way", "full"}},
+		{128, []string{"2-way", "4-way", "full"}},
+	} {
+		opts := DefaultOptions()
+		opts.Refs = 5_000
+		opts.WarmupRefs = 0
+		opts.TLBEntries = c.entries
+		rows := ExtTLBAssoc(opts)
+		if len(rows) != len(Fig9AppNames()) {
+			t.Fatalf("tlb=%d: %d rows, want %d", c.entries, len(rows), len(Fig9AppNames()))
+		}
+		for _, r := range rows {
+			if !slices.Equal(r.Labels, c.labels) || len(r.Acc) != len(c.labels) {
+				t.Errorf("tlb=%d %s: labels %v with %d columns, want %v", c.entries, r.App, r.Labels, len(r.Acc), c.labels)
 			}
 		}
 	}

@@ -207,12 +207,22 @@ func FormatExtMultiprog(rows []ExtMultiprogRow) string {
 // ExtTLBAssoc re-runs DP,256,D on the eight high-miss applications with the
 // TLB organized 2-way, 4-way and fully associative (the configurations the
 // paper's §3.1 sweeps): "DP is able to make good predictions across
-// different TLB configurations".
+// different TLB configurations". A set-associative organization that does
+// not exist at opts.TLBEntries (the entries do not divide into its ways) or
+// that is the fully associative one (as many ways as entries) is left out.
 func ExtTLBAssoc(opts Options) []AppResult {
 	apps := fig9Workloads()
 	g := opts.grid(apps, MechConfig{Kind: "DP", Rows: 256, Ways: 1})
-	g.TLBWays = []int{2, 4, 0}
-	return appResults(apps, []string{"2-way", "4-way", "full"}, runGrid(apps, opts, g, len(apps)*len(g.TLBWays)))
+	g.TLBWays = nil
+	for _, ways := range []int{2, 4} {
+		if ways < opts.TLBEntries && opts.TLBEntries%ways == 0 {
+			g.TLBWays = append(g.TLBWays, ways)
+		}
+	}
+	g.TLBWays = append(g.TLBWays, 0)
+	labels := axisLabels("%d-way", g.TLBWays)
+	labels[len(labels)-1] = "full"
+	return appResults(apps, labels, runGrid(apps, opts, g, len(apps)*len(g.TLBWays)))
 }
 
 // FormatExtTLBAssoc renders the associativity sweep.

@@ -126,7 +126,7 @@ type Table3Row struct {
 // TLB miss penalty, 50-cycle prefetch memory operations contending only
 // with each other, RP's skip-when-busy rule). It is the default point of
 // the latency-sensitivity grid Table3Latency sweeps: the one-point timing
-// axis {100} (ScaledTiming(100) is sweep.DefaultTiming), five apps, three
+// axis {100} (sim.ScaledTiming(100) is sweep.DefaultTiming), five apps, three
 // mechanisms, every cell rendered from the sweep store.
 func Table3(opts Options) []Table3Row {
 	rows := Table3Latency(opts, sweep.TimingAxes{MissPenalties: []uint64{100}})
@@ -141,7 +141,7 @@ func Table3(opts Options) []Table3Row {
 // latency-sensitivity grid.
 type Table3LatencyRow struct {
 	Table3Row
-	Timing sweep.Timing
+	Timing sim.Timing
 }
 
 // Table3Latency generalizes Table 3 into a latency-sensitivity study: the

@@ -49,12 +49,6 @@ func NewPipelinedChannel(opLatency, opOccupancy uint64) *Channel {
 	return &Channel{opLatency: opLatency, opOccupancy: opOccupancy}
 }
 
-// OpLatency returns the per-operation completion cost in cycles.
-func (c *Channel) OpLatency() uint64 { return c.opLatency }
-
-// OpOccupancy returns the per-operation channel-blocking time in cycles.
-func (c *Channel) OpOccupancy() uint64 { return c.opOccupancy }
-
 // Busy reports whether the channel is still servicing earlier operations at
 // cycle now. RP's implementation uses this for its skip rule: "if there is a
 // TLB miss soon after the previous one ... and the prefetching initiated

@@ -278,9 +278,9 @@ type Group struct {
 }
 
 // NewGroup builds a Group over fresh Execs, which it then owns: they must
-// not be fed through Exec.Ref. Execs of one ASID mode must agree on TLB
-// geometry and page shift to share a frontend; sim.Group falls back to
-// private TLBs when they do not.
+// not be fed through Exec.Ref. Execs of one ASID mode share one frontend,
+// so they must agree on TLB geometry and page shift (a mix shard's key
+// guarantees it); sim.Group panics on a member that does not.
 func NewGroup(execs ...*Exec) *Group {
 	g := &Group{execs: execs, cur: -1}
 	byMode := map[ASIDMode]*sim.Group{}

@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"fmt"
-
-	"tlbprefetch/internal/table"
-)
+import "tlbprefetch/internal/table"
 
 // aspState is the Chen & Baer reference-prediction-table state machine.
 // A prefetch is issued only from the steady state, which requires the stride
@@ -60,11 +56,6 @@ func NewASP(entries, ways int) *ASP {
 
 // Name implements Prefetcher.
 func (a *ASP) Name() string { return "ASP" }
-
-// ConfigString describes the table geometry (for experiment labels).
-func (a *ASP) ConfigString() string {
-	return fmt.Sprintf("ASP,r=%d,w=%d", a.t.Entries(), a.t.Ways())
-}
 
 // OnMiss implements Prefetcher.
 func (a *ASP) OnMiss(ev Event, dst []uint64) Action {

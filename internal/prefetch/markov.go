@@ -39,11 +39,6 @@ func NewMarkov(entries, ways, s int) *Markov {
 // Name implements Prefetcher.
 func (m *Markov) Name() string { return "MP" }
 
-// ConfigString describes the geometry (for experiment labels).
-func (m *Markov) ConfigString() string {
-	return fmt.Sprintf("MP,r=%d,w=%d,s=%d", m.t.Entries(), m.t.Ways(), m.slots)
-}
-
 // OnMiss implements Prefetcher.
 func (m *Markov) OnMiss(ev Event, dst []uint64) Action {
 	// 1. Predict from the current page's row; 2. allocate it with empty

@@ -44,11 +44,6 @@ func NewMASP(entries, ways, s int) *MASP {
 // Name implements Prefetcher.
 func (m *MASP) Name() string { return "MASP" }
 
-// ConfigString describes the geometry (for experiment labels).
-func (m *MASP) ConfigString() string {
-	return fmt.Sprintf("MASP,r=%d,w=%d,s=%d", m.t.Entries(), m.t.Ways(), m.slots)
-}
-
 // OnMiss implements Prefetcher.
 func (m *MASP) OnMiss(ev Event, dst []uint64) Action {
 	row, existed := m.t.GetOrInsertLazy(ev.PC)

@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"fmt"
-
-	"tlbprefetch/internal/table"
-)
+import "tlbprefetch/internal/table"
 
 // STMS implements sampled temporal memory streaming (after Wenisch et al.,
 // HPCA 2009, as adapted to TLB miss streams): a global history buffer (GHB)
@@ -45,11 +41,6 @@ func NewSTMS(entries, ways, degree int) *STMS {
 
 // Name implements Prefetcher.
 func (s *STMS) Name() string { return "STMS" }
-
-// ConfigString describes the geometry (for experiment labels).
-func (s *STMS) ConfigString() string {
-	return fmt.Sprintf("STMS,r=%d,w=%d,d=%d", len(s.ghb), s.idx.Ways(), s.degree)
-}
 
 // OnMiss implements Prefetcher.
 func (s *STMS) OnMiss(ev Event, dst []uint64) Action {

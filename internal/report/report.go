@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
 )
 
@@ -216,13 +217,13 @@ var seriesFacets = []facet{
 		}
 		return "cycle"
 	}},
-	{"penalty", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("p=%d", t.MissPenalty) })},
-	{"memop", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("m=%d", t.MemOpLatency) })},
-	{"occ", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("occ=%d", t.MemOpOccupancy) })},
-	{"bufferhit", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("bhp=%d", t.BufferHitPenalty) })},
-	{"cyclesperref", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("cpr=%d", t.CyclesPerRef) })},
-	{"refspercycle", timingFacet(func(t sweep.Timing) string { return fmt.Sprintf("ipc=%d", t.RefsPerCycle) })},
-	{"rpskip", timingFacet(func(t sweep.Timing) string {
+	{"penalty", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("p=%d", t.MissPenalty) })},
+	{"memop", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("m=%d", t.MemOpLatency) })},
+	{"occ", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("occ=%d", t.MemOpOccupancy) })},
+	{"bufferhit", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("bhp=%d", t.BufferHitPenalty) })},
+	{"cyclesperref", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("cpr=%d", t.CyclesPerRef) })},
+	{"refspercycle", timingFacet(func(t sim.Timing) string { return fmt.Sprintf("ipc=%d", t.RefsPerCycle) })},
+	{"rpskip", timingFacet(func(t sim.Timing) string {
 		if t.RPSkipWhenBusy {
 			return "rpskip=on"
 		}
@@ -245,7 +246,7 @@ func mixFacet(render func(sweep.Mix) string) func(sweep.Key) string {
 // timingFacet lifts a Timing renderer into a Key facet that is empty for
 // functional cells (a nil/non-nil mix is already distinguished by the
 // "model" facet).
-func timingFacet(render func(sweep.Timing) string) func(sweep.Key) string {
+func timingFacet(render func(sim.Timing) string) func(sweep.Key) string {
 	return func(k sweep.Key) string {
 		if k.Timing == nil {
 			return ""

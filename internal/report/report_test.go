@@ -28,7 +28,7 @@ func cell(workload string, mech sweep.Mech, hits, misses uint64, mut ...func(*sw
 }
 
 // timingCell builds a cycle-model result at the given timing point.
-func timingCell(workload string, mech sweep.Mech, tm sweep.Timing, cycles, stall uint64) sweep.Result {
+func timingCell(workload string, mech sweep.Mech, tm sim.Timing, cycles, stall uint64) sweep.Result {
 	j := sweep.Job{
 		Source: sweep.WorkloadSource(workload),
 		Mech:   mech,
@@ -90,8 +90,8 @@ func TestBuildPrunesCoVaryingFacets(t *testing.T) {
 	// BufferHitPenalty and MemOpOccupancy are functions of the penalty in
 	// ScaledTiming points, so the labels must carry only p=.
 	results := []sweep.Result{
-		timingCell("mcf", dp, sweep.ScaledTiming(100), 5000, 800),
-		timingCell("mcf", dp, sweep.ScaledTiming(200), 9000, 1600),
+		timingCell("mcf", dp, sim.ScaledTiming(100).Timing, 5000, 800),
+		timingCell("mcf", dp, sim.ScaledTiming(200).Timing, 9000, 1600),
 	}
 	f, err := Build(results, Options{Metric: "cpi"})
 	if err != nil {
@@ -107,7 +107,7 @@ func TestBuildMixedModelLabels(t *testing.T) {
 	// timing constants it implies must not leak into the labels.
 	results := []sweep.Result{
 		cell("mcf", dp, 70, 100),
-		timingCell("mcf", dp, sweep.ScaledTiming(100), 5000, 800),
+		timingCell("mcf", dp, sim.ScaledTiming(100).Timing, 5000, 800),
 	}
 	f, err := Build(results, Options{})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestBuildTimingMetricGaps(t *testing.T) {
 	// gap, not an error and not a zero bar.
 	results := []sweep.Result{
 		cell("mcf", dp, 70, 100),
-		timingCell("mcf", dp, sweep.ScaledTiming(100), 5000, 800),
+		timingCell("mcf", dp, sim.ScaledTiming(100).Timing, 5000, 800),
 	}
 	f, err := Build(results, Options{Metric: "cpi"})
 	if err != nil {

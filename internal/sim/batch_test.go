@@ -58,7 +58,7 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 	refs := batchTestStream(t, "gzip", 50_000)
 	for i, pf := range equivMechs() {
 		viaRun := New(cfg, pf)
-		if err := viaRun.Run(trace.NewSliceReader(refs)); err != nil {
+		if err := viaRun.RunBatch(trace.AsBatch(trace.NewSliceReader(refs))); err != nil {
 			t.Fatal(err)
 		}
 		perRef := New(cfg, equivMechs()[i])
@@ -72,42 +72,32 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 }
 
 // TestGroupBatchEquivalence extends the shared-frontend differential
-// contract to RefBatch: a chunk-fed group (both shared and heterogeneous
-// fan-out) must match the per-Ref group exactly.
+// contract to RefBatch: a chunk-fed group must match independent
+// simulators fed one reference at a time exactly.
 func TestGroupBatchEquivalence(t *testing.T) {
 	refs := batchTestStream(t, "swim", 60_000)
-	homo := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
-	hetero := Config{TLB: tlb.Config{Entries: 64, Ways: 4}, BufferEntries: 8, PageShift: 12}
+	cfg := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
 
-	for _, shared := range []bool{true, false} {
-		mkGroup := func() *Group {
-			g := NewGroup()
-			for i, pf := range equivMechs() {
-				cfg := homo
-				if !shared && i == 0 {
-					cfg = hetero
-				}
-				g.Add(New(cfg, pf))
-			}
-			return g
-		}
-		perRef := mkGroup()
-		if perRef.SharedFrontend() != shared {
-			t.Fatalf("shared=%v: unexpected frontend strategy", shared)
-		}
+	var perRef []*Simulator
+	for _, pf := range equivMechs() {
+		s := New(cfg, pf)
 		for _, r := range refs {
-			perRef.Ref(r.PC, r.VAddr)
+			s.Ref(r.PC, r.VAddr)
 		}
-		batched := mkGroup()
-		for pos := 0; pos < len(refs); pos += 4096 {
-			batched.RefBatch(refs[pos:min(pos+4096, len(refs))])
-		}
-		for i := range perRef.Members() {
-			got := batched.Members()[i].Stats()
-			want := perRef.Members()[i].Stats()
-			if got != want {
-				t.Errorf("shared=%v member %d: batched %+v != per-ref %+v", shared, i, got, want)
-			}
+		perRef = append(perRef, s)
+	}
+	batched := NewGroup()
+	for _, pf := range equivMechs() {
+		batched.Add(New(cfg, pf))
+	}
+	for pos := 0; pos < len(refs); pos += 4096 {
+		batched.RefBatch(refs[pos:min(pos+4096, len(refs))])
+	}
+	for i := range perRef {
+		got := batched.Members()[i].Stats()
+		want := perRef[i].Stats()
+		if got != want {
+			t.Errorf("member %d: batched %+v != per-ref %+v", i, got, want)
 		}
 	}
 }

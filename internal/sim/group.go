@@ -1,6 +1,10 @@
 package sim
 
-import "tlbprefetch/internal/trace"
+import (
+	"fmt"
+
+	"tlbprefetch/internal/trace"
+)
 
 // Group fans one reference stream out to many simulators, so that the
 // experiment harness can evaluate every mechanism configuration of a figure
@@ -8,14 +12,16 @@ import "tlbprefetch/internal/trace"
 //
 // Because fills always happen at miss time, members with identical TLB
 // geometry see identical TLB contents and identical miss streams, exactly
-// as if run separately. Group exploits that: when every member shares the
-// same TLB geometry and page size (the common case — experiments.RunApp
-// runs 21 mechanism configurations against one TLB configuration), it runs
-// a single canonical TLB as a shared frontend. Each reference probes that
-// one TLB once, and only misses fan out to the members' private
-// buffer+mechanism back halves — collapsing N-way redundant probe work
-// into one probe while producing bit-identical per-member statistics
-// (pinned by TestGroupSharedFrontendEquivalence).
+// as if run separately. Group exploits that: its members must share one
+// TLB geometry and page size (the sweep runner's shard key guarantees it),
+// and it runs the first member's TLB as the canonical shared frontend.
+// Each reference probes that one TLB once, and only misses fan out to the
+// members' private buffer+mechanism back halves — collapsing N-way
+// redundant probe work into one probe while producing bit-identical
+// per-member statistics (pinned by TestGroupSharedFrontendEquivalence).
+// NewGroup and Add panic on a member that would break the equivalence: a
+// different geometry, a member that already simulated references, or any
+// member added after the group started.
 //
 // Members may be functional or timed (the Simulator of a TimingSimulator):
 // a timed member's clock charges the references between its misses from
@@ -26,129 +32,67 @@ import "tlbprefetch/internal/trace"
 // ResetTLB at a context switch). Group has no drain loop of its own: the
 // caller pulls the stream (a trace.BatchReader, whether the source is a
 // workload model or a recording) and feeds it with RefBatch.
-//
-// Members with heterogeneous geometry fall back to full independent
-// fan-out transparently.
 type Group struct {
 	members []*Simulator
-
-	prepared bool
-	shared   bool
-	started  bool // references have been delivered
+	started bool // references have been delivered
 }
 
-// NewGroup builds a fan-out over the given simulators.
+// NewGroup builds a fan-out over the given simulators, checking each as
+// Add does.
 func NewGroup(members ...*Simulator) *Group {
-	return &Group{members: members}
+	g := &Group{members: make([]*Simulator, 0, len(members))}
+	for _, m := range members {
+		g.Add(m)
+	}
+	return g
 }
 
-// Add appends a member. Adding to a group that has already delivered
-// references in shared-frontend mode is a programming error: the existing
-// members' TLB state lives only in the canonical frontend, so the
-// independent fan-out the new member would force cannot reproduce it.
-// (Adding to a started independent group is fine — the newcomer simply
-// starts cold, as it always did.)
+// Add appends a member. It panics when the member cannot share the
+// frontend: once the group has delivered references the existing members'
+// TLB state lives only in the canonical TLB, a used member has TLB state
+// the canonical TLB would not reproduce, and a member of another geometry
+// would see a different miss stream.
 func (g *Group) Add(s *Simulator) {
-	if g.started && g.shared {
-		panic("sim: cannot Add to a Group that already ran with a shared frontend")
+	if g.started {
+		panic("sim: cannot Add to a Group that already delivered references")
+	}
+	if s.stat.Refs != 0 || s.tlb.Len() != 0 {
+		panic("sim: a Group member must be pristine (it already simulated references)")
+	}
+	if len(g.members) > 0 {
+		first := g.members[0].cfg
+		if s.cfg.TLB.Canonical() != first.TLB.Canonical() || s.cfg.PageShift != first.PageShift {
+			panic(fmt.Sprintf("sim: Group member geometry %+v/page shift %d differs from the frontend's %+v/%d",
+				s.cfg.TLB, s.cfg.PageShift, first.TLB, first.PageShift))
+		}
 	}
 	g.members = append(g.members, s)
-	g.prepared = false
 }
 
 // Members returns the member simulators in insertion order.
 func (g *Group) Members() []*Simulator { return g.members }
 
-// SharedFrontend reports whether the group is (or would be, before the
-// first reference) running one canonical TLB for all members. A lone
-// pristine member runs its own TLB as the frontend.
-func (g *Group) SharedFrontend() bool {
-	if !g.prepared {
-		g.prepare()
-	}
-	return g.shared
-}
+// SharedFrontend reports whether the group runs one canonical TLB for all
+// members: every non-empty group does (a lone member runs its own TLB as
+// the frontend).
+func (g *Group) SharedFrontend() bool { return len(g.members) > 0 }
 
-// prepare decides the fan-out strategy. The shared frontend is only safe
-// when all members have the same TLB geometry and page size AND are still
-// pristine — a member that already simulated references on its own has TLB
-// state the canonical TLB would not reproduce.
-func (g *Group) prepare() {
-	g.prepared = true
-	g.shared = false
-	if len(g.members) == 0 {
-		return
-	}
-	first := g.members[0]
-	for _, m := range g.members {
-		if m.cfg.TLB != first.cfg.TLB || m.cfg.PageShift != first.cfg.PageShift {
-			return
-		}
-		if m.stat.Refs != 0 || m.tlb.Len() != 0 {
-			return
-		}
-	}
-	g.shared = true
-}
-
-// ResetTLB empties the TLB every member sees: the canonical frontend once
-// in shared-frontend mode, each member's own TLB otherwise. It is the
-// translation flush of a context switch without address-space tags.
+// ResetTLB empties the canonical TLB every member sees: the translation
+// flush of a context switch without address-space tags.
 func (g *Group) ResetTLB() {
-	if g.SharedFrontend() {
+	if len(g.members) > 0 {
 		g.members[0].tlb.Reset()
-		return
-	}
-	for _, m := range g.members {
-		m.tlb.Reset()
 	}
 }
 
-// Ref delivers one reference to every member.
-func (g *Group) Ref(pc, vaddr uint64) {
-	if !g.prepared {
-		g.prepare()
-	}
-	g.started = true
-	if !g.shared {
-		for _, m := range g.members {
-			m.Ref(pc, vaddr)
-		}
-		return
-	}
-	// Shared frontend: one canonical probe, misses fan out.
-	front := g.members[0]
-	vpn := vaddr >> front.cfg.PageShift
-	if front.tlb.Access(vpn) {
-		for _, m := range g.members {
-			m.stat.Refs++
-		}
-		return
-	}
-	evicted, hasEvicted := front.tlb.Insert(vpn)
-	for _, m := range g.members {
-		m.stat.Refs++
-		m.miss(pc, vpn, evicted, hasEvicted, front.tlb)
-	}
-}
-
-// RefBatch delivers a chunk of references to every member — exactly
-// len(refs) calls to Ref with the strategy decision and canonical-TLB
-// loads hoisted out of the loop.
+// RefBatch delivers a chunk of references to every member: one probe of
+// the canonical TLB per reference, and the back half of every member per
+// miss.
 func (g *Group) RefBatch(refs []trace.Ref) {
-	if len(refs) == 0 {
+	if len(refs) == 0 || len(g.members) == 0 {
 		return
-	}
-	if !g.prepared {
-		g.prepare()
 	}
 	g.started = true
-	if !g.shared {
-		for _, m := range g.members {
-			m.RefBatch(refs)
-		}
-		return
-	}
 	front := g.members[0]
 	shift := front.cfg.PageShift
 	t := front.tlb

@@ -26,6 +26,13 @@ func equivMechs() []prefetch.Prefetcher {
 	}
 }
 
+// feedChunks delivers refs to g in runner-sized chunks.
+func feedChunks(g *Group, refs []trace.Ref) {
+	for pos := 0; pos < len(refs); pos += 4096 {
+		g.RefBatch(refs[pos:min(pos+4096, len(refs))])
+	}
+}
+
 // TestGroupSharedFrontendEquivalence is the differential contract of the
 // shared frontend: for each workload, a Group whose members share TLB
 // geometry (and therefore runs one canonical TLB) must produce member
@@ -46,10 +53,7 @@ func TestGroupSharedFrontendEquivalence(t *testing.T) {
 		if !g.SharedFrontend() {
 			t.Fatalf("%s: homogeneous group did not enable the shared frontend", wname)
 		}
-		workload.Generate(w, 60_000, func(pc, vaddr uint64) bool {
-			g.Ref(pc, vaddr)
-			return true
-		})
+		feedChunks(g, batchTestStream(t, wname, 60_000))
 
 		// Independent runs over the identical regenerated stream.
 		for i, pf := range equivMechs() {
@@ -80,17 +84,12 @@ func TestGroupSharedFrontendMidRunStatsReset(t *testing.T) {
 	for _, pf := range equivMechs() {
 		g.Add(New(cfg, pf))
 	}
-	var seen uint64
-	workload.Generate(w, warmup+run, func(pc, vaddr uint64) bool {
-		g.Ref(pc, vaddr)
-		seen++
-		if seen == warmup {
-			for _, m := range g.Members() {
-				m.ResetStats()
-			}
-		}
-		return true
-	})
+	refs := batchTestStream(t, "swim", warmup+run)
+	feedChunks(g, refs[:warmup])
+	for _, m := range g.Members() {
+		m.ResetStats()
+	}
+	feedChunks(g, refs[warmup:])
 
 	for i, pf := range equivMechs() {
 		ind := New(cfg, pf)
@@ -187,95 +186,82 @@ func TestGroupLoneMemberShared(t *testing.T) {
 	}
 }
 
-// TestGroupHeterogeneousFallsBack checks that geometry-diverse members
-// disable the shared frontend and still match independent runs (the
-// pre-existing fan-out semantics).
-func TestGroupHeterogeneousFallsBack(t *testing.T) {
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestGroupHeterogeneousMemberPanics: members of different TLB geometry or
+// page size see different miss streams, so they cannot share a frontend
+// and must not join one group.
+func TestGroupHeterogeneousMemberPanics(t *testing.T) {
 	cfgA := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
 	cfgB := Config{TLB: tlb.Config{Entries: 16, Ways: 2}, BufferEntries: 8, PageShift: 12}
-	g := NewGroup(New(cfgA, prefetch.NewSequential(true)), New(cfgB, core.NewDistance(64, 1, 2)))
-	if g.SharedFrontend() {
-		t.Fatal("heterogeneous group claimed a shared frontend")
-	}
-	w, _ := workload.ByName("gzip")
-	workload.Generate(w, 30_000, func(pc, vaddr uint64) bool {
-		g.Ref(pc, vaddr)
-		return true
+	cfgC := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 13}
+	mustPanic(t, "NewGroup over two geometries", func() {
+		NewGroup(New(cfgA, prefetch.NewSequential(true)), New(cfgB, core.NewDistance(64, 1, 2)))
 	})
-	for i, cfg := range []Config{cfgA, cfgB} {
-		var pf prefetch.Prefetcher
-		if i == 0 {
-			pf = prefetch.NewSequential(true)
-		} else {
-			pf = core.NewDistance(64, 1, 2)
-		}
-		ind := New(cfg, pf)
-		workload.Generate(w, 30_000, func(pc, vaddr uint64) bool {
-			ind.Ref(pc, vaddr)
-			return true
-		})
+	g := NewGroup(New(cfgA, nil))
+	mustPanic(t, "Add of another geometry", func() { g.Add(New(cfgB, nil)) })
+	mustPanic(t, "Add of another page size", func() { g.Add(New(cfgC, nil)) })
+	if len(g.Members()) != 1 {
+		t.Fatalf("rejected members joined: %d members", len(g.Members()))
+	}
+}
+
+// TestGroupFullyAssociativeSpellingsShare: Ways 0 and Ways == Entries are
+// the same fully associative TLB (the sweep key treats them as one cell),
+// so they share one frontend and match their independent runs.
+func TestGroupFullyAssociativeSpellingsShare(t *testing.T) {
+	implicit := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
+	explicit := Config{TLB: tlb.Config{Entries: 32, Ways: 32}, BufferEntries: 4, PageShift: 12}
+	g := NewGroup(New(implicit, prefetch.NewRecency()), New(explicit, core.NewDistance(64, 1, 2)))
+	if !g.SharedFrontend() {
+		t.Fatal("the two fully associative spellings did not share the frontend")
+	}
+	refs := batchTestStream(t, "gzip", 30_000)
+	feedChunks(g, refs)
+	for i, ind := range []*Simulator{New(implicit, prefetch.NewRecency()), New(explicit, core.NewDistance(64, 1, 2))} {
+		ind.RefBatch(refs)
 		if got, want := g.Members()[i].Stats(), ind.Stats(); got != want {
 			t.Errorf("member %d: group %+v != independent %+v", i, got, want)
 		}
 	}
 }
 
-// TestGroupUsedMembersFallBack checks the pristine-state guard: a member
-// that already simulated references on its own must force independent
-// fan-out, not a shared frontend seeded from an empty canonical TLB.
-func TestGroupUsedMembersFallBack(t *testing.T) {
+// TestGroupUsedMemberPanics checks the pristine-state guard: a member that
+// already simulated references on its own has TLB state an empty
+// canonical TLB would not reproduce, so it cannot join a group.
+func TestGroupUsedMemberPanics(t *testing.T) {
 	cfg := Config{TLB: tlb.Config{Entries: 8}, BufferEntries: 4, PageShift: 12}
 	a, b := New(cfg, nil), New(cfg, nil)
 	a.Ref(0, 42<<12) // a now has TLB state the canonical TLB wouldn't share
-	g := NewGroup(a, b)
-	if g.SharedFrontend() {
-		t.Fatal("group with a used member claimed a shared frontend")
-	}
-	g.Ref(0, 42<<12)
-	if st := a.Stats(); st.Misses != 1 {
-		t.Fatalf("member a: %+v (the second touch of page 42 must hit)", st)
-	}
-	if st := b.Stats(); st.Misses != 1 {
-		t.Fatalf("member b: %+v (first touch of page 42 must miss)", st)
-	}
+	mustPanic(t, "NewGroup with a used member", func() { NewGroup(b, a) })
+	mustPanic(t, "Add of a used member", func() { NewGroup(b).Add(a) })
+	// A statistics reset does not make a used member pristine: its TLB
+	// stays warm.
+	a.ResetStats()
+	mustPanic(t, "Add of a used member after ResetStats", func() { NewGroup(b).Add(a) })
 }
 
 // TestGroupAddAfterSharedStartPanics: once the shared frontend has
 // delivered references, the members' TLB state exists only in the
-// canonical TLB, so growing the group (which would force independent
-// fan-out) must fail loudly instead of silently corrupting members.
+// canonical TLB, so growing the group must fail loudly instead of
+// silently corrupting members.
 func TestGroupAddAfterSharedStartPanics(t *testing.T) {
 	cfg := Config{TLB: tlb.Config{Entries: 8}, BufferEntries: 4, PageShift: 12}
 	g := NewGroup(New(cfg, nil), New(cfg, nil))
-	g.Ref(0, 42<<12)
+	g.RefBatch(pageRefs(42))
 	if !g.SharedFrontend() {
 		t.Fatal("expected shared frontend")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add after shared-frontend start did not panic")
-		}
-	}()
-	g.Add(New(cfg, nil))
-}
-
-// TestGroupAddAfterIndependentStartStaysCorrect: growing a started
-// independent group keeps the old semantics — the newcomer simply starts
-// cold.
-func TestGroupAddAfterIndependentStartStaysCorrect(t *testing.T) {
-	cfgA := Config{TLB: tlb.Config{Entries: 8}, BufferEntries: 4, PageShift: 12}
-	cfgB := Config{TLB: tlb.Config{Entries: 4, Ways: 2}, BufferEntries: 4, PageShift: 12}
-	g := NewGroup(New(cfgA, nil), New(cfgB, nil))
-	g.Ref(0, 42<<12)
-	late := New(cfgA, nil)
-	g.Add(late)
-	g.Ref(0, 42<<12) // hit for the old members, cold miss for the newcomer
-	if st := g.Members()[0].Stats(); st.Refs != 2 || st.Misses != 1 {
-		t.Fatalf("old member: %+v", st)
-	}
-	if st := late.Stats(); st.Refs != 1 || st.Misses != 1 {
-		t.Fatalf("late member: %+v", st)
-	}
+	mustPanic(t, "Add after shared-frontend start", func() { g.Add(New(cfg, nil)) })
 }
 
 // TestStatsWindowedUnusedAfterReset: ResetStats opens a new statistics

@@ -220,20 +220,13 @@ func (s *Simulator) RefBatch(refs []trace.Ref) {
 	}
 }
 
-// runBatchChunk is the chunk size Run and RunBatch stream through: large
-// enough to amortize the batch call, small enough that the chunk stays in
-// cache while the simulator walks it.
+// runBatchChunk is the chunk size RunBatch streams through: large enough
+// to amortize the batch call, small enough that the chunk stays in cache
+// while the simulator walks it.
 const runBatchChunk = 4096
 
-// Run drains a trace reader through the simulator. Readers with a native
-// batch decode path (binary trace files, in-memory slices) are consumed in
-// chunks automatically.
-func (s *Simulator) Run(src trace.Reader) error {
-	return s.RunBatch(trace.AsBatch(src))
-}
-
 // RunBatch drains a batch reader through the simulator in cache-sized
-// chunks. The simulated stream is identical to Run over the same records.
+// chunks (trace.AsBatch adapts a per-record reader).
 func (s *Simulator) RunBatch(src trace.BatchReader) error {
 	var buf [runBatchChunk]trace.Ref
 	for {

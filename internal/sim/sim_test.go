@@ -44,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 func TestBaselineCounting(t *testing.T) {
 	s := New(cfgSmall(), nil)
 	// 4 distinct pages, then re-touch them (all hits), then a 5th page.
-	if err := s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 1, 2, 3, 4, 5))); err != nil {
+	if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 1, 2, 3, 4, 5)))); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -67,7 +67,7 @@ func TestSequentialPrefetchPipeline(t *testing.T) {
 	for p := uint64(100); p < 120; p++ {
 		pages = append(pages, p)
 	}
-	if err := s.Run(trace.NewSliceReader(pageRefs(pages...))); err != nil {
+	if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(pages...)))); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -87,7 +87,7 @@ func TestDistancePipelinePaperExample(t *testing.T) {
 	// DP prefetches pages 7 and 8 ahead of use -> accuracy 2/6.
 	s := New(Config{TLB: tlb.Config{Entries: 64}, BufferEntries: 16, PageShift: 12},
 		core.NewDistance(256, 1, 2))
-	if err := s.Run(trace.NewSliceReader(pageRefs(1, 2, 4, 5, 7, 8))); err != nil {
+	if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 4, 5, 7, 8)))); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -104,7 +104,7 @@ func TestPrefetchDuplicatesDropped(t *testing.T) {
 	// must be dropped and counted.
 	s := New(cfgSmall(), prefetch.NewSequential(true))
 	// Page 6 enters the TLB first; then a miss on 5 requests 6 (duplicate).
-	if err := s.Run(trace.NewSliceReader(pageRefs(6, 5))); err != nil {
+	if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(6, 5)))); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -140,7 +140,7 @@ func TestStateMemOpsSurface(t *testing.T) {
 	// RP's pointer manipulations must be visible in the stats.
 	s := New(Config{TLB: tlb.Config{Entries: 2}, BufferEntries: 4, PageShift: 12},
 		prefetch.NewRecency())
-	if err := s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 1, 2, 3, 4))); err != nil {
+	if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 1, 2, 3, 4)))); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.StateMemOps == 0 {
@@ -226,7 +226,7 @@ func TestQuickStatsConsistency(t *testing.T) {
 
 func TestSimulatorReset(t *testing.T) {
 	s := New(cfgSmall(), core.NewDistance(64, 1, 2))
-	s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5, 6)))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5, 6))))
 	s.Reset()
 	st := s.Stats()
 	if st.Refs != 0 || st.Misses != 0 {

@@ -8,28 +8,29 @@ import (
 	"tlbprefetch/internal/tlb"
 )
 
-// TimingConfig extends Config with the cycle model of the paper's Table 3
-// experiment.
-type TimingConfig struct {
-	Config
+// Timing is the cycle model of the paper's Table 3 experiment: the
+// constants a TimingSimulator charges on top of the functional pipeline. It
+// is declared once, here; the sweep key carries it as a cell's cycle-model
+// axis, so its field order and JSON tags are part of every key hash.
+type Timing struct {
 	// MissPenalty is the constant TLB miss cost for a demand fetch
 	// (paper: 100 cycles).
-	MissPenalty uint64
+	MissPenalty uint64 `json:"miss_penalty"`
 	// BufferHitPenalty is the portion of the miss cost a prefetch-buffer
 	// hit still pays — the pipeline restart and TLB fill, everything but
 	// the page table walk. The paper's Table 3 deltas (DP saves 1-14%
 	// despite 0.5-0.9 accuracy) imply a substantial residual cost per
 	// satisfied miss; 65 cycles lands the no-prefetch -> DP deltas in the
 	// published band.
-	BufferHitPenalty uint64
+	BufferHitPenalty uint64 `json:"buffer_hit_penalty"`
 	// MemOpLatency is the cost of each prefetch-related memory operation —
 	// pointer manipulation or prefetch fetch (paper: 50 cycles).
-	MemOpLatency uint64
+	MemOpLatency uint64 `json:"memop_latency"`
 	// MemOpOccupancy is how long each operation blocks the prefetch
 	// channel before the next may start. 0 means fully serialized
 	// (= MemOpLatency, one outstanding request); smaller values model the
 	// pipelined memory interface of an out-of-order core.
-	MemOpOccupancy uint64
+	MemOpOccupancy uint64 `json:"memop_occupancy"`
 	// CyclesPerRef is the base cost of a reference with a TLB hit, and
 	// RefsPerCycle lets several references retire per cycle (0 means 1).
 	// The paper runs a 4-issue out-of-order core, which both overlaps
@@ -37,27 +38,35 @@ type TimingConfig struct {
 	// interface (MemOpOccupancy < MemOpLatency); the Table 3 calibration
 	// in experiments.Table3 picks the values that land the no-prefetch
 	// baseline and the RP/DP deltas in the published band.
-	CyclesPerRef uint64
-	RefsPerCycle uint64
+	CyclesPerRef uint64 `json:"cycles_per_ref"`
+	RefsPerCycle uint64 `json:"refs_per_cycle"`
 	// RPSkipWhenBusy enables the paper's benefit-of-the-doubt rule for RP:
 	// when the prefetch channel is still busy at miss time, RP performs
 	// only its stack update (4 pointer ops) and skips the two neighbour
 	// fetches. Mechanisms other than RP are unaffected.
-	RPSkipWhenBusy bool
+	RPSkipWhenBusy bool `json:"rp_skip_when_busy"`
+}
+
+// TimingConfig extends Config with the cycle model.
+type TimingConfig struct {
+	Config
+	Timing
 }
 
 // DefaultTiming returns the paper's Table 3 constants on top of the default
 // functional configuration.
 func DefaultTiming() TimingConfig {
 	return TimingConfig{
-		Config:           Default(),
-		MissPenalty:      100,
-		BufferHitPenalty: 65,
-		MemOpLatency:     50,
-		MemOpOccupancy:   12,
-		CyclesPerRef:     1,
-		RefsPerCycle:     2,
-		RPSkipWhenBusy:   true,
+		Config: Default(),
+		Timing: Timing{
+			MissPenalty:      100,
+			BufferHitPenalty: 65,
+			MemOpLatency:     50,
+			MemOpOccupancy:   12,
+			CyclesPerRef:     1,
+			RefsPerCycle:     2,
+			RPSkipWhenBusy:   true,
+		},
 	}
 }
 
@@ -66,7 +75,9 @@ func DefaultTiming() TimingConfig {
 // page-table walk: the prefetch memory-op latency keeps the paper's 1:2
 // ratio, the buffer-hit residual its 65%, and the channel occupancy its
 // pipelining ratio — so a satisfied miss stays cheaper than an
-// unmitigated one at every point of a latency-sensitivity axis.
+// unmitigated one at every point of a latency-sensitivity axis, and
+// tlbsweep, tlbsim and the table3-lat experiment all mean the same cycle
+// model by the same nominal penalty.
 func ScaledTiming(missPenalty uint64) TimingConfig {
 	c := DefaultTiming()
 	ref := c.MissPenalty
@@ -83,20 +94,52 @@ func ScaledTiming(missPenalty uint64) TimingConfig {
 	return c
 }
 
+// Config attaches the cycle model to a functional configuration.
+func (t Timing) Config(c Config) TimingConfig { return TimingConfig{Config: c, Timing: t} }
+
+// Normalize canonicalizes the equivalent spellings the cycle model
+// accepts — RefsPerCycle 0 means 1, MemOpOccupancy 0 means fully
+// serialized (= MemOpLatency) — so identical cycle models always
+// content-address to the same sweep cell and build the same clock.
+func (t Timing) Normalize() Timing {
+	if t.RefsPerCycle == 0 {
+		t.RefsPerCycle = 1
+	}
+	if t.MemOpOccupancy == 0 {
+		t.MemOpOccupancy = t.MemOpLatency
+	}
+	return t
+}
+
+// MaxTimingCycles bounds the miss penalty and memory-op latency a cycle
+// model may declare. Far above any modelled machine, it keeps scaled costs
+// and ratio-derived latencies clear of uint64 wrap-around, so every sweep
+// key is the same on every platform.
+const MaxTimingCycles = 1 << 32
+
+// Validate reports whether the constants form a usable cycle model.
+func (t Timing) Validate() error {
+	if t.MissPenalty > MaxTimingCycles || t.MemOpLatency > MaxTimingCycles {
+		return fmt.Errorf("sim: miss penalty %d or memory-op latency %d exceeds %d cycles",
+			t.MissPenalty, t.MemOpLatency, uint64(MaxTimingCycles))
+	}
+	if t.MissPenalty == 0 || t.MemOpLatency == 0 || t.CyclesPerRef == 0 {
+		return fmt.Errorf("sim: timing constants must be positive (penalty=%d, memop=%d, perRef=%d)",
+			t.MissPenalty, t.MemOpLatency, t.CyclesPerRef)
+	}
+	if n := t.Normalize(); n.MemOpOccupancy > n.MemOpLatency {
+		return fmt.Errorf("sim: MemOpOccupancy %d exceeds MemOpLatency %d (an operation cannot block the channel longer than it takes)",
+			n.MemOpOccupancy, n.MemOpLatency)
+	}
+	return nil
+}
+
 // Validate reports whether the configuration is usable.
 func (c TimingConfig) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
 	}
-	if c.MissPenalty == 0 || c.MemOpLatency == 0 || c.CyclesPerRef == 0 {
-		return fmt.Errorf("sim: timing constants must be positive (penalty=%d, memop=%d, perRef=%d)",
-			c.MissPenalty, c.MemOpLatency, c.CyclesPerRef)
-	}
-	if c.MemOpOccupancy > c.MemOpLatency {
-		return fmt.Errorf("sim: MemOpOccupancy %d exceeds MemOpLatency %d (an operation cannot block the channel longer than it takes)",
-			c.MemOpOccupancy, c.MemOpLatency)
-	}
-	return nil
+	return c.Timing.Validate()
 }
 
 // TimingStats extends Stats with cycle accounting.
@@ -133,7 +176,7 @@ func NewTiming(cfg TimingConfig, pf prefetch.Prefetcher) *TimingSimulator {
 		panic(err)
 	}
 	s := New(cfg.Config, pf)
-	s.clk = newClock(cfg, s.pf.Name() == "RP")
+	s.clk = newClock(cfg.Timing, s.pf.Name() == "RP")
 	return &TimingSimulator{s}
 }
 
@@ -160,8 +203,7 @@ func (s *TimingSimulator) Now() uint64 {
 // read — at a miss, or by Now and Stats — which is bit-identical to
 // charging CyclesPerRef every RefsPerCycle references as they retire.
 type clock struct {
-	cfg  TimingConfig
-	rpc  uint64 // RefsPerCycle, 0 normalized to 1
+	cfg  Timing // normalized
 	isRP bool
 	ch   *memsys.Channel
 
@@ -174,20 +216,12 @@ type clock struct {
 	ready []uint64    // completion cycles of one prefetch batch
 }
 
-func newClock(cfg TimingConfig, isRP bool) *clock {
-	rpc := cfg.RefsPerCycle
-	if rpc == 0 {
-		rpc = 1
-	}
-	occ := cfg.MemOpOccupancy
-	if occ == 0 {
-		occ = cfg.MemOpLatency
-	}
+func newClock(t Timing, isRP bool) *clock {
+	t = t.Normalize()
 	return &clock{
-		cfg:  cfg,
-		rpc:  rpc,
+		cfg:  t,
 		isRP: isRP,
-		ch:   memsys.NewPipelinedChannel(cfg.MemOpLatency, occ),
+		ch:   memsys.NewPipelinedChannel(t.MemOpLatency, t.MemOpOccupancy),
 	}
 }
 
@@ -195,8 +229,8 @@ func newClock(cfg TimingConfig, isRP bool) *clock {
 // call; refs is the simulator's current reference count.
 func (c *clock) advance(refs uint64) {
 	t := c.refAccum + (refs - c.synced)
-	c.now += t / c.rpc * c.cfg.CyclesPerRef
-	c.refAccum = t % c.rpc
+	c.now += t / c.cfg.RefsPerCycle * c.cfg.CyclesPerRef
+	c.refAccum = t % c.cfg.RefsPerCycle
 	c.synced = refs
 }
 

@@ -288,7 +288,7 @@ func TestTimingResetStatsKeepsClock(t *testing.T) {
 		for _, r := range refs[warm:] {
 			ref.Ref(r.PC, r.VAddr)
 		}
-		if err := s.Run(trace.NewSliceReader(refs[warm:])); err != nil {
+		if err := s.RunBatch(trace.AsBatch(trace.NewSliceReader(refs[warm:]))); err != nil {
 			t.Fatal(err)
 		}
 		end, got := ref.Stats(), s.Stats()

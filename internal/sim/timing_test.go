@@ -11,11 +11,13 @@ import (
 
 func timingCfg() TimingConfig {
 	return TimingConfig{
-		Config:         Config{TLB: tlb.Config{Entries: 4}, BufferEntries: 4, PageShift: 12},
-		MissPenalty:    100,
-		MemOpLatency:   50,
-		CyclesPerRef:   1,
-		RPSkipWhenBusy: true,
+		Config: Config{TLB: tlb.Config{Entries: 4}, BufferEntries: 4, PageShift: 12},
+		Timing: Timing{
+			MissPenalty:    100,
+			MemOpLatency:   50,
+			CyclesPerRef:   1,
+			RPSkipWhenBusy: true,
+		},
 	}
 }
 
@@ -34,7 +36,7 @@ func TestTimingBaselineCycles(t *testing.T) {
 	// No prefetching: every distinct page costs 1 (ref) + 100 (penalty);
 	// hits cost 1.
 	s := NewTiming(timingCfg(), nil)
-	s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 1, 2, 3)))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 1, 2, 3))))
 	st := s.Stats()
 	// 6 refs, 3 misses: 6*1 + 3*100.
 	if st.Cycles != 306 {
@@ -93,13 +95,13 @@ func TestTimingRPChargesPointerOps(t *testing.T) {
 			refs = append(refs, trace.Ref{VAddr: p << 12})
 		}
 	}
-	s.Run(trace.NewSliceReader(refs))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	st := s.Stats()
 	if st.StateMemOps == 0 {
 		t.Fatal("RP pointer traffic not charged")
 	}
 	baseline := NewTiming(timingCfg(), nil)
-	baseline.Run(trace.NewSliceReader(refs))
+	baseline.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	// RP must not be cheaper than baseline here: its prefetches all go to
 	// pages about to be referenced anyway, but pointer ops occupy the
 	// channel; with this adversarial cyclic pattern accuracy is low.
@@ -127,7 +129,7 @@ func TestTimingRPSkipRule(t *testing.T) {
 			refs = append(refs, trace.Ref{VAddr: p << 12})
 		}
 	}
-	s.Run(trace.NewSliceReader(refs))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	if st := s.Stats(); st.SkippedPref == 0 {
 		t.Fatalf("back-to-back misses never tripped the skip rule: %+v", st)
 	}
@@ -135,7 +137,7 @@ func TestTimingRPSkipRule(t *testing.T) {
 	// With the rule disabled the skips disappear.
 	cfg.RPSkipWhenBusy = false
 	s2 := NewTiming(cfg, prefetch.NewRecency())
-	s2.Run(trace.NewSliceReader(refs))
+	s2.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	if st := s2.Stats(); st.SkippedPref != 0 {
 		t.Fatalf("skip rule fired while disabled: %+v", st)
 	}
@@ -147,7 +149,7 @@ func TestTimingDPNoStateTraffic(t *testing.T) {
 	for p := uint64(0); p < 100; p++ {
 		refs = append(refs, trace.Ref{VAddr: p << 12})
 	}
-	s.Run(trace.NewSliceReader(refs))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	st := s.Stats()
 	if st.StateMemOps != 0 {
 		t.Fatalf("DP incurred state traffic: %d", st.StateMemOps)
@@ -159,7 +161,7 @@ func TestTimingDPNoStateTraffic(t *testing.T) {
 
 func TestTimingCPI(t *testing.T) {
 	s := NewTiming(timingCfg(), nil)
-	s.Run(trace.NewSliceReader(pageRefs(1, 1, 1, 1)))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 1, 1, 1))))
 	st := s.Stats()
 	// 4 refs, 1 miss: cycles = 4 + 100 = 104; CPI = 26.
 	if got := st.CPI(); got != 26 {
@@ -182,14 +184,12 @@ func TestTimingFunctionalAgreement(t *testing.T) {
 		refs = append(refs, trace.Ref{VAddr: p << 12})
 	}
 	f := New(cfgSmall(), core.NewDistance(64, 1, 2))
-	f.Run(trace.NewSliceReader(refs))
+	f.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	tm := NewTiming(TimingConfig{
-		Config:       cfgSmall(),
-		MissPenalty:  100,
-		MemOpLatency: 50,
-		CyclesPerRef: 1,
+		Config: cfgSmall(),
+		Timing: Timing{MissPenalty: 100, MemOpLatency: 50, CyclesPerRef: 1},
 	}, core.NewDistance(64, 1, 2))
-	tm.Run(trace.NewSliceReader(refs))
+	tm.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	fs, ts := f.Stats(), tm.Stats()
 	if fs.Refs != ts.Refs || fs.Misses != ts.Misses || fs.BufferHits != ts.BufferHits {
 		t.Fatalf("functional %+v vs timing %+v", fs, ts.Stats)
@@ -198,7 +198,7 @@ func TestTimingFunctionalAgreement(t *testing.T) {
 
 func TestTimingReset(t *testing.T) {
 	s := NewTiming(timingCfg(), core.NewDistance(64, 1, 2))
-	s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5)))
+	s.RunBatch(trace.AsBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5))))
 	s.Reset()
 	st := s.Stats()
 	if st.Cycles != 0 || st.Refs != 0 || s.Now() != 0 {
@@ -233,7 +233,7 @@ func TestDuplicateRuleDiffers(t *testing.T) {
 	refs := pageRefs(1, 2)
 
 	f := New(cfgSmall(), &scripted{batches: batches})
-	f.Run(trace.NewSliceReader(refs))
+	f.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	fs := f.Stats()
 	if fs.PrefetchesRequested != 4 || fs.PrefetchesIssued != 4 || fs.PrefetchDuplicates != 0 {
 		t.Fatalf("functional: %+v, want 4 requested, 4 issued, 0 duplicates", fs)
@@ -242,9 +242,9 @@ func TestDuplicateRuleDiffers(t *testing.T) {
 		t.Fatal("functional: 100 should have been fetched again over 101")
 	}
 
-	tm := NewTiming(TimingConfig{Config: cfgSmall(), MissPenalty: 100, MemOpLatency: 50, CyclesPerRef: 1},
+	tm := NewTiming(TimingConfig{Config: cfgSmall(), Timing: Timing{MissPenalty: 100, MemOpLatency: 50, CyclesPerRef: 1}},
 		&scripted{batches: batches})
-	tm.Run(trace.NewSliceReader(refs))
+	tm.RunBatch(trace.AsBatch(trace.NewSliceReader(refs)))
 	ts := tm.Stats()
 	if ts.PrefetchesRequested != 4 || ts.PrefetchesIssued != 3 || ts.PrefetchDuplicates != 1 {
 		t.Fatalf("timing: %+v, want 4 requested, 3 issued, 1 duplicate", ts.Stats)

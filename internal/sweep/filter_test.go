@@ -24,7 +24,7 @@ func filterTestStore(t *testing.T) *Store {
 		Workloads: []string{"swim"},
 		Mechs:     []Mech{{Kind: "none"}, {Kind: "RP"}},
 		Refs:      5_000,
-		// The default point (ScaledTiming(100) == DefaultTiming) and a
+		// The default point (sim.ScaledTiming(100).Timing == DefaultTiming) and a
 		// slow point at twice the penalty.
 		TimingAxes: TimingAxes{MissPenalties: []uint64{100, 200}},
 	}
@@ -209,13 +209,13 @@ func TestStoreGC(t *testing.T) {
 // (RefsPerCycle 0 == 1, MemOpOccupancy 0 == MemOpLatency) must
 // content-address to the same cell as their explicit forms.
 func TestTimingNormalizeCanonicalizesSpellings(t *testing.T) {
-	implicit := Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
+	implicit := sim.Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
 		MemOpOccupancy: 0, CyclesPerRef: 1, RefsPerCycle: 0, RPSkipWhenBusy: true}
 	explicit := implicit
 	explicit.MemOpOccupancy = 50
 	explicit.RefsPerCycle = 1
 
-	job := func(tm Timing) Job {
+	job := func(tm sim.Timing) Job {
 		return Job{Source: WorkloadSource("swim"), Mech: Mech{Kind: "RP"},
 			Config: sim.Default(), Refs: 10_000, Timing: &tm}
 	}
@@ -242,11 +242,11 @@ func TestTimingNormalizeCanonicalizesSpellings(t *testing.T) {
 // DefaultTiming (so table3-lat shares table3's cells), and a buffer hit is
 // never costlier than the demand fetch it replaces.
 func TestScaledTimingKeepsCostRatios(t *testing.T) {
-	if got := ScaledTiming(100); got != DefaultTiming() {
-		t.Fatalf("ScaledTiming(100) = %+v, want the default point %+v", got, DefaultTiming())
+	if got := sim.ScaledTiming(100).Timing; got != DefaultTiming() {
+		t.Fatalf("sim.ScaledTiming(100).Timing = %+v, want the default point %+v", got, DefaultTiming())
 	}
 	for _, p := range []uint64{10, 50, 200, 400} {
-		s := ScaledTiming(p)
+		s := sim.ScaledTiming(p).Timing
 		if s.MissPenalty != p {
 			t.Fatalf("penalty %d: MissPenalty = %d", p, s.MissPenalty)
 		}
@@ -270,7 +270,7 @@ func TestTimingValidateRejectsOversizedOccupancy(t *testing.T) {
 	bad := DefaultTiming()
 	bad.MemOpLatency = 5 // occupancy stays 12
 	if err := bad.Validate(); err == nil {
-		t.Error("sweep.Timing with occupancy > latency validated")
+		t.Error("sim.Timing with occupancy > latency validated")
 	}
 	if err := bad.Config(sim.Default()).Validate(); err == nil {
 		t.Error("sim.TimingConfig with occupancy > latency validated")
@@ -287,7 +287,7 @@ func TestTimingValidateRejectsOversizedOccupancy(t *testing.T) {
 // sim.TimingSimulator exactly, and must content-address away from the
 // default timing point.
 func TestRunnerNonDefaultTimingMatchesDirect(t *testing.T) {
-	custom := Timing{
+	custom := sim.Timing{
 		MissPenalty:      250,
 		BufferHitPenalty: 20,
 		MemOpLatency:     35,
@@ -416,27 +416,27 @@ func TestFilterMatchTable(t *testing.T) {
 // serialized (= MemOpLatency), explicit values survive, and Normalize is
 // idempotent.
 func TestTimingNormalizeTable(t *testing.T) {
-	base := Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
+	base := sim.Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
 		MemOpOccupancy: 12, CyclesPerRef: 1, RefsPerCycle: 2, RPSkipWhenBusy: true}
-	with := func(mut func(*Timing)) Timing { t := base; mut(&t); return t }
+	with := func(mut func(*sim.Timing)) sim.Timing { t := base; mut(&t); return t }
 
 	cases := []struct {
 		name     string
-		in, want Timing
+		in, want sim.Timing
 	}{
 		{"already canonical", base, base},
 		{"zero refs-per-cycle means one",
-			with(func(t *Timing) { t.RefsPerCycle = 0 }),
-			with(func(t *Timing) { t.RefsPerCycle = 1 })},
+			with(func(t *sim.Timing) { t.RefsPerCycle = 0 }),
+			with(func(t *sim.Timing) { t.RefsPerCycle = 1 })},
 		{"zero occupancy means serialized",
-			with(func(t *Timing) { t.MemOpOccupancy = 0 }),
-			with(func(t *Timing) { t.MemOpOccupancy = 50 })},
+			with(func(t *sim.Timing) { t.MemOpOccupancy = 0 }),
+			with(func(t *sim.Timing) { t.MemOpOccupancy = 50 })},
 		{"both zero spellings at once",
-			with(func(t *Timing) { t.RefsPerCycle = 0; t.MemOpOccupancy = 0 }),
-			with(func(t *Timing) { t.RefsPerCycle = 1; t.MemOpOccupancy = 50 })},
+			with(func(t *sim.Timing) { t.RefsPerCycle = 0; t.MemOpOccupancy = 0 }),
+			with(func(t *sim.Timing) { t.RefsPerCycle = 1; t.MemOpOccupancy = 50 })},
 		{"explicit occupancy survives",
-			with(func(t *Timing) { t.MemOpOccupancy = 7 }),
-			with(func(t *Timing) { t.MemOpOccupancy = 7 })},
+			with(func(t *sim.Timing) { t.MemOpOccupancy = 7 }),
+			with(func(t *sim.Timing) { t.MemOpOccupancy = 7 })},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -489,7 +489,7 @@ func TestFilterClauseMatches(t *testing.T) {
 // TestFilterNewTimingFields pins the refspercycle and memopocc fields the
 // design-space studies filter on.
 func TestFilterNewTimingFields(t *testing.T) {
-	tm := Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
+	tm := sim.Timing{MissPenalty: 100, BufferHitPenalty: 65, MemOpLatency: 50,
 		MemOpOccupancy: 12, CyclesPerRef: 1, RefsPerCycle: 2, RPSkipWhenBusy: true}
 	timed := Job{Source: WorkloadSource("swim"), Mech: Mech{Kind: "RP"},
 		Config: sim.Default(), Refs: 1000, Timing: &tm}.Key()

@@ -142,7 +142,7 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 			}
 			k := shardKey{
 				mix:       j.Mix.streamFingerprint(),
-				tlbCfg:    tlb.Config{Entries: j.Config.TLB.Entries, Ways: canonicalTLBWays(j.Config.TLB)},
+				tlbCfg:    j.Config.TLB.Canonical(),
 				pageShift: j.Config.PageShift,
 				refs:      j.Refs,
 			}
@@ -164,7 +164,7 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 		}
 		k := shardKey{
 			source:    j.Source.Canonical(),
-			tlbCfg:    tlb.Config{Entries: j.Config.TLB.Entries, Ways: canonicalTLBWays(j.Config.TLB)},
+			tlbCfg:    j.Config.TLB.Canonical(),
 			pageShift: j.Config.PageShift,
 			refs:      j.Refs,
 			warmup:    j.Warmup,
@@ -285,10 +285,11 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 		return r.runMixShard(sh, jobs, resolve, settle)
 	}
 
-	// Geometry-identical members share one canonical TLB frontend via
-	// sim.Group (heterogeneous buffer sizes and cycle-model constants are
-	// fine — they live in the per-member back half). Timed cells join as
-	// the Simulator of a TimingSimulator, which also settles their cycles.
+	// The shard key makes every member's TLB geometry and page shift the
+	// same, so all of them share one canonical TLB frontend via sim.Group
+	// (buffer sizes and cycle-model constants may differ — they live in
+	// the per-member back half). Timed cells join as the Simulator of a
+	// TimingSimulator, which also settles their cycles.
 	g := sim.NewGroup()
 	timed := make([]*sim.TimingSimulator, len(sh.indices))
 	for mi, idx := range sh.indices {

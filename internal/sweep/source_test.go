@@ -120,13 +120,13 @@ func TestTraceJobTimingMatchesDirect(t *testing.T) {
 	if sum.Shards != 1 {
 		t.Errorf("timing points over one trace used %d shards, want 1 shared pass", sum.Shards)
 	}
-	for i, tm := range []Timing{fast, slow} {
+	for i, tm := range []sim.Timing{fast, slow} {
 		s := sim.NewTiming(tm.Config(sim.Default()), jobs[i].Mech.Build())
 		r, closer, err := trace.OpenFile(src.TracePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(r); err != nil {
+		if err := s.RunBatch(trace.AsBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 		closer.Close()

@@ -48,7 +48,7 @@ import (
 //	v1: workloads addressed by registry name only; timing cells a bare
 //	    bool pinning sim.DefaultTiming's constants.
 //	v2: sources are first-class (synthetic name or trace-file SHA-256)
-//	    and the cycle model's constants are key axes (see Timing).
+//	    and the cycle model's constants are key axes (see sim.Timing).
 //	v3: multiprogrammed mixes are first-class sources (see Mix): a Key
 //	    carries either a single Source or a Mix (member sources +
 //	    context-switch quantum + table policy + ASID mode).
@@ -244,7 +244,7 @@ type Job struct {
 	// Timing, when non-nil, switches the cell to the cycle-accounting
 	// simulator with these constants (the paper's Table 3 uses
 	// DefaultTiming). Nil runs the functional simulator.
-	Timing *Timing
+	Timing *sim.Timing
 }
 
 // Key is the canonical, schema-versioned identity of a Job used for
@@ -258,39 +258,29 @@ type Key struct {
 	// Mix is set for multiprogrammed cells (canonical form) and absent
 	// otherwise, so a single-source key's canonical JSON carries no mix
 	// field at all.
-	Mix        *Mix    `json:"mix,omitempty"`
-	Mech       Mech    `json:"mech"`
-	TLBEntries int     `json:"tlb_entries"`
-	TLBWays    int     `json:"tlb_ways"`
-	Buffer     int     `json:"buffer"`
-	PageShift  uint    `json:"page_shift"`
-	Refs       uint64  `json:"refs"`
-	Warmup     uint64  `json:"warmup,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Timing     *Timing `json:"timing,omitempty"`
-}
-
-// canonicalTLBWays canonicalizes the two spellings of a fully associative
-// TLB (Ways == 0 and Ways == Entries, which tlb.Config treats identically)
-// to 0, so the identical configuration always content-addresses to the
-// same cell.
-func canonicalTLBWays(c tlb.Config) int {
-	if c.Ways == c.Entries {
-		return 0
-	}
-	return c.Ways
+	Mix        *Mix        `json:"mix,omitempty"`
+	Mech       Mech        `json:"mech"`
+	TLBEntries int         `json:"tlb_entries"`
+	TLBWays    int         `json:"tlb_ways"`
+	Buffer     int         `json:"buffer"`
+	PageShift  uint        `json:"page_shift"`
+	Refs       uint64      `json:"refs"`
+	Warmup     uint64      `json:"warmup,omitempty"`
+	Seed       uint64      `json:"seed,omitempty"`
+	Timing     *sim.Timing `json:"timing,omitempty"`
 }
 
 // Key returns the job's canonical identity (with the source, mechanism,
 // TLB geometry and timing axis normalized; the Timing copy never aliases
-// the job's).
+// the job's). The two spellings of a fully associative TLB (Ways 0 and
+// Ways == Entries) key to the same cell, as tlb.Config.Canonical defines.
 func (j Job) Key() Key {
 	k := Key{
 		Schema:     KeySchema,
 		Source:     j.Source.Canonical(),
 		Mech:       j.Mech.Normalize(),
 		TLBEntries: j.Config.TLB.Entries,
-		TLBWays:    canonicalTLBWays(j.Config.TLB),
+		TLBWays:    j.Config.TLB.Canonical().Ways,
 		Buffer:     j.Config.BufferEntries,
 		PageShift:  j.Config.PageShift,
 		Refs:       j.Refs,
@@ -450,8 +440,8 @@ type Grid struct {
 	Seed uint64
 	// TimingAxes is the cycle-model axis: a non-empty declaration crosses
 	// every single-source cell with each of its Points (the paper's Table
-	// 3 point alone is MissPenalties {100}, since ScaledTiming(100) is
-	// DefaultTiming); the zero value runs the functional simulator.
+	// 3 point alone is MissPenalties {100}, since sim.ScaledTiming(100) is
+	// sim.DefaultTiming); the zero value runs the functional simulator.
 	TimingAxes TimingAxes
 }
 
@@ -481,7 +471,7 @@ func (g Grid) Jobs() ([]Job, error) {
 			return nil, fmt.Errorf("sweep: mix quantum must be positive")
 		}
 	}
-	timings := []*Timing{nil}
+	timings := []*sim.Timing{nil}
 	if !g.TimingAxes.Empty() {
 		pts, err := g.TimingAxes.Points()
 		if err != nil {

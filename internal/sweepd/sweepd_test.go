@@ -18,7 +18,7 @@ import (
 	"tlbprefetch/internal/workload"
 )
 
-func testJobs(t *testing.T, refs uint64) []sweep.Job {
+func testJobs(t testing.TB, refs uint64) []sweep.Job {
 	t.Helper()
 	g := sweep.Grid{
 		Workloads:  []string{"swim", "mcf"},

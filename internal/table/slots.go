@@ -21,9 +21,6 @@ func NewSlotList(s int) SlotList {
 	return SlotList{vals: make([]int64, 0, s), cap: s}
 }
 
-// Cap returns the configured capacity s.
-func (l *SlotList) Cap() int { return l.cap }
-
 // Reset reinitializes the list to empty with capacity s, reusing the
 // existing backing array when it is large enough. MP and DP call this when
 // they recycle an evicted table row (via Table.GetOrInsertLazy), which is

@@ -49,9 +49,6 @@ func NewPrefetchBuffer(b int) *PrefetchBuffer {
 	return &PrefetchBuffer{s: assoc.New[bufEntry](b, b)}
 }
 
-// Cap returns the configured capacity b.
-func (p *PrefetchBuffer) Cap() int { return p.s.Entries() }
-
 // Len returns the number of buffered prefetches.
 func (p *PrefetchBuffer) Len() int { return p.s.Len() }
 

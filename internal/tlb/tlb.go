@@ -35,6 +35,17 @@ type Config struct {
 	Ways int
 }
 
+// Canonical returns the one spelling of the geometry: a fully associative
+// TLB (Ways == Entries, or the Ways == 0 shorthand) has Ways 0. Two
+// configurations build identical TLBs exactly when their canonical forms
+// are equal.
+func (c Config) Canonical() Config {
+	if c.Ways == c.Entries {
+		c.Ways = 0
+	}
+	return c
+}
+
 func (c Config) normalize() Config {
 	if c.Ways == 0 {
 		c.Ways = c.Entries
@@ -127,10 +138,4 @@ func (t *TLB) MissRate() float64 {
 func (t *TLB) Reset() {
 	t.s.Reset()
 	t.accesses, t.misses = 0, 0
-}
-
-// Resident returns all resident VPNs (set by set, MRU first within a set);
-// for tests and invariant checks.
-func (t *TLB) Resident() []uint64 {
-	return t.s.AppendKeys(nil)
 }

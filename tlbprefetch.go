@@ -77,8 +77,12 @@ type TLBConfig = tlb.Config
 // Config parameterizes a functional simulation.
 type Config = sim.Config
 
-// TimingConfig parameterizes a timing simulation (paper Table 3 model).
+// TimingConfig parameterizes a timing simulation: a Config plus the cycle
+// model's Timing constants (paper Table 3 model).
 type TimingConfig = sim.TimingConfig
+
+// Timing holds the cycle model's constants.
+type Timing = sim.Timing
 
 // Stats are the functional counters of a run; Stats.Accuracy is the paper's
 // prediction-accuracy metric.
@@ -93,10 +97,11 @@ type Simulator = sim.Simulator
 // TimingSimulator adds the cycle model.
 type TimingSimulator = sim.TimingSimulator
 
-// Group fans one reference stream out to many simulators; when all members
-// share TLB geometry it probes one canonical TLB per reference and fans
-// out only the misses (the shared-frontend fast path the experiment
-// harness rides).
+// Group fans one reference stream out to many simulators of one TLB
+// geometry and page size: it probes one canonical TLB per reference and
+// fans out only the misses (the shared frontend the experiment harness
+// rides). Adding a member of another geometry, a used member, or any
+// member after the first RefBatch panics.
 type Group = sim.Group
 
 // Workload is a named synthetic application model.
