@@ -652,14 +652,13 @@ func benchDecode(b *testing.B, path string) uint64 {
 		b.Fatal(err)
 	}
 	defer closer.Close()
-	src := tlbprefetch.AsBatchTraceReader(r)
 	var (
 		buf   [4096]tlbprefetch.Ref
 		total uint64
 		sink  uint64
 	)
 	for {
-		n, err := src.ReadBatch(buf[:])
+		n, err := r.ReadBatch(buf[:])
 		if err == io.EOF {
 			break
 		}
@@ -688,40 +687,6 @@ func BenchmarkTraceDecodeV1(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/ref")
 }
 
-// BenchmarkTraceDecodeV1PerRef measures the pre-batching v1 read path —
-// one Read interface call, one io.ReadFull and one 16-byte record
-// allocation per reference. The ratio against the batched benchmarks is
-// the PR's headline replay-throughput win: the per-ref drain is what
-// every trace-backed consumer paid before batching.
-func BenchmarkTraceDecodeV1PerRef(b *testing.B) {
-	refs := benchTrace(b, "mcf", 2_000_000)
-	path := writeBenchTrace(b, refs, "v1")
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		r, closer, err := tlbprefetch.OpenTraceFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sink uint64
-		for {
-			ref, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink ^= ref.VAddr
-			total++
-		}
-		benchSink = sink
-		closer.Close()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/ref")
-}
-
 // BenchmarkTraceDecodeV2 measures batched decode of the block-structured
 // delta-encoded v2 format over the identical record stream.
 func BenchmarkTraceDecodeV2(b *testing.B) {
@@ -736,24 +701,13 @@ func BenchmarkTraceDecodeV2(b *testing.B) {
 }
 
 // BenchmarkSimulatorTraceReplay measures the file-backed replay path a
-// trace sweep cell pays — decode feeding the baseline (no-prefetcher)
-// simulator, so the read path dominates and mechanism cost stays where
-// BenchmarkSimulatorThroughput* measures it — in three configurations:
-// the historical per-reference v1 loop (one Read interface call and one
-// 16-byte allocation per record), v1 with batched decode, and v2 with
-// batched decode. Batching moves replay from parse-bound to
-// memory/simulation-bound: the TLB probe dominates the batched legs, while
-// the per-ref leg spends most of its time (and two million allocations)
-// just reading the file. The raw delivery-path speedup is pinned by
-// BenchmarkTraceDecodeV1PerRef vs BenchmarkTraceDecodeV2 (≳5×); ns/ref
-// here is the wall cost per reference replayed end to end.
+// trace sweep cell pays — batched decode feeding the baseline
+// (no-prefetcher) simulator, so the read path dominates and mechanism cost
+// stays where BenchmarkSimulatorThroughput* measures it — for the v1 and
+// v2 encodings. ns/ref is the wall cost per reference replayed end to end.
 func BenchmarkSimulatorTraceReplay(b *testing.B) {
 	refs := benchTrace(b, "swim", 2_000_000)
-	paths := map[string]string{
-		"v1": writeBenchTrace(b, refs, "v1"),
-		"v2": writeBenchTrace(b, refs, "v2"),
-	}
-	run := func(b *testing.B, path string, batched bool) {
+	run := func(b *testing.B, path string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var total uint64
@@ -765,23 +719,8 @@ func BenchmarkSimulatorTraceReplay(b *testing.B) {
 			cfg := tlbprefetch.DefaultConfig()
 			cfg.TLB.Ways = 4
 			s := tlbprefetch.NewSimulator(cfg, nil)
-			if batched {
-				if err := s.RunBatch(tlbprefetch.AsBatchTraceReader(r)); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				// The pre-batching replay loop: one interface dispatch and
-				// one 16-byte read per record.
-				for {
-					ref, err := r.Read()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					s.Ref(ref.PC, ref.VAddr)
-				}
+			if err := s.RunBatch(r); err != nil {
+				b.Fatal(err)
 			}
 			closer.Close()
 			st := s.Stats()
@@ -792,7 +731,8 @@ func BenchmarkSimulatorTraceReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/ref")
 	}
-	b.Run("v1-perref", func(b *testing.B) { run(b, paths["v1"], false) })
-	b.Run("v1-batched", func(b *testing.B) { run(b, paths["v1"], true) })
-	b.Run("v2-batched", func(b *testing.B) { run(b, paths["v2"], true) })
+	for _, format := range []string{"v1", "v2"} {
+		path := writeBenchTrace(b, refs, format)
+		b.Run(format+"-batched", func(b *testing.B) { run(b, path) })
+	}
 }

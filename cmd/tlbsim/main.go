@@ -138,14 +138,12 @@ func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
 		if err != nil {
 			return err
 		}
-		src, closer = tlbprefetch.AsBatchTraceReader(tlbprefetch.NewTextTraceReader(f)), f
+		src, closer = tlbprefetch.NewTextTraceReader(f), f
 	default:
 		// Auto-detect text, v1 and v2 binary from the leading bytes.
-		r, c, err := tlbprefetch.OpenTraceFile(traceFile)
-		if err != nil {
+		if src, closer, err = tlbprefetch.OpenTraceFile(traceFile); err != nil {
 			return err
 		}
-		src, closer = tlbprefetch.AsBatchTraceReader(r), c
 	}
 	defer closer.Close()
 

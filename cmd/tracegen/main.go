@@ -6,7 +6,9 @@
 // format. It prints the SHA-256 digest of the written file — the identity
 // trace-backed sweep keys embed — and refuses to overwrite an existing
 // file unless -force is given, so a digest a grid already references
-// cannot be clobbered by accident.
+// cannot be clobbered by accident. It never writes over the -convert
+// input, and a run that fails removes the file it created, so no empty or
+// partial trace is left for a sweep to pick up.
 //
 // Conversion is lossless and deterministic: the record stream round-trips
 // exactly, and converting the same input twice yields byte-identical
@@ -26,9 +28,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"tlbprefetch"
 )
+
+// formats are the output encodings newWriter builds.
+var formats = []string{"text", "v1", "v2"}
 
 // finisher is the writer-side completion hook: text traces only need a
 // buffer flush, binary traces patch the record count into the header.
@@ -53,12 +59,18 @@ func newWriter(format string, f *os.File) (tlbprefetch.TraceWriter, finisher, er
 		}
 		return tw, func(f *os.File) error { return tw.FinishCount(f) }, nil
 	}
-	return nil, nil, fmt.Errorf("unknown -format %q (text, v1, v2)", format)
+	return nil, nil, fmt.Errorf("unknown -format %q %v", format, formats)
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracegen:", err)
 	os.Exit(1)
+}
+
+// usage reports a command-line mistake and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func main() {
@@ -77,8 +89,10 @@ func main() {
 		*format = "text"
 	}
 	if (*workloadName == "") == (*convert == "") {
-		fmt.Fprintln(os.Stderr, "tracegen: need exactly one of -workload or -convert")
-		os.Exit(2)
+		usage("need exactly one of -workload or -convert")
+	}
+	if !slices.Contains(formats, *format) {
+		usage("unknown -format %q %v", *format, formats)
 	}
 
 	var (
@@ -87,11 +101,11 @@ func main() {
 		label string
 	)
 	if *convert != "" {
-		r, closer, err := tlbprefetch.OpenTraceFile(*convert)
-		if err != nil {
+		var err error
+		if src, srcC, err = tlbprefetch.OpenTraceFile(*convert); err != nil {
 			fatal(err)
 		}
-		src, srcC, label = tlbprefetch.AsBatchTraceReader(r), closer, *convert
+		label = *convert
 	} else {
 		w, ok := tlbprefetch.WorkloadByName(*workloadName)
 		if !ok {
@@ -103,14 +117,16 @@ func main() {
 	path := *out
 	if path == "" {
 		if *convert != "" {
-			fmt.Fprintln(os.Stderr, "tracegen: -convert needs an explicit -o (refusing to guess a name next to the input)")
-			os.Exit(2)
+			usage("-convert needs an explicit -o (refusing to guess a name next to the input)")
 		}
 		if *format == "text" {
 			path = *workloadName + ".txt"
 		} else {
 			path = *workloadName + ".trc"
 		}
+	}
+	if *convert != "" && sameFile(*convert, path) {
+		usage("-o %s is the -convert input; write the conversion to another file", path)
 	}
 	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 	if !*force {
@@ -127,10 +143,16 @@ func main() {
 		fatal(err)
 	}
 
+	// From here on a failure removes the output, so it never leaves an
+	// empty or partial trace behind.
+	fail := func(err error) {
+		f.Close()
+		os.Remove(path)
+		fatal(err)
+	}
 	tw, finish, err := newWriter(*format, f)
 	if err != nil {
-		f.Close()
-		fatal(err)
+		fail(err)
 	}
 	var n uint64
 	if *convert != "" {
@@ -152,11 +174,11 @@ func main() {
 		err = cerr
 	}
 	if err != nil {
-		fatal(err)
+		fail(err)
 	}
 	digest, err := tlbprefetch.DigestTraceFile(path)
 	if err != nil {
-		fatal(err)
+		fail(err)
 	}
 	if *convert != "" {
 		fmt.Printf("converted %d references from %s to %s (%s)\n", n, label, path, *format)
@@ -164,4 +186,14 @@ func main() {
 		fmt.Printf("wrote %d references of %s to %s\n", n, label, path)
 	}
 	fmt.Printf("sha256 %s\n", digest)
+}
+
+// sameFile reports whether a and b name one existing file.
+func sameFile(a, b string) bool {
+	ai, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	bi, err := os.Stat(b)
+	return err == nil && os.SameFile(ai, bi)
 }

@@ -244,20 +244,15 @@ func TestStreamInterleaverSurfacesSourceError(t *testing.T) {
 	}
 }
 
-// sliceBatch wraps a SliceReader to hide its native batching, exercising
-// the io.EOF refill path through the adapter too.
-type singleRef struct{ r trace.Reader }
+// singleRef delivers a batch reader's stream one reference per call,
+// exercising the interleaver's refill path at its smallest batch.
+type singleRef struct{ r trace.BatchReader }
 
 func (s singleRef) ReadBatch(dst []trace.Ref) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	ref, err := s.r.Read()
-	if err != nil {
-		return 0, err
-	}
-	dst[0] = ref
-	return 1, nil
+	return s.r.ReadBatch(dst[:1])
 }
 
 func TestStreamInterleaverOneRefBatches(t *testing.T) {

@@ -73,12 +73,15 @@ func recordedStream(name string) diffStream {
 			t.Fatal(err)
 		}
 		defer closer.Close()
+		var buf [4096]trace.Ref
 		for {
-			ref, err := r.Read()
+			n, err := r.ReadBatch(buf[:])
 			if err != nil {
 				break
 			}
-			emit(ref.PC, ref.VAddr)
+			for _, ref := range buf[:n] {
+				emit(ref.PC, ref.VAddr)
+			}
 		}
 	}}
 }

@@ -58,7 +58,7 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 	refs := batchTestStream(t, "gzip", 50_000)
 	for i, pf := range equivMechs() {
 		viaRun := New(cfg, pf)
-		if err := viaRun.RunBatch(trace.AsBatch(trace.NewSliceReader(refs))); err != nil {
+		if err := viaRun.RunBatch(trace.NewSliceReader(refs)); err != nil {
 			t.Fatal(err)
 		}
 		perRef := New(cfg, equivMechs()[i])

@@ -226,7 +226,7 @@ func (s *Simulator) RefBatch(refs []trace.Ref) {
 const runBatchChunk = 4096
 
 // RunBatch drains a batch reader through the simulator in cache-sized
-// chunks (trace.AsBatch adapts a per-record reader).
+// chunks: a trace file, a workload.Stream or an in-memory slice alike.
 func (s *Simulator) RunBatch(src trace.BatchReader) error {
 	var buf [runBatchChunk]trace.Ref
 	for {

@@ -10,7 +10,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -99,9 +98,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))
@@ -167,14 +163,3 @@ func F(x float64) string { return fmt.Sprintf("%.3f", x) }
 
 // F2 formats a float with 2 decimals (the paper's Table 2/3 precision).
 func F2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-// Ranked returns the indices of xs sorted descending by value — used for
-// "best or within 10% of the best" style summaries.
-func Ranked(xs []float64) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
-	return idx
-}

@@ -1,8 +1,14 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"tlbprefetch/internal/prefetch"
@@ -179,6 +185,107 @@ func FuzzOpenStore(f *testing.F) {
 		}
 		if _, err := OpenStore(path); err != nil {
 			t.Fatalf("saved store does not reopen: %v", err)
+		}
+	})
+}
+
+// FuzzLoadSegment puts arbitrary bytes in place of one segment of a real
+// saved store and rewrites the index to name their digest, so the input
+// passes the digest check and reaches the segment parser. Every lookup and
+// the full result scan must return an error or only cells whose keys hash
+// to the index hash they were looked up by — never a panic.
+func FuzzLoadSegment(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "store.json")
+	st, err := OpenStore(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	jobs, err := Grid{Workloads: []string{"swim", "mcf", "gzip"}, Mechs: []Mech{{Kind: "RP"}}, Refs: 2_000}.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := (&Runner{Store: st}).Run(jobs); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Save(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var index indexFile
+	if err := json.Unmarshal(data, &index); err != nil {
+		f.Fatal(err)
+	}
+	prefixes := make([]string, 0, len(index.Segments))
+	segs := map[string][]byte{}
+	for p, dig := range index.Segments {
+		prefixes = append(prefixes, p)
+		if segs[p], err = os.ReadFile(filepath.Join(seedPath+".d", segFileName(p, dig))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	sort.Strings(prefixes)
+	fuzzed := prefixes[0] // the segment the input replaces
+	real := segs[fuzzed]
+
+	f.Add(real)
+	f.Add(real[:len(real)/2])
+	f.Add([]byte{})
+	f.Add(bytes.Replace(real, []byte(`"prefix": "`+fuzzed), []byte(`"prefix": "`+prefixes[1]), 1))
+	f.Add(bytes.Replace(real, []byte(fmt.Sprintf(`"schema": %d`, KeySchema)), []byte(fmt.Sprintf(`"schema": %d`, KeySchema+1)), 1))
+	f.Add(bytes.Replace(real, []byte(`"refs": 2000`), []byte(`"refs": 2001`), 1))
+	f.Add(bytes.Replace(real, []byte(`"workload": "`), []byte(`"workload": "x`), 1))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		path := filepath.Join(t.TempDir(), "store.json")
+		if err := os.Mkdir(path+".d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		idx := index
+		idx.Segments = maps.Clone(index.Segments)
+		idx.Segments[fuzzed] = digestOf(input)
+		for p, dig := range idx.Segments {
+			b := segs[p]
+			if p == fuzzed {
+				b = input
+			}
+			if err := os.WriteFile(filepath.Join(path+".d", segFileName(p, dig)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc, err := json.Marshal(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(path)
+		if err != nil {
+			t.Fatalf("a valid index does not open: %v", err)
+		}
+		hashes := slices.Sorted(maps.Keys(idx.Keys))
+		for _, h := range hashes {
+			r, ok, err := st.Get(h)
+			if err == nil && ok && r.Key.Hash() != h {
+				t.Fatalf("Get(%s) returned a cell whose key hashes to %s", h, r.Key.Hash())
+			}
+		}
+		rs, err := st.Results()
+		if err != nil {
+			if bytes.Equal(input, real) {
+				t.Fatalf("the real segment does not load: %v", err)
+			}
+			return
+		}
+		if len(rs) != len(hashes) {
+			t.Fatalf("Results returned %d cells, the index names %d", len(rs), len(hashes))
+		}
+		for i, r := range rs {
+			if got := r.Key.Hash(); got != hashes[i] {
+				t.Fatalf("Results()[%d] key hashes to %s, index hash %s", i, got, hashes[i])
+			}
 		}
 	})
 }

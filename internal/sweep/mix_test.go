@@ -334,7 +334,7 @@ func TestMixSharedFrontendMatchesPerRefExec(t *testing.T) {
 	if len(jobs) != 2*4*6*4*2 {
 		t.Fatalf("jobs = %d, want 384", len(jobs))
 	}
-	r := &Runner{OpenTrace: func(src Source) (trace.Reader, io.Closer, error) {
+	r := &Runner{OpenTrace: func(src Source) (trace.BatchReader, io.Closer, error) {
 		refs, ok := recorded[src.TraceSHA256]
 		if !ok {
 			return nil, nil, fmt.Errorf("no recording %s", src.TraceSHA256)

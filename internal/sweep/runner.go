@@ -48,7 +48,7 @@ type Runner struct {
 	// Source.TracePath from the filesystem (after verifying the file
 	// still hashes to the key's digest); tests may substitute in-memory
 	// streams, in which case digest verification is the caller's problem.
-	OpenTrace func(src Source) (trace.Reader, io.Closer, error)
+	OpenTrace func(src Source) (trace.BatchReader, io.Closer, error)
 	// Progress, when non-nil, is called once per settled cell. Calls are
 	// serialized; the callback must not invoke the Runner reentrantly.
 	Progress func(ProgressEvent)
@@ -269,11 +269,11 @@ func (r *Runner) verifyTrace(src Source, verified map[string]string) error {
 const streamChunk = 4096
 
 // openTrace resolves the trace-opening hook.
-func (r *Runner) openTrace() func(src Source) (trace.Reader, io.Closer, error) {
+func (r *Runner) openTrace() func(src Source) (trace.BatchReader, io.Closer, error) {
 	if r.OpenTrace != nil {
 		return r.OpenTrace
 	}
-	return func(src Source) (trace.Reader, io.Closer, error) {
+	return func(src Source) (trace.BatchReader, io.Closer, error) {
 		return trace.OpenFile(src.TracePath)
 	}
 }
@@ -405,7 +405,7 @@ func (r *Runner) memberStream(src Source, seed, n uint64, resolve func(string) (
 	if closer == nil {
 		closer = io.NopCloser(nil)
 	}
-	return &boundedTrace{src: trace.AsBatch(tr), label: src.Label(), total: n}, closer, nil
+	return &boundedTrace{src: tr, label: src.Label(), total: n}, closer, nil
 }
 
 // runMixShard simulates one mix shard: the cell's reference budget is split

@@ -126,7 +126,7 @@ func TestTraceJobTimingMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunBatch(trace.AsBatch(r)); err != nil {
+		if err := s.RunBatch(r); err != nil {
 			t.Fatal(err)
 		}
 		closer.Close()

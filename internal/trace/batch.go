@@ -2,9 +2,10 @@ package trace
 
 import "io"
 
-// BatchReader yields references in caller-owned chunks, amortizing the
-// per-reference interface dispatch the Reader contract pays. The contract
-// is deliberately simpler than io.Reader's:
+// BatchReader yields references in caller-owned chunks. It is the one way
+// references are read, whether a trace file replays them or a workload
+// model generates them. The contract is deliberately simpler than
+// io.Reader's:
 //
 //   - ReadBatch fills dst with up to len(dst) references and returns how
 //     many it wrote. A successful call returns n > 0 with a nil error.
@@ -12,6 +13,8 @@ import "io"
 //     never alongside data. Likewise a decode error surfaces on the call
 //     after the last good references were delivered, so dst[:n] is always
 //     fully valid when n > 0.
+//   - An error other than io.EOF is final: every later call returns it
+//     again, so a damaged stream never resumes or ends as if it were clean.
 //   - ReadBatch with an empty dst returns (0, nil).
 //
 // Callers therefore loop:
@@ -30,52 +33,40 @@ type BatchReader interface {
 	ReadBatch(dst []Ref) (int, error)
 }
 
-// AsBatch returns r itself when it implements BatchReader natively, and
-// otherwise wraps it in an adapter that batches per-reference Reads. Either
-// way the resulting stream is bit-identical to draining r one Read at a
-// time.
-func AsBatch(r Reader) BatchReader {
-	if br, ok := r.(BatchReader); ok {
-		return br
+// Reader is BatchReader under its old name. It exists only because the
+// frozen perfbench module still names it; ROADMAP item 5 deletes it. Code
+// in this module uses BatchReader.
+type Reader = BatchReader
+
+// AsBatch returns r. It exists only because the frozen perfbench module
+// still calls it; ROADMAP item 5 deletes it. Code in this module uses the
+// reader directly.
+func AsBatch(r Reader) BatchReader { return r }
+
+// final holds a reader's final error (io.EOF or a decode error) once the
+// stream has ended; see the BatchReader contract.
+type final struct{ err error }
+
+// stop makes err final and returns the n references decoded before it,
+// holding err back for the next call when n > 0.
+func (f *final) stop(n int, err error) (int, error) {
+	f.err = err
+	if n > 0 {
+		return n, nil
 	}
-	return &batchAdapter{r: r}
+	return 0, err
 }
 
-// batchAdapter lifts a per-reference Reader to the BatchReader contract,
-// holding back a mid-batch error until the references before it have been
-// delivered.
-type batchAdapter struct {
-	r       Reader
-	pending error
+// SliceReader reads an in-memory slice.
+type SliceReader struct {
+	refs []Ref
+	pos  int
 }
+
+// NewSliceReader wraps refs (not copied).
+func NewSliceReader(refs []Ref) *SliceReader { return &SliceReader{refs: refs} }
 
 // ReadBatch implements BatchReader.
-func (a *batchAdapter) ReadBatch(dst []Ref) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if a.pending != nil {
-		err := a.pending
-		a.pending = nil
-		return 0, err
-	}
-	n := 0
-	for n < len(dst) {
-		ref, err := a.r.Read()
-		if err != nil {
-			if n > 0 {
-				a.pending = err
-				return n, nil
-			}
-			return 0, err
-		}
-		dst[n] = ref
-		n++
-	}
-	return n, nil
-}
-
-// ReadBatch implements BatchReader natively for in-memory slices.
 func (r *SliceReader) ReadBatch(dst []Ref) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -89,8 +80,7 @@ func (r *SliceReader) ReadBatch(dst []Ref) (int, error) {
 }
 
 // CopyBatch pumps src into dst in chunks until EOF, returning the number
-// of records copied. It is the bulk counterpart of Copy for writers that
-// are cheap per call; the record stream is identical.
+// of records copied.
 func CopyBatch(dst Writer, src BatchReader) (uint64, error) {
 	var (
 		n   uint64

@@ -175,10 +175,10 @@ func (b *BlockWriter) FinishCount(at io.WriterAt) error {
 	return err
 }
 
-// BlockReader reads the v2 block format. It implements both Reader and
-// BatchReader; ReadBatch is the fast path (no per-record interface call,
-// varints decoded straight into the caller's slice).
+// BlockReader reads the v2 block format, decoding varints straight into
+// the caller's slice.
 type BlockReader struct {
+	final
 	r         *bufio.Reader
 	remaining uint64 // records left per the header count
 	counted   bool
@@ -188,25 +188,15 @@ type BlockReader struct {
 	blockLeft int    // records left in the current block
 	prevPC    uint64
 	prevVA    uint64
-
-	pending error // decode error held back until buffered records drain
-	one     [1]Ref
 }
 
 // NewBlockReader validates the v2 header and returns a streaming reader.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	br := &BlockReader{r: bufio.NewReaderSize(r, 1<<16)}
-	var header [16]byte
-	if _, err := io.ReadFull(br.r, header[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
+	count, err := readHeader(br.r, blockVersion)
+	if err != nil {
+		return nil, err
 	}
-	if string(header[0:4]) != binMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, header[0:4])
-	}
-	if header[4] != blockVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, header[4])
-	}
-	count := binary.LittleEndian.Uint64(header[countOffset:])
 	br.remaining = count
 	br.counted = count != 0
 	return br, nil
@@ -265,32 +255,14 @@ func (b *BlockReader) ReadBatch(dst []Ref) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	if b.pending != nil {
-		err := b.pending
-		if err != io.EOF {
-			// Decode errors are sticky: the stream is unusable past them.
-			return 0, err
-		}
-		b.pending = nil
-		return 0, err
+	if b.err != nil {
+		return 0, b.err
 	}
 	n := 0
 	for n < len(dst) {
 		if b.blockLeft == 0 {
-			err := b.loadBlock()
-			if err == io.EOF {
-				if n > 0 {
-					b.pending = io.EOF
-					return n, nil
-				}
-				return 0, io.EOF
-			}
-			if err != nil {
-				if n > 0 {
-					b.pending = err
-					return n, nil
-				}
-				return 0, err
+			if err := b.loadBlock(); err != nil {
+				return b.stop(n, err)
 			}
 		}
 		// Hot inner loop: varints decoded inline against local copies of
@@ -304,14 +276,12 @@ func (b *BlockReader) ReadBatch(dst []Ref) (int, error) {
 		left := b.blockLeft
 		for n < len(dst) && left > 0 {
 			if off >= len(p) {
-				b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 				return b.fail(n, "corrupt PC varint")
 			}
 			dpc := uint64(p[off])
 			off++
 			if dpc >= 0x80 {
 				if off >= len(p) {
-					b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 					return b.fail(n, "corrupt PC varint")
 				}
 				c := p[off]
@@ -320,21 +290,18 @@ func (b *BlockReader) ReadBatch(dst []Ref) (int, error) {
 				if c >= 0x80 {
 					v, k := uvarintTail(p, off, dpc)
 					if k < 0 {
-						b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 						return b.fail(n, "corrupt PC varint")
 					}
 					dpc, off = v, k
 				}
 			}
 			if off >= len(p) {
-				b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 				return b.fail(n, "corrupt VAddr varint")
 			}
 			dva := uint64(p[off])
 			off++
 			if dva >= 0x80 {
 				if off >= len(p) {
-					b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 					return b.fail(n, "corrupt VAddr varint")
 				}
 				c := p[off]
@@ -343,7 +310,6 @@ func (b *BlockReader) ReadBatch(dst []Ref) (int, error) {
 				if c >= 0x80 {
 					v, k := uvarintTail(p, off, dva)
 					if k < 0 {
-						b.off, b.prevPC, b.prevVA, b.blockLeft = off, pc, va, left
 						return b.fail(n, "corrupt VAddr varint")
 					}
 					dva, off = v, k
@@ -363,28 +329,8 @@ func (b *BlockReader) ReadBatch(dst []Ref) (int, error) {
 	return n, nil
 }
 
-// fail reports a decode error, delivering the records decoded before it
-// first when there are any.
+// fail ends the stream with a decode error, delivering the records
+// decoded before it first when there are any.
 func (b *BlockReader) fail(n int, msg string) (int, error) {
-	err := fmt.Errorf("%w: %s", ErrBadFormat, msg)
-	b.blockLeft = 0
-	b.off = len(b.payload)
-	if n > 0 {
-		b.pending = err
-		return n, nil
-	}
-	b.pending = err // sticky for subsequent calls too
-	return 0, err
-}
-
-// Read implements Reader (the compatibility path; ReadBatch is faster).
-func (b *BlockReader) Read() (Ref, error) {
-	n, err := b.ReadBatch(b.one[:])
-	if err != nil {
-		return Ref{}, err
-	}
-	if n != 1 {
-		return Ref{}, fmt.Errorf("%w: empty batch", ErrBadFormat)
-	}
-	return b.one[0], nil
+	return b.stop(n, fmt.Errorf("%w: %s", ErrBadFormat, msg))
 }

@@ -83,24 +83,6 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockPerRefReadMatchesBatch(t *testing.T) {
-	refs := blockTestRefs(70_000) // crosses a block boundary
-	data := encodeBlock(t, refs)
-	br, err := NewBlockReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range refs {
-		got, err := br.Read()
-		if err != nil || got != want {
-			t.Fatalf("ref %d: %+v, %v (want %+v)", i, got, err, want)
-		}
-	}
-	if _, err := br.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
 func TestBlockExtremeValuesRoundTrip(t *testing.T) {
 	refs := []Ref{
 		{PC: 0, VAddr: 0},
@@ -115,7 +97,7 @@ func TestBlockExtremeValuesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range refs {
-		got, err := br.Read()
+		got, err := readOne(br)
 		if err != nil || got != want {
 			t.Fatalf("ref %d: %+v, %v", i, got, err)
 		}
@@ -239,7 +221,7 @@ func TestBinaryFinishCountPatchesHeader(t *testing.T) {
 	}
 	var derr error
 	for {
-		if _, derr = br.Read(); derr != nil {
+		if _, derr = readOne(br); derr != nil {
 			break
 		}
 	}
@@ -344,59 +326,6 @@ func TestBlockUncountedStreamEOF(t *testing.T) {
 	}
 }
 
-func TestAsBatchAdapterMatchesReads(t *testing.T) {
-	refs := blockTestRefs(1000)
-	// TextReader has no native ReadBatch: the adapter must produce the
-	// identical stream.
-	var buf bytes.Buffer
-	tw := NewTextWriter(&buf)
-	for _, r := range refs {
-		if err := tw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tw.Flush()
-	b := AsBatch(NewTextReader(&buf))
-	if _, native := interface{}(NewTextReader(&bytes.Buffer{})).(BatchReader); native {
-		t.Fatal("test premise broken: TextReader implements BatchReader natively")
-	}
-	got := make([]Ref, 0, 1000)
-	chunk := make([]Ref, 97)
-	for {
-		k, err := b.ReadBatch(chunk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, chunk[:k]...)
-	}
-	if len(got) != len(refs) {
-		t.Fatalf("adapter read %d refs, want %d", len(got), len(refs))
-	}
-	for i := range refs {
-		if got[i] != refs[i] {
-			t.Fatalf("ref %d = %+v, want %+v", i, got[i], refs[i])
-		}
-	}
-}
-
-func TestAsBatchReturnsNativeImplementations(t *testing.T) {
-	sr := NewSliceReader([]Ref{{1, 2}})
-	if AsBatch(sr) != BatchReader(sr) {
-		t.Error("AsBatch wrapped SliceReader instead of returning it")
-	}
-	data := encodeBlock(t, blockTestRefs(3))
-	br, err := NewBlockReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if AsBatch(br) != BatchReader(br) {
-		t.Error("AsBatch wrapped BlockReader instead of returning it")
-	}
-}
-
 func TestBinaryReadBatchMatchesRead(t *testing.T) {
 	refs := blockTestRefs(10_000)
 	var buf bytes.Buffer
@@ -492,12 +421,12 @@ func TestOpenFileAutoDetectsV2(t *testing.T) {
 		t.Fatalf("OpenFile returned %T, want *BlockReader", r)
 	}
 	for i, want := range refs {
-		got, err := r.Read()
+		got, err := readOne(r)
 		if err != nil || got != want {
 			t.Fatalf("ref %d: %+v, %v", i, got, err)
 		}
 	}
-	if _, err := r.Read(); err != io.EOF {
+	if _, err := readOne(r); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }

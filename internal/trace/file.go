@@ -29,10 +29,8 @@ func DigestFile(path string) (string, error) {
 // OpenFile opens a trace file, auto-detecting the format from its leading
 // bytes: the binary magic "TLBT" followed by the version byte selects the
 // v1 fixed-width or v2 block reader, anything else is the text format. The
-// caller must Close the returned closer when done reading. The returned
-// Reader always supports batched decode too (wrap with AsBatch, which is a
-// no-op for the binary readers).
-func OpenFile(path string) (Reader, io.Closer, error) {
+// caller must Close the returned closer when done reading.
+func OpenFile(path string) (BatchReader, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -45,7 +43,7 @@ func OpenFile(path string) (Reader, io.Closer, error) {
 	}
 	if len(head) >= len(binMagic) && string(head[:len(binMagic)]) == binMagic {
 		var (
-			r    Reader
+			r    BatchReader
 			rerr error
 		)
 		if len(head) > len(binMagic) && head[len(binMagic)] == blockVersion {

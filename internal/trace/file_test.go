@@ -93,7 +93,7 @@ func TestOpenFileAutoDetectsFormat(t *testing.T) {
 		}
 		var got []Ref
 		for {
-			ref, err := r.Read()
+			ref, err := readOne(r)
 			if err == io.EOF {
 				break
 			}

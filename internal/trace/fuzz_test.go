@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // FuzzBinaryReader feeds arbitrary bytes to the binary trace reader: it
-// must either reject the input or terminate cleanly, never panic or loop.
+// must either reject the input or terminate cleanly, never panic or loop,
+// and read the same stream at any dst size.
 func FuzzBinaryReader(f *testing.F) {
 	// Seed: a valid 2-record trace, a truncated one, garbage.
 	var buf bytes.Buffer
@@ -22,22 +25,18 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br, err := NewBinaryReader(bytes.NewReader(data))
-		if err != nil {
+		if _, err := NewBinaryReader(bytes.NewReader(data)); err != nil {
 			return
 		}
-		for i := 0; i < 1<<16; i++ {
-			if _, err := br.Read(); err != nil {
-				if err != io.EOF && err == nil {
-					t.Fatal("nil error without record")
-				}
-				return
-			}
-		}
+		checkChunkingInvariant(t, data, func() BatchReader {
+			br, _ := NewBinaryReader(bytes.NewReader(data))
+			return br
+		})
 	})
 }
 
-// FuzzTextReader feeds arbitrary text to the text trace reader.
+// FuzzTextReader feeds arbitrary text to the text trace reader, which must
+// terminate and read the same stream at any dst size.
 func FuzzTextReader(f *testing.F) {
 	f.Add("0x10 0x20\n")
 	f.Add("# comment\n\nff 1000\n")
@@ -46,12 +45,9 @@ func FuzzTextReader(f *testing.F) {
 	f.Add("ffffffffffffffffffff 0\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
-		tr := NewTextReader(bytes.NewReader([]byte(data)))
-		for i := 0; i < 1<<16; i++ {
-			if _, err := tr.Read(); err != nil {
-				return
-			}
-		}
+		checkChunkingInvariant(t, []byte(data), func() BatchReader {
+			return NewTextReader(strings.NewReader(data))
+		})
 	})
 }
 
@@ -79,37 +75,63 @@ func FuzzBlockReader(f *testing.F) {
 	f.Add([]byte("TLBT\x02 garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
+		if _, err := NewBlockReader(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("open error not ErrBadFormat: %v", err)
 			}
 			return
 		}
-		var total int
-		dst := make([]Ref, 300)
-		for i := 0; i < 1<<16; i++ {
-			n, err := br.ReadBatch(dst)
-			if err != nil {
-				if n != 0 {
-					t.Fatalf("records returned alongside error %v", err)
-				}
-				if err != io.EOF && !errors.Is(err, ErrBadFormat) {
-					t.Fatalf("decode error not ErrBadFormat: %v", err)
-				}
-				return
-			}
-			if n == 0 {
-				t.Fatal("nil error without records")
-			}
-			total += n
-			// The decoder must never yield more records than fit in the
-			// input at ~1 byte per varint pair minimum.
-			if total > len(data) {
-				t.Fatalf("decoded %d records from %d input bytes", total, len(data))
-			}
+		refs, derr := checkChunkingInvariant(t, data, func() BatchReader {
+			br, _ := NewBlockReader(bytes.NewReader(data))
+			return br
+		})
+		if derr != io.EOF && !errors.Is(derr, ErrBadFormat) {
+			t.Fatalf("decode error not ErrBadFormat: %v", derr)
+		}
+		// The decoder must never yield more records than fit in the input
+		// at ~1 byte per varint pair minimum.
+		if len(refs) > len(data) {
+			t.Fatalf("decoded %d records from %d input bytes", len(refs), len(data))
 		}
 	})
+}
+
+// checkChunkingInvariant drains a fresh reader from open at dst sizes 1
+// and 4096. Both must yield the same references and end with the same
+// error; no call may return records alongside an error, a nil error
+// without records, or more calls than data has bytes (no record is
+// shorter than one byte). It returns the references and the final error.
+func checkChunkingInvariant(t *testing.T, data []byte, open func() BatchReader) ([]Ref, error) {
+	t.Helper()
+	drain := func(size int) ([]Ref, error) {
+		r := open()
+		dst := make([]Ref, size)
+		var got []Ref
+		for calls := 0; calls <= len(data)+1; calls++ {
+			n, err := r.ReadBatch(dst)
+			if err != nil {
+				if n != 0 {
+					t.Fatalf("dst %d: %d records returned alongside error %v", size, n, err)
+				}
+				return got, err
+			}
+			if n == 0 {
+				t.Fatalf("dst %d: nil error without records", size)
+			}
+			got = append(got, dst[:n]...)
+		}
+		t.Fatalf("dst %d: no end after %d calls on %d bytes", size, len(data)+2, len(data))
+		return nil, nil
+	}
+	one, err1 := drain(1)
+	many, errMany := drain(4096)
+	if !slices.Equal(one, many) {
+		t.Fatalf("dst 1 read %d records, dst 4096 read %d (or they differ)", len(one), len(many))
+	}
+	if err1.Error() != errMany.Error() {
+		t.Fatalf("final error at dst 1 %q, at dst 4096 %q", err1, errMany)
+	}
+	return one, err1
 }
 
 // FuzzBlockRoundTrip: any reference stream survives a v2 write/read cycle,
@@ -169,7 +191,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := br.Read()
+		got, err := readOne(br)
 		if err != nil || got.PC != pc || got.VAddr != va {
 			t.Fatalf("round trip: %+v, %v", got, err)
 		}

@@ -6,7 +6,8 @@
 // memory hierarchy. Our record carries exactly the fields the prefetching
 // mechanisms can legally observe: the program counter (ASP indexes its table
 // by PC) and the data virtual address (everything else). Synthetic workloads
-// and recorded trace files are interchangeable behind the Reader interface.
+// and recorded trace files are interchangeable behind the BatchReader
+// interface, the only way references are read.
 package trace
 
 import (
@@ -24,38 +25,10 @@ type Ref struct {
 	VAddr uint64 // virtual data address referenced
 }
 
-// Reader yields a stream of references. Read returns io.EOF at the end of
-// the stream.
-type Reader interface {
-	Read() (Ref, error)
-}
-
 // Writer consumes a stream of references.
 type Writer interface {
 	Write(Ref) error
 }
-
-// SliceReader adapts an in-memory slice to Reader.
-type SliceReader struct {
-	refs []Ref
-	pos  int
-}
-
-// NewSliceReader wraps refs (not copied).
-func NewSliceReader(refs []Ref) *SliceReader { return &SliceReader{refs: refs} }
-
-// Read implements Reader.
-func (r *SliceReader) Read() (Ref, error) {
-	if r.pos >= len(r.refs) {
-		return Ref{}, io.EOF
-	}
-	ref := r.refs[r.pos]
-	r.pos++
-	return ref, nil
-}
-
-// Reset rewinds to the start of the slice.
-func (r *SliceReader) Reset() { r.pos = 0 }
 
 // SliceWriter accumulates references in memory.
 type SliceWriter struct {
@@ -67,12 +40,6 @@ func (w *SliceWriter) Write(ref Ref) error {
 	w.Refs = append(w.Refs, ref)
 	return nil
 }
-
-// FuncReader adapts a pull function to Reader.
-type FuncReader func() (Ref, error)
-
-// Read implements Reader.
-func (f FuncReader) Read() (Ref, error) { return f() }
 
 // --- Binary format v1 -----------------------------------------------------
 //
@@ -154,74 +121,55 @@ func (b *BinaryWriter) FinishCount(at io.WriterAt) error {
 
 // BinaryReader reads the binary trace format.
 type BinaryReader struct {
+	final
 	r         *bufio.Reader
 	remaining uint64
 	counted   bool   // header carried a nonzero count
-	scratch   []byte // bulk-read buffer for ReadBatch
-	pending   error  // error held back until buffered records drain
+	scratch   []byte // bulk-read buffer
 }
 
 // NewBinaryReader validates the header and returns a streaming reader.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	br := &BinaryReader{r: bufio.NewReaderSize(r, 1<<16)}
-	var header [16]byte
-	if _, err := io.ReadFull(br.r, header[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
+	count, err := readHeader(br.r, binVersion)
+	if err != nil {
+		return nil, err
 	}
-	if string(header[0:4]) != binMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, header[0:4])
-	}
-	if header[4] != binVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, header[4])
-	}
-	count := binary.LittleEndian.Uint64(header[8:16])
 	br.remaining = count
 	br.counted = count != 0
 	return br, nil
 }
 
-// Read implements Reader.
-func (b *BinaryReader) Read() (Ref, error) {
-	if b.counted {
-		if b.remaining == 0 {
-			return Ref{}, io.EOF
-		}
-		b.remaining--
+// readHeader reads the 16-byte header v1 and v2 share (magic, version,
+// record count), checks the magic and that the version is want, and
+// returns the record count (0 means "read until EOF").
+func readHeader(r io.Reader, want byte) (uint64, error) {
+	var header [16]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
+		return 0, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
 	}
-	var rec [16]byte
-	if _, err := io.ReadFull(b.r, rec[:]); err != nil {
-		if err == io.EOF && !b.counted {
-			return Ref{}, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF || (err == io.EOF && b.counted) {
-			return Ref{}, fmt.Errorf("%w: truncated record", ErrBadFormat)
-		}
-		return Ref{}, err
+	if string(header[0:4]) != binMagic {
+		return 0, fmt.Errorf("%w: bad magic %q", ErrBadFormat, header[0:4])
 	}
-	return Ref{
-		PC:    binary.LittleEndian.Uint64(rec[0:8]),
-		VAddr: binary.LittleEndian.Uint64(rec[8:16]),
-	}, nil
+	if header[4] != want {
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, header[4])
+	}
+	return binary.LittleEndian.Uint64(header[countOffset:]), nil
 }
 
-// ReadBatch implements BatchReader natively: one bulk read decodes up to
-// len(dst) records without a per-record interface call. The record stream
-// and the error semantics are identical to repeated Reads.
+// ReadBatch implements BatchReader: one bulk read decodes up to len(dst)
+// records.
 func (b *BinaryReader) ReadBatch(dst []Ref) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	if b.pending != nil {
-		err := b.pending
-		if err == io.EOF {
-			b.pending = nil
-		}
-		return 0, err
+	if b.err != nil {
+		return 0, b.err
 	}
 	want := len(dst)
 	if b.counted {
 		if b.remaining == 0 {
-			return 0, io.EOF
+			return b.stop(0, io.EOF)
 		}
 		if uint64(want) > b.remaining {
 			want = int(b.remaining)
@@ -242,32 +190,18 @@ func (b *BinaryReader) ReadBatch(dst []Ref) (int, error) {
 	if b.counted {
 		b.remaining -= uint64(full)
 	}
-	switch err {
-	case nil:
+	switch {
+	case err == nil:
 		return full, nil
-	case io.EOF, io.ErrUnexpectedEOF:
-		trunc := fmt.Errorf("%w: truncated record", ErrBadFormat)
-		if nb%16 != 0 || b.counted {
-			// A partial record, or fewer records than the counted header
-			// promised.
-			if full > 0 {
-				b.pending = trunc
-				return full, nil
-			}
-			return 0, trunc
-		}
-		// Uncounted stream ending at a record boundary: clean EOF.
-		if full > 0 {
-			b.pending = io.EOF
-			return full, nil
-		}
-		return 0, io.EOF
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return b.stop(full, err)
+	case nb%16 != 0 || b.counted:
+		// A partial record, or fewer records than the counted header
+		// promised.
+		return b.stop(full, fmt.Errorf("%w: truncated record", ErrBadFormat))
 	default:
-		if full > 0 {
-			b.pending = err
-			return full, nil
-		}
-		return 0, err
+		// Uncounted stream ending at a record boundary: clean EOF.
+		return b.stop(full, io.EOF)
 	}
 }
 
@@ -298,6 +232,7 @@ func (t *TextWriter) Flush() error { return t.w.Flush() }
 
 // TextReader reads the text trace format.
 type TextReader struct {
+	final
 	sc   *bufio.Scanner
 	line int
 }
@@ -309,32 +244,53 @@ func NewTextReader(r io.Reader) *TextReader {
 	return &TextReader{sc: sc}
 }
 
-// Read implements Reader.
-func (t *TextReader) Read() (Ref, error) {
-	for t.sc.Scan() {
+// ReadBatch implements BatchReader, parsing one line per reference. A
+// malformed line ends the stream with an error naming the line.
+func (t *TextReader) ReadBatch(dst []Ref) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	if t.err != nil {
+		return 0, t.err
+	}
+	n := 0
+	for n < len(dst) && t.sc.Scan() {
 		t.line++
 		line := strings.TrimSpace(t.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return Ref{}, fmt.Errorf("trace: line %d: want 2 fields, got %d", t.line, len(fields))
-		}
-		pc, err := parseHex(fields[0])
+		ref, err := parseLine(line)
 		if err != nil {
-			return Ref{}, fmt.Errorf("trace: line %d: pc: %v", t.line, err)
+			return t.stop(n, fmt.Errorf("trace: line %d: %v", t.line, err))
 		}
-		va, err := parseHex(fields[1])
-		if err != nil {
-			return Ref{}, fmt.Errorf("trace: line %d: vaddr: %v", t.line, err)
-		}
-		return Ref{PC: pc, VAddr: va}, nil
+		dst[n] = ref
+		n++
+	}
+	if n == len(dst) {
+		return n, nil
 	}
 	if err := t.sc.Err(); err != nil {
-		return Ref{}, err
+		return t.stop(n, err)
 	}
-	return Ref{}, io.EOF
+	return t.stop(n, io.EOF)
+}
+
+// parseLine parses one non-blank, non-comment line.
+func parseLine(line string) (Ref, error) {
+	fields := strings.Fields(line)
+	if len(fields) != 2 {
+		return Ref{}, fmt.Errorf("want 2 fields, got %d", len(fields))
+	}
+	pc, err := parseHex(fields[0])
+	if err != nil {
+		return Ref{}, fmt.Errorf("pc: %v", err)
+	}
+	va, err := parseHex(fields[1])
+	if err != nil {
+		return Ref{}, fmt.Errorf("vaddr: %v", err)
+	}
+	return Ref{PC: pc, VAddr: va}, nil
 }
 
 func parseHex(s string) (uint64, error) {
@@ -361,22 +317,4 @@ func parseHex(s string) (uint64, error) {
 		v = v<<4 | d
 	}
 	return v, nil
-}
-
-// Copy pumps src into dst until EOF, returning the number of records copied.
-func Copy(dst Writer, src Reader) (uint64, error) {
-	var n uint64
-	for {
-		ref, err := src.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := dst.Write(ref); err != nil {
-			return n, err
-		}
-		n++
-	}
 }

@@ -8,23 +8,28 @@ import (
 	"testing/quick"
 )
 
+// readOne reads a single reference through a one-slot ReadBatch.
+func readOne(r BatchReader) (Ref, error) {
+	var one [1]Ref
+	if _, err := r.ReadBatch(one[:]); err != nil {
+		return Ref{}, err
+	}
+	return one[0], nil
+}
+
 func TestSliceReaderWriter(t *testing.T) {
 	refs := []Ref{{1, 2}, {3, 4}, {5, 6}}
 	r := NewSliceReader(refs)
 	var w SliceWriter
-	n, err := Copy(&w, r)
+	n, err := CopyBatch(&w, r)
 	if err != nil || n != 3 {
-		t.Fatalf("Copy = %d,%v", n, err)
+		t.Fatalf("CopyBatch = %d,%v", n, err)
 	}
 	if len(w.Refs) != 3 || w.Refs[1] != (Ref{3, 4}) {
 		t.Fatalf("copied %v", w.Refs)
 	}
-	if _, err := r.Read(); err != io.EOF {
+	if _, err := readOne(r); err != io.EOF {
 		t.Fatal("expected EOF")
-	}
-	r.Reset()
-	if ref, err := r.Read(); err != nil || ref != (Ref{1, 2}) {
-		t.Fatalf("after Reset: %v,%v", ref, err)
 	}
 }
 
@@ -52,12 +57,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range refs {
-		got, err := br.Read()
+		got, err := readOne(br)
 		if err != nil || got != want {
 			t.Fatalf("record %d: %v, %v", i, got, err)
 		}
 	}
-	if _, err := br.Read(); err != io.EOF {
+	if _, err := readOne(br); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -84,7 +89,7 @@ func TestBinaryTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := br.Read(); err == nil {
+	if _, err := readOne(br); err == nil {
 		t.Fatal("accepted truncated record")
 	}
 }
@@ -102,12 +107,12 @@ func TestTextRoundTrip(t *testing.T) {
 
 	tr := NewTextReader(&buf)
 	for i, want := range refs {
-		got, err := tr.Read()
+		got, err := readOne(tr)
 		if err != nil || got != want {
 			t.Fatalf("record %d: %v, %v", i, got, err)
 		}
 	}
-	if _, err := tr.Read(); err != io.EOF {
+	if _, err := readOne(tr); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -115,15 +120,15 @@ func TestTextRoundTrip(t *testing.T) {
 func TestTextCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\n0x10 0x20\n   \n# another\nff 1000\n"
 	tr := NewTextReader(strings.NewReader(in))
-	got1, err := tr.Read()
+	got1, err := readOne(tr)
 	if err != nil || got1 != (Ref{0x10, 0x20}) {
 		t.Fatalf("first = %v,%v", got1, err)
 	}
-	got2, err := tr.Read()
+	got2, err := readOne(tr)
 	if err != nil || got2 != (Ref{0xff, 0x1000}) {
 		t.Fatalf("second = %v,%v (no-0x prefix form)", got2, err)
 	}
-	if _, err := tr.Read(); err != io.EOF {
+	if _, err := readOne(tr); err != io.EOF {
 		t.Fatal("expected EOF")
 	}
 }
@@ -137,7 +142,7 @@ func TestTextErrors(t *testing.T) {
 	}
 	for _, in := range cases {
 		tr := NewTextReader(strings.NewReader(in))
-		if _, err := tr.Read(); err == nil || err == io.EOF {
+		if _, err := readOne(tr); err == nil || err == io.EOF {
 			t.Errorf("input %q: expected parse error, got %v", in, err)
 		}
 	}
@@ -150,22 +155,6 @@ func TestParseHexOverflow(t *testing.T) {
 	v, err := parseHex("ffffffffffffffff")
 	if err != nil || v != ^uint64(0) {
 		t.Fatalf("max value: %x, %v", v, err)
-	}
-}
-
-func TestFuncReader(t *testing.T) {
-	n := 0
-	fr := FuncReader(func() (Ref, error) {
-		if n == 2 {
-			return Ref{}, io.EOF
-		}
-		n++
-		return Ref{PC: uint64(n)}, nil
-	})
-	var w SliceWriter
-	count, err := Copy(&w, fr)
-	if err != nil || count != 2 {
-		t.Fatalf("Copy = %d,%v", count, err)
 	}
 }
 
@@ -196,12 +185,12 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, want := range refs {
-			got, err := br.Read()
+			got, err := readOne(br)
 			if err != nil || got != want {
 				return false
 			}
 		}
-		_, err = br.Read()
+		_, err = readOne(br)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

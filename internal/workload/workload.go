@@ -173,12 +173,3 @@ func ByName(name string) (Workload, bool) {
 	}
 	return Workload{}, false
 }
-
-// Names returns all registered names in registration order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, w := range registry {
-		out[i] = w.Name
-	}
-	return out
-}

@@ -63,8 +63,8 @@ func TestSuiteOrderStable(t *testing.T) {
 	if spec[0].Name != "gzip" {
 		t.Fatalf("first SPEC workload = %q, want gzip", spec[0].Name)
 	}
-	if len(Names()) != 56 {
-		t.Fatalf("Names() returned %d", len(Names()))
+	if len(All()) != 56 {
+		t.Fatalf("All() returned %d workloads", len(All()))
 	}
 }
 

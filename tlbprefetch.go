@@ -46,15 +46,12 @@ import (
 // the data virtual address it touches.
 type Ref = trace.Ref
 
-// TraceReader yields a stream of references (io.EOF at the end).
-type TraceReader = trace.Reader
-
 // TraceWriter consumes a stream of references.
 type TraceWriter = trace.Writer
 
 // TraceBatchReader yields references in caller-owned chunks; see
-// trace.BatchReader for the contract. AsBatchTraceReader lifts any
-// TraceReader to it.
+// trace.BatchReader for the contract. Every trace reader, and a workload's
+// Stream, implements it.
 type TraceBatchReader = trace.BatchReader
 
 // Prefetcher is a TLB prefetching mechanism: it observes the TLB miss
@@ -224,9 +221,9 @@ func RunWorkloadTimed(cfg TimingConfig, pf Prefetcher, w Workload, refs uint64) 
 // trace file format (16 bytes per record after a 16-byte header);
 // NewBlockTraceWriter / NewBlockTraceReader expose the v2 block format
 // (delta + varint encoded, typically 2-6 bytes per record, batched
-// decode). OpenTraceFile auto-detects text, v1 and v2 from the file's
-// leading bytes; AsBatchTraceReader lifts any reader to the chunked
-// BatchReader contract (a no-op for readers that batch natively).
+// decode); NewTextTraceWriter / NewTextTraceReader the one-line-per-record
+// text format. OpenTraceFile auto-detects text, v1 and v2 from the file's
+// leading bytes. Every reader is a TraceBatchReader.
 var (
 	NewBinaryTraceWriter = trace.NewBinaryWriter
 	NewBinaryTraceReader = trace.NewBinaryReader
@@ -235,7 +232,6 @@ var (
 	NewTextTraceWriter   = trace.NewTextWriter
 	NewTextTraceReader   = trace.NewTextReader
 	OpenTraceFile        = trace.OpenFile
-	AsBatchTraceReader   = trace.AsBatch
 	DigestTraceFile      = trace.DigestFile
 	// CopyTrace pumps a batch reader into a writer until EOF, returning the
 	// number of records copied — the lossless conversion primitive.

@@ -95,7 +95,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), tlbprefetch.NewDistance(256, 1, 2))
-	if err := s.RunBatch(tlbprefetch.AsBatchTraceReader(br)); err != nil {
+	if err := s.RunBatch(br); err != nil {
 		t.Fatal(err)
 	}
 	fromTrace := s.Stats()
