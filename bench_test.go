@@ -415,6 +415,61 @@ func BenchmarkSimulatorThroughputMcf(b *testing.B) {
 	}
 }
 
+// missRecorder is a Prefetcher that predicts nothing and keeps every miss
+// event the simulator hands it, in order.
+type missRecorder struct{ evs []tlbprefetch.Event }
+
+func (m *missRecorder) Name() string { return "record" }
+
+func (m *missRecorder) OnMiss(ev tlbprefetch.Event, _ []uint64) tlbprefetch.Action {
+	m.evs = append(m.evs, ev)
+	return tlbprefetch.Action{}
+}
+
+func (m *missRecorder) Reset() {}
+
+var onMissSink tlbprefetch.Action
+
+// BenchmarkOnMiss times each registry kind's back half alone: one OnMiss
+// per op over mcf's recorded miss stream — the baseline TLB's misses, in
+// order, with their PCs and evictions — after one warm-up pass over it.
+// This is the mechanism layer's number without the TLB frontend, the
+// prefetch buffer or the reference stream around it; allocs/op must be 0.
+func BenchmarkOnMiss(b *testing.B) {
+	rec := &missRecorder{}
+	s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), rec)
+	for _, r := range benchTrace(b, "mcf", 1_000_000) {
+		s.Ref(r.PC, r.VAddr)
+	}
+	evs := rec.evs
+	mechs := throughputMechs()
+	for _, kind := range sweep.Kinds() {
+		mk, ok := mechs[kind]
+		if !ok {
+			b.Fatalf("registry kind %q has no throughputMechs row", kind)
+		}
+		b.Run(kind, func(b *testing.B) {
+			p := mk()
+			if p == nil {
+				b.Skip("the none baseline has no OnMiss")
+			}
+			scratch := make([]uint64, 0, 64)
+			for _, ev := range evs {
+				p.OnMiss(ev, scratch[:0])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			idx := 0
+			for i := 0; i < b.N; i++ {
+				onMissSink = p.OnMiss(evs[idx], scratch[:0])
+				if idx++; idx == len(evs) {
+					idx = 0
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorThroughputGenerated is the pre-refactor fused loop —
 // workload generation feeding the DP,256 simulator — kept for continuity
 // with older baselines (generation itself costs ~6 ns/ref of the total).

@@ -46,4 +46,24 @@ func TestModernMechanismsZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// The mix flush policy resets the mechanism at every context switch:
+	// Reset and the refill after it must not allocate either.
+	const resetEvery = 1000
+	for _, m := range mechs {
+		t.Run(m.name+"-reset", func(t *testing.T) {
+			scratch := make([]uint64, 0, 64)
+			replay := func() {
+				for i, e := range evs {
+					if i%resetEvery == 0 {
+						m.p.Reset()
+					}
+					m.p.OnMiss(e, scratch[:0])
+				}
+			}
+			replay()
+			if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
+				t.Fatalf("%s allocated %.1f times per replay with a Reset every %d events; Reset and the refill must be allocation-free", m.name, allocs, resetEvery)
+			}
+		})
+	}
 }

@@ -9,9 +9,11 @@ package prefetch_test
 // internal/sweep/coverage_test.go enforces that new kinds add theirs.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tlbprefetch/internal/core"
@@ -323,5 +325,140 @@ func TestDifferentialSBFP(t *testing.T) {
 	runDifferential(t, []diffConfig{
 		{label: "fixed", mk: func() prefetch.Prefetcher { return prefetch.NewSBFP() },
 			mkRef: func() refModel { return newRefSBFP() }},
+	})
+}
+
+// sbfpFuzzStep is one decoded step of FuzzDifferentialSBFP's input: a miss
+// event, optionally preceded by a Reset of both models.
+type sbfpFuzzStep struct {
+	ev    prefetch.Event
+	reset bool
+}
+
+// Control-byte layout of FuzzDifferentialSBFP's input. Bit 0 is the event's
+// BufferHit, bit 1 resets both models before it, bits 2-3 select how the
+// page is chosen and bits 4-7 are the signed stride of a walk.
+const (
+	sbfpFuzzDelta   = 0 << 2 // next byte: signed step from the last page
+	sbfpFuzzAbs     = 1 << 2 // next 8 bytes: the page, little-endian
+	sbfpFuzzWalk    = 2 << 2 // next byte: walk length-1 at the stride in bits 4-7
+	sbfpFuzzRevisit = 3 << 2 // next byte: revisit the page that many misses back
+)
+
+// sbfpFuzzMaxEvents caps a decoded stream, so inputs made of long walks
+// keep the fuzzer's execution rate up.
+const sbfpFuzzMaxEvents = 8192
+
+// decodeSBFPFuzz turns fuzz bytes into a miss stream over the full 64-bit
+// page space. Walks let a short input train a distance past the confidence
+// threshold; revisits return to a page at a chosen distance in the stream.
+func decodeSBFPFuzz(data []byte) []sbfpFuzzStep {
+	var (
+		steps []sbfpFuzzStep
+		last  uint64
+		hist  [256]uint64
+		n     int
+	)
+	emit := func(vpn uint64, ctrl byte, reset bool) {
+		steps = append(steps, sbfpFuzzStep{ev: prefetch.Event{VPN: vpn, BufferHit: ctrl&1 != 0}, reset: reset})
+		hist[n%len(hist)] = vpn
+		n++
+		last = vpn
+	}
+	for i := 0; i < len(data) && n < sbfpFuzzMaxEvents; {
+		ctrl := data[i]
+		i++
+		reset := ctrl&2 != 0
+		switch ctrl & 0x0c {
+		case sbfpFuzzAbs:
+			if i+8 > len(data) {
+				return steps
+			}
+			emit(binary.LittleEndian.Uint64(data[i:]), ctrl, reset)
+			i += 8
+		case sbfpFuzzWalk:
+			if i >= len(data) {
+				return steps
+			}
+			stride := uint64(int64(int8(ctrl)) >> 4)
+			for k := 0; k <= int(data[i]); k++ {
+				emit(last+stride, ctrl, reset && k == 0)
+			}
+			i++
+		case sbfpFuzzRevisit:
+			if i >= len(data) {
+				return steps
+			}
+			back := int(data[i]) % len(hist)
+			i++
+			if back >= n {
+				back = n - 1
+			}
+			vpn := last
+			if back >= 0 {
+				vpn = hist[(n-1-back)%len(hist)]
+			}
+			emit(vpn, ctrl, reset)
+		default: // sbfpFuzzDelta
+			if i >= len(data) {
+				return steps
+			}
+			emit(last+uint64(int64(int8(data[i]))), ctrl, reset)
+			i++
+		}
+	}
+	return steps
+}
+
+// sbfpFuzzAbsPages encodes one absolute-page step per page.
+func sbfpFuzzAbsPages(pages ...uint64) []byte {
+	var b []byte
+	for _, p := range pages {
+		b = append(b, sbfpFuzzAbs)
+		b = binary.LittleEndian.AppendUint64(b, p)
+	}
+	return b
+}
+
+// FuzzDifferentialSBFP replays arbitrary full-width page streams, with
+// buffer hits and mid-stream Resets, through SBFP and refSBFP and asserts
+// identical prediction sequences event by event. The corpus seeds the
+// edges of the address space (where candidates are skipped), revisits at
+// every free distance, and long walks that push distances over the
+// confidence threshold so the PQ and its eviction penalty are exercised.
+func FuzzDifferentialSBFP(f *testing.F) {
+	top := ^uint64(0)
+	f.Add(sbfpFuzzAbsPages(0, 1, 2, 3, 4, 5, 6, 7))
+	f.Add(sbfpFuzzAbsPages(top-7, top-6, top-5, top-4, top-3, top-2, top-1, top))
+	revisits := sbfpFuzzAbsPages(1 << 20)
+	for d := 1; d <= 9; d++ {
+		revisits = append(revisits, sbfpFuzzDelta, byte(d), sbfpFuzzRevisit, 1, sbfpFuzzDelta, byte(-d))
+	}
+	f.Add(revisits)
+	// +1 walks across the top of the address space, -1 walks across page
+	// 0, with a Reset between and buffer hits on the second walk.
+	f.Add(append(sbfpFuzzAbsPages(top-600),
+		sbfpFuzzWalk|1<<4, 255, sbfpFuzzWalk|1<<4, 255, sbfpFuzzWalk|1<<4|1, 255,
+		sbfpFuzzAbs|2, 44, 1, 0, 0, 0, 0, 0, 0,
+		sbfpFuzzWalk|0xf0|1, 255, sbfpFuzzWalk|0xf0, 255, sbfpFuzzWalk|0xf0, 40))
+	// Interleaved strides: confident distances of both signs, PQ entries
+	// evicted unused, and duplicate pages in the rings.
+	f.Add(append(sbfpFuzzAbsPages(1<<40),
+		sbfpFuzzWalk|2<<4, 200, sbfpFuzzWalk|0xe0, 150, sbfpFuzzWalk|3<<4, 200,
+		sbfpFuzzRevisit, 7, sbfpFuzzRevisit, 30, sbfpFuzzDelta|1, 100, sbfpFuzzWalk|1<<4, 255))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		impl, ref := prefetch.NewSBFP(), newRefSBFP()
+		scratch := make([]uint64, 0, 64)
+		for n, st := range decodeSBFPFuzz(data) {
+			if st.reset {
+				impl.Reset()
+				ref = newRefSBFP()
+			}
+			got := impl.OnMiss(st.ev, scratch[:0]).Prefetches
+			want := ref.onMiss(st.ev)
+			if !slices.Equal(got, want) {
+				t.Fatalf("event %d (vpn=%#x, reset=%v): got %v, reference %v", n, st.ev.VPN, st.reset, got, want)
+			}
+		}
 	})
 }

@@ -403,9 +403,6 @@ func (h *HotSet) Run(emit EmitFunc, r *xrand.Rand) bool {
 		var idx int
 		if h.zipf != nil {
 			idx = h.zipf.Next(r)
-			if idx >= h.Pages {
-				idx = h.Pages - 1
-			}
 		} else {
 			idx = r.Intn(h.Pages)
 		}

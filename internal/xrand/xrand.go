@@ -119,9 +119,15 @@ func zeta(n int, theta float64) float64 {
 
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
-// Next draws the next Zipf-distributed index using r as the entropy source.
-func (z *Zipf) Next(r *Rand) int {
-	u := r.Float64()
+// Next draws the next Zipf-distributed index in [0, n) using r as the
+// entropy source, one Uint64 per draw.
+func (z *Zipf) Next(r *Rand) int { return z.exact(r.Uint64() >> 11) }
+
+// exact maps the 53-bit draw m (the integer behind Float64) to its index.
+// The inverse CDF reaches n as u approaches 1, so the result is clamped to
+// n-1 to keep Next's range contract.
+func (z *Zipf) exact(m uint64) int {
+	u := float64(m) / float64(1<<53)
 	uz := u * z.zetan
 	if uz < 1.0 {
 		return 0
@@ -129,5 +135,5 @@ func (z *Zipf) Next(r *Rand) int {
 	if uz < 1.0+pow(0.5, z.theta) {
 		return 1
 	}
-	return int(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))
+	return min(int(float64(z.n)*pow(z.eta*u-z.eta+1, z.alpha)), z.n-1)
 }
