@@ -493,8 +493,8 @@ func BenchmarkGroupFanout(b *testing.B) {
 	build := func() []*tlbprefetch.Simulator {
 		var ms []*tlbprefetch.Simulator
 		for _, m := range experiments.Fig7Configs() {
-			ms = append(ms, tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(),
-				m.Build(experiments.DefaultOptions())))
+			m.Slots = experiments.DefaultOptions().Slots // the figure's s=2
+			ms = append(ms, tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), m.Build()))
 		}
 		return ms
 	}

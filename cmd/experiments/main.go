@@ -132,8 +132,12 @@ func main() {
 			fmt.Print(experiments.FormatTable3(experiments.Table3(opts)))
 		case "table3-lat":
 			fmt.Println("Table 3 latency sensitivity: miss-penalty axis (50..400 cycles)")
-			fmt.Print(experiments.FormatTable3Latency(
-				experiments.Table3Latency(opts, experiments.DefaultLatencyAxis())))
+			rows, err := experiments.Table3Space(opts, experiments.DefaultLatencyAxis())
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+				return
+			}
+			fmt.Print(experiments.FormatTable3Latency(rows))
 		case "table3-space":
 			rows, err := experiments.Table3Space(opts, experiments.DefaultTable3SpaceAxes())
 			if err != nil {

@@ -27,7 +27,6 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "", "workload model to run (see -list)")
 		traceFile    = flag.String("trace", "", "binary or text trace file to run instead of a workload")
-		traceText    = flag.Bool("text", false, "treat -trace as the text format")
 		mech         = flag.String("mech", "DP", "mechanism: "+strings.Join(sweep.Kinds(), ", "))
 		rows         = flag.Int("rows", 256, "prediction table rows r (table-based mechanisms)")
 		ways         = flag.Int("ways", 1, "prediction table associativity (table-based mechanisms; 0 = direct-mapped)")
@@ -59,8 +58,6 @@ func main() {
 	switch {
 	case *workloadName != "" && *traceFile != "":
 		fatal("-workload and -trace are mutually exclusive: pick one input source")
-	case *traceText && *traceFile == "":
-		fatal("-text only applies to trace runs: it requires -trace")
 	case *workloadName == "" && *traceFile == "":
 		fatal("need -workload or -trace (or -list)")
 	}
@@ -101,7 +98,7 @@ func main() {
 	if verr != nil {
 		usageError(verr)
 	}
-	if err := run(*workloadName, *traceFile, *traceText, m,
+	if err := run(*workloadName, *traceFile, m,
 		*refs, cfg, tc, *timing, *cpuProf, *memProf); err != nil {
 		fatal(err.Error())
 	}
@@ -109,7 +106,7 @@ func main() {
 
 // run simulates the input against the mechanism. A workload model and a
 // trace file reach the simulator the same way: as a batch reader.
-func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
+func run(workloadName, traceFile string, m sweep.Mech,
 	refs uint64, cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig, timing bool,
 	cpuProf, memProf string) error {
 	stopProf, err := prof.Start("tlbsim", cpuProf, memProf)
@@ -131,14 +128,6 @@ func run(workloadName, traceFile string, traceText bool, m sweep.Mech,
 		}
 		s := workload.NewStream(w, refs)
 		src, closer = s, s
-	case traceText:
-		// Forced text mode, for text traces whose first bytes happen to
-		// collide with the binary magic.
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return err
-		}
-		src, closer = tlbprefetch.NewTextTraceReader(f), f
 	default:
 		// Auto-detect text, v1 and v2 binary from the leading bytes.
 		if src, closer, err = tlbprefetch.OpenTraceFile(traceFile); err != nil {

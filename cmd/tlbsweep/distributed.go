@@ -38,16 +38,10 @@ func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error
 	// grid, so it has the files); serve them all as blobs — mix members
 	// included, so a worker can materialize every stream a mix interleaves.
 	blobs := make(map[string]string)
-	addBlob := func(src sweep.Source) {
-		if src.TraceSHA256 != "" && src.TracePath != "" {
-			blobs[src.TraceSHA256] = src.TracePath
-		}
-	}
 	for _, j := range jobs {
-		addBlob(j.Source)
-		if j.Mix != nil {
-			for _, src := range j.Mix.Sources {
-				addBlob(src)
+		for _, src := range j.Sources() {
+			if src.IsTrace() && src.TracePath != "" {
+				blobs[src.TraceSHA256] = src.TracePath
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 
-	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/tlb"
@@ -78,8 +77,8 @@ func (o Options) Validate() error {
 
 // grid declares a panel of the workloads × mechanisms at the harness
 // operating point: Options' TLB geometry, buffer, page size, reference
-// budget and warmup, with Slots defaulting through MechConfig.sweepMech.
-// Each experiment then widens the one axis it varies.
+// budget and warmup, with Slots defaulting through Options.mech. Each
+// experiment then widens the one axis it varies.
 func (o Options) grid(ws []workload.Workload, mechs ...MechConfig) sweep.Grid {
 	g := sweep.Grid{
 		TLBEntries: []int{o.TLBEntries},
@@ -93,42 +92,22 @@ func (o Options) grid(ws []workload.Workload, mechs ...MechConfig) sweep.Grid {
 		g.Workloads = append(g.Workloads, w.Name)
 	}
 	for _, m := range mechs {
-		g.Mechs = append(g.Mechs, m.sweepMech(o))
+		g.Mechs = append(g.Mechs, o.mech(m))
 	}
 	return g
 }
 
 // MechConfig names one mechanism configuration (a bar in the paper's
-// figures).
-type MechConfig struct {
-	// Kind is a sweep registry kind (see sweep.Kinds).
-	Kind string
-	// Rows (r) and Ways apply to the table-based mechanisms; Ways 0 means
-	// direct-mapped for ASP/MP/DP table sweeps is expressed as Ways 1, and
-	// Ways == Rows as fully associative.
-	Rows, Ways int
-	// Slots is s for MP/DP-family mechanisms (0 = use Options.Slots).
-	Slots int
-}
+// figures). It is a sweep.Mech whose Slots 0 means Options.Slots.
+type MechConfig = sweep.Mech
 
-// sweepMech resolves the harness-level defaults (Slots from Options) into
-// the fully-specified mechanism the sweep engine content-addresses.
-func (m MechConfig) sweepMech(opts Options) sweep.Mech {
-	slots := m.Slots
-	if slots == 0 {
-		slots = opts.Slots
+// mech resolves the harness-level defaults (Slots from Options) into the
+// fully-specified mechanism the sweep engine content-addresses.
+func (o Options) mech(m MechConfig) sweep.Mech {
+	if m.Slots == 0 {
+		m.Slots = o.Slots
 	}
-	return sweep.Mech{Kind: m.Kind, Rows: m.Rows, Ways: m.Ways, Slots: slots}.Normalize()
-}
-
-// Label renders the paper's figure-legend naming, e.g. "DP,256,D".
-func (m MechConfig) Label() string {
-	return sweep.Mech{Kind: m.Kind, Rows: m.Rows, Ways: m.Ways}.Label()
-}
-
-// Build instantiates the mechanism.
-func (m MechConfig) Build(opts Options) prefetch.Prefetcher {
-	return m.sweepMech(opts).Build()
+	return m.Normalize()
 }
 
 // AppResult is one application's row of a figure: the miss rate (of the
@@ -150,12 +129,6 @@ func (r AppResult) Get(label string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// RunApp evaluates every mechanism configuration against one workload in a
-// single pass over its (regenerated) reference stream.
-func RunApp(w workload.Workload, opts Options, mechs []MechConfig) AppResult {
-	return RunSuite([]workload.Workload{w}, opts, mechs)[0]
 }
 
 // RunSuite evaluates a list of workloads by declaring the workload ×

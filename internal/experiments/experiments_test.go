@@ -26,12 +26,12 @@ func headline(t *testing.T, app string) (dp, rp, asp, mp float64, missRate float
 	if !ok {
 		t.Fatalf("missing workload %q", app)
 	}
-	res := RunApp(w, shapeOpts(), []MechConfig{
+	res := RunSuite([]workload.Workload{w}, shapeOpts(), []MechConfig{
 		{Kind: "DP", Rows: 256, Ways: 1},
 		{Kind: "RP"},
 		{Kind: "ASP", Rows: 256, Ways: 1},
 		{Kind: "MP", Rows: 256, Ways: 1},
-	})
+	})[0]
 	return res.Acc[0], res.Acc[1], res.Acc[2], res.Acc[3], res.MissRate
 }
 
@@ -70,12 +70,12 @@ func TestShapeStencilDPWellAhead(t *testing.T) {
 	w, _ := workload.ByName("swim")
 	opts := shapeOpts()
 	opts.WarmupRefs = 600_000
-	res := RunApp(w, opts, []MechConfig{
+	res := RunSuite([]workload.Workload{w}, opts, []MechConfig{
 		{Kind: "DP", Rows: 256, Ways: 1},
 		{Kind: "RP"},
 		{Kind: "ASP", Rows: 256, Ways: 1},
 		{Kind: "MP", Rows: 256, Ways: 1},
-	})
+	})[0]
 	dp, rp, asp, mp := res.Acc[0], res.Acc[1], res.Acc[2], res.Acc[3]
 	if dp < 0.7 {
 		t.Errorf("swim: DP = %.2f, want > 0.7", dp)
@@ -133,10 +133,10 @@ func TestShapeAlternationMPBeatsRP(t *testing.T) {
 	// parser/vortex: "MP does better than even RP" (with enough rows).
 	for _, app := range []string{"parser", "vortex"} {
 		w, _ := workload.ByName(app)
-		res := RunApp(w, shapeOpts(), []MechConfig{
+		res := RunSuite([]workload.Workload{w}, shapeOpts(), []MechConfig{
 			{Kind: "MP", Rows: 1024, Ways: 1},
 			{Kind: "RP"},
-		})
+		})[0]
 		if res.Acc[0] <= res.Acc[1] {
 			t.Errorf("%s: MP,1024 %.3f should beat RP %.3f", app, res.Acc[0], res.Acc[1])
 		}
@@ -149,7 +149,7 @@ func TestShapeMPStarvedAtSmallTables(t *testing.T) {
 	// needs considerably more space."
 	for _, app := range []string{"galgel", "art", "mesa"} {
 		w, _ := workload.ByName(app)
-		res := RunApp(w, shapeOpts(), []MechConfig{{Kind: "MP", Rows: 256, Ways: 1}})
+		res := RunSuite([]workload.Workload{w}, shapeOpts(), []MechConfig{{Kind: "MP", Rows: 256, Ways: 1}})[0]
 		if res.Acc[0] > 0.2 {
 			t.Errorf("%s: MP,256 = %.3f, want starved (< 0.2)", app, res.Acc[0])
 		}
@@ -323,7 +323,7 @@ func TestRunAppSharedMissStream(t *testing.T) {
 	w, _ := workload.ByName("gap")
 	opts := DefaultOptions()
 	opts.Refs = 100_000
-	res := RunApp(w, opts, []MechConfig{{Kind: "DP", Rows: 256, Ways: 1}, {Kind: "RP"}})
+	res := RunSuite([]workload.Workload{w}, opts, []MechConfig{{Kind: "DP", Rows: 256, Ways: 1}, {Kind: "RP"}})[0]
 	if res.Stats[0].Misses != res.Stats[1].Misses {
 		t.Fatalf("fan-out members saw different miss streams: %d vs %d",
 			res.Stats[0].Misses, res.Stats[1].Misses)

@@ -81,5 +81,5 @@ func TestBuildPanicsOnUnknownKind(t *testing.T) {
 			t.Fatal("unknown mechanism kind accepted")
 		}
 	}()
-	MechConfig{Kind: "XX"}.Build(DefaultOptions())
+	DefaultOptions().mech(MechConfig{Kind: "XX"}).Build()
 }

@@ -16,10 +16,10 @@ import (
 // never drift from the implementations.
 func Table1(opts Options) string {
 	describers := []prefetch.HardwareDescriber{
-		MechConfig{Kind: "ASP", Rows: 256, Ways: 1}.Build(opts).(prefetch.HardwareDescriber),
-		MechConfig{Kind: "MP", Rows: 256, Ways: 1}.Build(opts).(prefetch.HardwareDescriber),
-		MechConfig{Kind: "RP"}.Build(opts).(prefetch.HardwareDescriber),
-		MechConfig{Kind: "DP", Rows: 256, Ways: 1}.Build(opts).(prefetch.HardwareDescriber),
+		opts.mech(MechConfig{Kind: "ASP", Rows: 256, Ways: 1}).Build().(prefetch.HardwareDescriber),
+		opts.mech(MechConfig{Kind: "MP", Rows: 256, Ways: 1}).Build().(prefetch.HardwareDescriber),
+		opts.mech(MechConfig{Kind: "RP"}).Build().(prefetch.HardwareDescriber),
+		opts.mech(MechConfig{Kind: "DP", Rows: 256, Ways: 1}).Build().(prefetch.HardwareDescriber),
 	}
 	t := stats.NewTable("question", "ASP", "MP", "RP", "DP")
 	infos := make([]prefetch.HardwareInfo, len(describers))
@@ -125,11 +125,14 @@ type Table3Row struct {
 // normalized to no prefetching, under the paper's timing model (100-cycle
 // TLB miss penalty, 50-cycle prefetch memory operations contending only
 // with each other, RP's skip-when-busy rule). It is the default point of
-// the latency-sensitivity grid Table3Latency sweeps: the one-point timing
-// axis {100} (sim.ScaledTiming(100) is sweep.DefaultTiming), five apps, three
+// the design space Table3Space sweeps: the one-point timing axis {100}
+// (sim.ScaledTiming(100) is sweep.DefaultTiming), five apps, three
 // mechanisms, every cell rendered from the sweep store.
 func Table3(opts Options) []Table3Row {
-	rows := Table3Latency(opts, sweep.TimingAxes{MissPenalties: []uint64{100}})
+	rows, err := Table3Space(opts, sweep.TimingAxes{MissPenalties: []uint64{100}})
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
 	out := make([]Table3Row, len(rows))
 	for i, r := range rows {
 		out[i] = r.Table3Row
@@ -138,24 +141,55 @@ func Table3(opts Options) []Table3Row {
 }
 
 // Table3LatencyRow is one (application, timing point) cell group of the
-// latency-sensitivity grid.
+// Table 3 design space.
 type Table3LatencyRow struct {
 	Table3Row
 	Timing sim.Timing
 }
 
-// Table3Latency generalizes Table 3 into a latency-sensitivity study: the
+// DefaultLatencyAxis is the miss-penalty sensitivity axis of the
+// table3-lat experiment: the paper's 100-cycle point bracketed by a
+// faster and two slower memory systems. Each point is ScaledTiming at its
+// penalty, so the costs that are fractions of a page-table walk scale
+// with it — the prefetch memory-op cost at the paper's 1:2 ratio, and the
+// buffer-hit residual (fill + pipeline restart, 65% of the walk at the
+// default point) in proportion, so a successful prefetch never models as
+// costlier than the miss it avoids.
+func DefaultLatencyAxis() sweep.TimingAxes {
+	return sweep.TimingAxes{MissPenalties: []uint64{50, 100, 200, 400}}
+}
+
+// DefaultTable3SpaceAxes declares the table3-space design space: the
+// latency axis bracketing the paper's 100-cycle point, the memory-op cost
+// decoupled from the paper's fixed 2:1 penalty:memop ratio (0.25 models an
+// aggressive prefetch path, 1.0 a memory system where a prefetch op costs
+// a full walk), and both a serialized and the paper's 2-wide issue core.
+func DefaultTable3SpaceAxes() sweep.TimingAxes {
+	return sweep.TimingAxes{
+		MissPenalties: []uint64{50, 100, 200, 400},
+		MemOpRatios:   []float64{0.25, 0.5, 1},
+		RefsPerCycle:  []uint64{1, 2},
+	}
+}
+
+// Table3Space generalizes Table 3 into a design-space study: the
 // (5 apps) × (baseline, RP, DP) grid crossed with every point of the
-// timing axes, each app's cells sharing a generation pass in the sweep
-// shard, with every cell content-addressed — so re-rendering at the
-// default point, or extending an axis later, only simulates cells the
-// store lacks. Rows come app by app, each app's in TimingAxes.Points
-// order. The cells run with warmup 0 (Options.WarmupRefs is ignored): the
-// cycle model has no statistics fast-forward. The axes must declare at
-// least one axis (the zero value is the functional simulator); axes whose
-// points do not expand panic, like any malformed experiment declaration,
-// and Table3Space returns that error instead.
-func Table3Latency(opts Options, axes sweep.TimingAxes) []Table3LatencyRow {
+// timing axes — the miss-penalty axis of table3-lat, or the decoupled
+// (MissPenalty × memop ratio × RefsPerCycle) axes of table3-space. Each
+// app's cells share a generation pass in the sweep shard, and every cell
+// is content-addressed, so the default Table 3 point is shared with
+// table3/table3-lat through the store and a re-render, or an axis extended
+// later, only simulates cells the store lacks. Rows come app by app, each
+// app's in TimingAxes.Points order. The cells run with warmup 0
+// (Options.WarmupRefs is ignored): the cycle model has no statistics
+// fast-forward. The axes must declare at least one axis (the zero value is
+// the functional simulator); axes whose points do not expand return the
+// expansion error.
+func Table3Space(opts Options, axes sweep.TimingAxes) ([]Table3LatencyRow, error) {
+	pts, err := axes.Points()
+	if err != nil {
+		return nil, err
+	}
 	apps := make([]workload.Workload, 0, len(Table3AppNames()))
 	for _, name := range Table3AppNames() {
 		w, ok := workload.ByName(name)
@@ -163,10 +197,6 @@ func Table3Latency(opts Options, axes sweep.TimingAxes) []Table3LatencyRow {
 			panic("experiments: missing table3 workload " + name)
 		}
 		apps = append(apps, w)
-	}
-	pts, err := axes.Points()
-	if err != nil {
-		panic("experiments: " + err.Error())
 	}
 	mechs := []MechConfig{{Kind: "none"}, {Kind: "RP"}, {Kind: "DP", Rows: 256, Ways: 1}}
 	g := opts.grid(apps, mechs...)
@@ -199,45 +229,7 @@ func Table3Latency(opts Options, axes sweep.TimingAxes) []Table3LatencyRow {
 			out = append(out, row)
 		}
 	}
-	return out
-}
-
-// DefaultLatencyAxis is the miss-penalty sensitivity axis of the
-// table3-lat experiment: the paper's 100-cycle point bracketed by a
-// faster and two slower memory systems. Each point is ScaledTiming at its
-// penalty, so the costs that are fractions of a page-table walk scale
-// with it — the prefetch memory-op cost at the paper's 1:2 ratio, and the
-// buffer-hit residual (fill + pipeline restart, 65% of the walk at the
-// default point) in proportion, so a successful prefetch never models as
-// costlier than the miss it avoids.
-func DefaultLatencyAxis() sweep.TimingAxes {
-	return sweep.TimingAxes{MissPenalties: []uint64{50, 100, 200, 400}}
-}
-
-// DefaultTable3SpaceAxes declares the table3-space design space: the
-// latency axis bracketing the paper's 100-cycle point, the memory-op cost
-// decoupled from the paper's fixed 2:1 penalty:memop ratio (0.25 models an
-// aggressive prefetch path, 1.0 a memory system where a prefetch op costs
-// a full walk), and both a serialized and the paper's 2-wide issue core.
-func DefaultTable3SpaceAxes() sweep.TimingAxes {
-	return sweep.TimingAxes{
-		MissPenalties: []uint64{50, 100, 200, 400},
-		MemOpRatios:   []float64{0.25, 0.5, 1},
-		RefsPerCycle:  []uint64{1, 2},
-	}
-}
-
-// Table3Space maps the full Table 3 design space: the (5 apps) ×
-// (baseline, RP, DP) grid crossed with every point of the decoupled
-// (MissPenalty × memop ratio × RefsPerCycle) axes. It is Table3Latency
-// with the axes' expansion error returned rather than panicked — every
-// cell content-addressed, so the default Table 3 point is shared with
-// table3/table3-lat through the store and a re-render recomputes nothing.
-func Table3Space(opts Options, axes sweep.TimingAxes) ([]Table3LatencyRow, error) {
-	if _, err := axes.Points(); err != nil {
-		return nil, err
-	}
-	return Table3Latency(opts, axes), nil
+	return out, nil
 }
 
 // FormatTable3Space renders the design-space grid flat, one row per

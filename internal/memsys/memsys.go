@@ -20,8 +20,7 @@ package memsys
 // memory (occupancy == latency) models one outstanding request; a smaller
 // occupancy models a pipelined memory system with multiple requests in
 // flight, which is what a 2002-era out-of-order core's memory interface
-// provides. NewChannel uses full serialization; NewPipelinedChannel
-// separates the two.
+// provides. NewPipelinedChannel(l, l) is full serialization.
 type Channel struct {
 	opLatency   uint64
 	opOccupancy uint64
@@ -29,12 +28,6 @@ type Channel struct {
 
 	ops       uint64 // total operations issued
 	busyCycle uint64 // total cycles the channel was occupied
-}
-
-// NewChannel builds a fully serialized channel (occupancy = latency; the
-// paper's 50-cycle cost).
-func NewChannel(opLatency uint64) *Channel {
-	return NewPipelinedChannel(opLatency, opLatency)
 }
 
 // NewPipelinedChannel builds a channel whose operations complete latency

@@ -3,7 +3,7 @@ package memsys
 import "testing"
 
 func TestIssueSerializes(t *testing.T) {
-	c := NewChannel(50)
+	c := NewPipelinedChannel(50, 50)
 	if got := c.Issue(0, 1); got != 50 {
 		t.Fatalf("first op completes at %d, want 50", got)
 	}
@@ -18,7 +18,7 @@ func TestIssueSerializes(t *testing.T) {
 }
 
 func TestIssueZero(t *testing.T) {
-	c := NewChannel(50)
+	c := NewPipelinedChannel(50, 50)
 	if got := c.Issue(42, 0); got != 42 {
 		t.Fatalf("zero ops returned %d, want 42", got)
 	}
@@ -28,7 +28,7 @@ func TestIssueZero(t *testing.T) {
 }
 
 func TestBusy(t *testing.T) {
-	c := NewChannel(50)
+	c := NewPipelinedChannel(50, 50)
 	c.Issue(0, 1)
 	if !c.Busy(0) || !c.Busy(49) {
 		t.Fatal("channel should be busy during service")
@@ -39,7 +39,7 @@ func TestBusy(t *testing.T) {
 }
 
 func TestIssueEach(t *testing.T) {
-	c := NewChannel(10)
+	c := NewPipelinedChannel(10, 10)
 	got := c.IssueEach(nil, 0, 3)
 	want := []uint64{10, 20, 30}
 	if len(got) != len(want) {
@@ -70,7 +70,7 @@ func TestIssueEach(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	c := NewChannel(50)
+	c := NewPipelinedChannel(50, 50)
 	c.Issue(0, 2)
 	c.IssueEach(nil, 0, 3)
 	ops, busy := c.Stats()
@@ -87,8 +87,8 @@ func TestStatsAndReset(t *testing.T) {
 func TestZeroLatencyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewChannel(0) did not panic")
+			t.Fatal("NewPipelinedChannel(0, 0) did not panic")
 		}
 	}()
-	NewChannel(0)
+	NewPipelinedChannel(0, 0)
 }

@@ -15,8 +15,6 @@ type Metric struct {
 	Name string
 	// Axis is the human axis label, e.g. "TLB miss rate".
 	Axis string
-	// NeedsTiming marks metrics derivable only from cycle-model cells.
-	NeedsTiming bool
 	// Value extracts the metric (false when this cell does not carry it).
 	Value func(r sweep.Result) (float64, bool)
 }
@@ -51,9 +49,8 @@ var Metrics = []Metric{
 		},
 	},
 	{
-		Name:        "stallcycles",
-		Axis:        "TLB stall cycles per reference",
-		NeedsTiming: true,
+		Name: "stallcycles",
+		Axis: "TLB stall cycles per reference",
 		Value: func(r sweep.Result) (float64, bool) {
 			if r.Timing == nil || r.Timing.Refs == 0 {
 				return 0, r.Timing != nil
@@ -62,9 +59,8 @@ var Metrics = []Metric{
 		},
 	},
 	{
-		Name:        "cpi",
-		Axis:        "cycles per reference",
-		NeedsTiming: true,
+		Name: "cpi",
+		Axis: "cycles per reference",
 		Value: func(r sweep.Result) (float64, bool) {
 			if r.Timing == nil {
 				return 0, false

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,27 +48,13 @@ func checkBool(v string) error {
 // filterFields maps each recognized field name to its validator + matcher.
 var filterFields = map[string]filterField{
 	"workload": {anyString, func(k Key, v string) bool {
-		if k.Mix != nil {
-			for _, s := range k.Mix.Sources {
-				if s.Workload == v {
-					return true
-				}
-			}
-			return false
-		}
-		return k.Source.Workload == v
+		return slices.ContainsFunc(k.Sources(), func(s Source) bool { return s.Workload == v })
 	}},
 	"trace": {anyString, func(k Key, v string) bool {
 		want := strings.ToLower(v)
-		if k.Mix != nil {
-			for _, s := range k.Mix.Sources {
-				if s.TraceSHA256 != "" && strings.HasPrefix(s.TraceSHA256, want) {
-					return true
-				}
-			}
-			return false
-		}
-		return k.Source.TraceSHA256 != "" && strings.HasPrefix(k.Source.TraceSHA256, want)
+		return slices.ContainsFunc(k.Sources(), func(s Source) bool {
+			return s.IsTrace() && strings.HasPrefix(s.TraceSHA256, want)
+		})
 	}},
 	"source": {anyString, func(k Key, v string) bool { return k.SourceLabel() == v }},
 	"mix": {checkBool, func(k Key, v string) bool {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tlbprefetch/internal/multiprog"
-	"tlbprefetch/internal/stats"
 )
 
 // Mix is a multiprogrammed workload: an ordered list of sources sharing one
@@ -90,20 +89,4 @@ func (m Mix) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// streamFingerprint identifies the interleaved reference stream a mix
-// produces: member sources and quantum only. Cells that differ solely in
-// policy, ASID mode, mechanism or buffer size consume the identical stream
-// and can share one interleaving pass (the runner's mix shards).
-func (m Mix) streamFingerprint() string {
-	c := m.Canonical()
-	h, err := stats.Fingerprint(struct {
-		Sources []Source `json:"sources"`
-		Quantum uint64   `json:"quantum"`
-	}{c.Sources, c.Quantum})
-	if err != nil {
-		panic(err) // Mix contains only marshalable fields
-	}
-	return h
 }

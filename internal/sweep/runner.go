@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 
 	"tlbprefetch/internal/multiprog"
@@ -54,17 +55,15 @@ type Runner struct {
 	Progress func(ProgressEvent)
 }
 
-// shardKey identifies cells that can share one stream pass and (for
-// single-source cells) one sim.Group: same stream (source, seed, length)
-// and same TLB-frontend geometry. Buffer size, mechanism — and for timing
-// shards the cycle-model constants — may differ within a shard; they live
-// in the per-member back half. Mix cells key on the interleaved stream's
-// fingerprint (member sources + quantum) instead of a single source; the
-// switch policy and ASID mode live in the back half because the tagged
-// stream they consume is identical (see Mix.streamFingerprint).
+// shardKey identifies cells that can share one stream pass and one
+// shared TLB frontend: the same streams (the canonical member sources, see
+// Key.Sources, plus a mix's quantum), seed, length, warmup and TLB-frontend
+// geometry. Buffer size, mechanism — and for timing shards the cycle-model
+// constants; for mix shards the switch policy and ASID mode — may differ
+// within a shard: they live in the per-member back half.
 type shardKey struct {
-	source    Source // canonical: workload name or trace digest (single-source cells)
-	mix       string // Mix.streamFingerprint ("" for single-source cells)
+	streams   string
+	quantum   uint64
 	tlbCfg    tlb.Config
 	pageShift uint
 	refs      uint64
@@ -73,15 +72,28 @@ type shardKey struct {
 	timing    bool
 }
 
-// shard is one worker unit: the indices (into the caller's job slice) of
-// the cells it settles, plus the local path when the stream is a trace.
-// Mix shards keep the first member job's Mix, whose sources carry the
-// local trace paths the stream materializes from.
-type shard struct {
-	key       shardKey
-	tracePath string
-	mix       *Mix
-	indices   []int
+// newShardKey derives a cell's shard key from its canonical key.
+func newShardKey(k Key) shardKey {
+	var b strings.Builder
+	for _, s := range k.Sources() {
+		b.WriteString(s.Workload)
+		b.WriteByte(0)
+		b.WriteString(s.TraceSHA256)
+		b.WriteByte(0)
+	}
+	sk := shardKey{
+		streams:   b.String(),
+		tlbCfg:    tlb.Config{Entries: k.TLBEntries, Ways: k.TLBWays},
+		pageShift: k.PageShift,
+		refs:      k.Refs,
+		warmup:    k.Warmup,
+		seed:      k.Seed,
+		timing:    k.Timing != nil,
+	}
+	if k.Mix != nil {
+		sk.quantum = k.Mix.Quantum
+	}
+	return sk
 }
 
 // Run executes the jobs, returning one result per job in input order plus
@@ -95,11 +107,7 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 	hashes := make([]string, len(jobs))
 	for i, j := range jobs {
 		if err := j.Validate(); err != nil {
-			label := j.Source.Label()
-			if j.Mix != nil {
-				label = j.Mix.Label()
-			}
-			return nil, sum, fmt.Errorf("job %d (%s/%s): %w", i, label, j.Mech.Label(), err)
+			return nil, sum, fmt.Errorf("job %d (%s/%s): %w", i, j.SourceLabel(), j.Mech.Label(), err)
 		}
 		hashes[i] = j.Key().Hash()
 	}
@@ -109,11 +117,12 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 		resolve = workload.ByName
 	}
 
-	// Settle cached cells first, then coalesce the rest into shards.
+	// Settle cached cells first, then coalesce the rest into shards: each
+	// shard is the indices of its cells, in input order.
 	done := 0
 	byKey := make(map[shardKey]int)
 	verified := make(map[string]string) // trace path -> actual file digest
-	var shards []*shard
+	var shards [][]int
 	for i, j := range jobs {
 		if r.Store != nil {
 			res, ok, err := r.Store.Get(hashes[i])
@@ -130,54 +139,22 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 				continue
 			}
 		}
-		if j.Mix != nil {
-			for mi, src := range j.Mix.Sources {
-				if src.IsTrace() {
-					if err := r.verifyTrace(src, verified); err != nil {
-						return nil, sum, fmt.Errorf("job %d mix member %d: %w", i, mi, err)
-					}
-				} else if _, ok := resolve(src.Workload); !ok {
-					return nil, sum, fmt.Errorf("job %d mix member %d: unknown workload %q", i, mi, src.Workload)
+		for mi, src := range j.Sources() {
+			if err := r.checkSource(src, resolve, verified); err != nil {
+				if j.Mix != nil {
+					return nil, sum, fmt.Errorf("job %d mix member %d: %w", i, mi, err)
 				}
-			}
-			k := shardKey{
-				mix:       j.Mix.streamFingerprint(),
-				tlbCfg:    j.Config.TLB.Canonical(),
-				pageShift: j.Config.PageShift,
-				refs:      j.Refs,
-			}
-			si, ok := byKey[k]
-			if !ok {
-				si = len(shards)
-				byKey[k] = si
-				shards = append(shards, &shard{key: k, mix: j.Mix})
-			}
-			shards[si].indices = append(shards[si].indices, i)
-			continue
-		}
-		if j.Source.IsTrace() {
-			if err := r.verifyTrace(j.Source, verified); err != nil {
 				return nil, sum, fmt.Errorf("job %d: %w", i, err)
 			}
-		} else if _, ok := resolve(j.Source.Workload); !ok {
-			return nil, sum, fmt.Errorf("job %d: unknown workload %q", i, j.Source.Workload)
 		}
-		k := shardKey{
-			source:    j.Source.Canonical(),
-			tlbCfg:    j.Config.TLB.Canonical(),
-			pageShift: j.Config.PageShift,
-			refs:      j.Refs,
-			warmup:    j.Warmup,
-			seed:      j.Seed,
-			timing:    j.Timing != nil,
-		}
+		k := newShardKey(j.Key())
 		si, ok := byKey[k]
 		if !ok {
 			si = len(shards)
 			byKey[k] = si
-			shards = append(shards, &shard{key: k, tracePath: j.Source.TracePath})
+			shards = append(shards, nil)
 		}
-		shards[si].indices = append(shards[si].indices, i)
+		shards[si] = append(shards[si], i)
 	}
 	sum.Ran = len(jobs) - sum.Cached
 	sum.Shards = len(shards)
@@ -235,11 +212,19 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 	return out, sum, nil
 }
 
-// verifyTrace checks a trace source's expected digest against the file's
-// actual one (digested once per path per Run, compared once per source) so
-// a stale or swapped file cannot be silently simulated under another
-// recording's key. Skipped when the caller supplies OpenTrace.
-func (r *Runner) verifyTrace(src Source, verified map[string]string) error {
+// checkSource checks that a source can run before its shard starts: a
+// synthetic workload must resolve, and a trace's expected digest must match
+// the file's actual one (digested once per path per Run, compared once per
+// source) so a stale or swapped file cannot be silently simulated under
+// another recording's key. The digest check is skipped when the caller
+// supplies OpenTrace.
+func (r *Runner) checkSource(src Source, resolve func(string) (workload.Workload, bool), verified map[string]string) error {
+	if !src.IsTrace() {
+		if _, ok := resolve(src.Workload); !ok {
+			return fmt.Errorf("unknown workload %q", src.Workload)
+		}
+		return nil
+	}
 	if r.OpenTrace != nil {
 		return nil
 	}
@@ -278,11 +263,14 @@ func (r *Runner) openTrace() func(src Source) (trace.BatchReader, io.Closer, err
 	}
 }
 
-// runShard simulates one shard: one pass over the reference stream
-// feeding every member cell.
-func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
-	if sh.mix != nil {
-		return r.runMixShard(sh, jobs, resolve, settle)
+// runShard simulates one shard — the indices of its cells — in one pass
+// over the reference stream feeding every member cell. The shard key makes
+// the stream parameters of every member equal, so they are read from the
+// first job, whose sources also carry the local trace paths.
+func (r *Runner) runShard(shard []int, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
+	first := jobs[shard[0]]
+	if first.Mix != nil {
+		return r.runMixShard(shard, jobs, resolve, settle)
 	}
 
 	// The shard key makes every member's TLB geometry and page shift the
@@ -291,8 +279,8 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	// the per-member back half). Timed cells join as the Simulator of a
 	// TimingSimulator, which also settles their cycles.
 	g := sim.NewGroup()
-	timed := make([]*sim.TimingSimulator, len(sh.indices))
-	for mi, idx := range sh.indices {
+	timed := make([]*sim.TimingSimulator, len(shard))
+	for mi, idx := range shard {
 		j := jobs[idx]
 		if j.Timing != nil {
 			timed[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
@@ -301,15 +289,13 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 			g.Add(sim.New(j.Config, j.Mech.Build()))
 		}
 	}
-	src := sh.key.source
-	src.TracePath = sh.tracePath
-	b, closer, err := r.memberStream(src, sh.key.seed, sh.key.warmup+sh.key.refs, resolve)
+	b, closer, err := r.memberStream(first.Source, first.Seed, first.Warmup+first.Refs, resolve)
 	if err != nil {
 		return err
 	}
 	defer closer.Close()
 	var buf [streamChunk]trace.Ref
-	warm, seen := sh.key.warmup, uint64(0)
+	warm, seen := first.Warmup, uint64(0)
 	for {
 		n, err := b.ReadBatch(buf[:])
 		if err == io.EOF {
@@ -335,7 +321,7 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 		seen += uint64(n)
 	}
 	for mi, s := range g.Members() {
-		idx := sh.indices[mi]
+		idx := shard[mi]
 		if timed[mi] != nil {
 			st := timed[mi].Stats()
 			settle(idx, Result{Key: jobs[idx].Key(), Stats: st.Stats, Timing: &st})
@@ -416,11 +402,12 @@ func (r *Runner) memberStream(src Source, seed, n uint64, resolve func(string) (
 // differing in switch policy, ASID mode, mechanism or buffer size consume
 // the identical stream — exactly what the shard key promises — and the
 // cells of one ASID mode share one TLB frontend (multiprog.Group).
-func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
-	canon := sh.mix.Canonical()
-	shares := multiprog.Split(sh.key.refs, len(sh.mix.Sources))
-	streams := make([]trace.BatchReader, len(sh.mix.Sources))
-	for i, src := range sh.mix.Sources {
+func (r *Runner) runMixShard(shard []int, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
+	first := jobs[shard[0]]
+	srcs := first.Sources()
+	shares := multiprog.Split(first.Refs, len(srcs))
+	streams := make([]trace.BatchReader, len(srcs))
+	for i, src := range srcs {
 		s, closer, err := r.memberStream(src, 0, shares[i], resolve)
 		if err != nil {
 			return err
@@ -429,8 +416,8 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 		streams[i] = s
 	}
 
-	execs := make([]*multiprog.Exec, len(sh.indices))
-	for mi, idx := range sh.indices {
+	execs := make([]*multiprog.Exec, len(shard))
+	for mi, idx := range shard {
 		j := jobs[idx]
 		m := j.Mix.Canonical()
 		pol, err := multiprog.ParsePolicy(m.Policy)
@@ -448,7 +435,7 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	}
 
 	g := multiprog.NewGroup(execs...)
-	it := multiprog.NewStreamInterleaver(streams, canon.Quantum)
+	it := multiprog.NewStreamInterleaver(streams, first.Mix.Canonical().Quantum)
 	for {
 		proc, run, ok := it.NextRun()
 		if !ok {
@@ -459,7 +446,7 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	if err := it.Err(); err != nil {
 		return err
 	}
-	for mi, idx := range sh.indices {
+	for mi, idx := range shard {
 		res := execs[mi].Results()
 		settle(idx, Result{Key: jobs[idx].Key(), Stats: res.Aggregate, Apps: res.Apps})
 	}

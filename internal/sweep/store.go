@@ -167,9 +167,6 @@ func OpenStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Path returns the file the store is bound to ("" for in-memory stores).
-func (s *Store) Path() string { return s.path }
-
 // Len returns the number of stored results, from the index alone.
 func (s *Store) Len() int {
 	s.mu.Lock()

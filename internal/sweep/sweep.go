@@ -13,11 +13,13 @@
 //     same cell always lands in the same place no matter which sweep asked
 //     for it.
 //   - A Runner shards jobs across a worker pool, coalescing cells that
-//     share a reference stream (workload or trace) and TLB geometry onto
-//     one sim.Group shared frontend (the 21-way fan-out win of the figure
-//     harness, applied automatically), and skips cells already present in
-//     a Store. Run takes a job slice; the distributed backend in
-//     internal/sweepd calls it once per leased batch.
+//     share a reference stream (workload, trace or mix) and TLB geometry
+//     onto one sim.Group shared frontend (the 21-way fan-out win of the
+//     figure harness, applied automatically), and skips cells already
+//     present in a Store. Run takes a job slice; the distributed backend
+//     in internal/sweepd calls it once per leased batch. Job.Sources is
+//     the one place a cell names its streams: sharding, trace checks,
+//     sweepd's trace resolution and blob serving all read it.
 //   - A Store maps key hashes to results and persists as deterministic
 //     JSON: re-running a sweep after editing one mechanism recomputes only
 //     the dirty cells, and two runs of the same grid produce byte-identical
@@ -298,14 +300,37 @@ func (j Job) Key() Key {
 	return k
 }
 
+// Sources returns the reference streams the cell reads, with their local
+// paths: a mix's members in scheduling order, or the cell's one source.
+// It is the one place a cell names its streams — the runner shards and
+// checks them, sweepd resolves and serves them from it. The slice may
+// alias the job's Mix; copy it before writing.
+func (j Job) Sources() []Source { return sources(j.Source, j.Mix) }
+
+// Sources returns the canonical streams the key's cell reads (see
+// Job.Sources).
+func (k Key) Sources() []Source { return sources(k.Source, k.Mix) }
+
+func sources(src Source, mix *Mix) []Source {
+	if mix != nil {
+		return mix.Sources
+	}
+	return []Source{src}
+}
+
 // SourceLabel renders the cell's stream for tables, progress lines and
 // figure groups: the mix label ("galgel+gcc") for multiprogrammed cells,
 // the source label otherwise.
-func (k Key) SourceLabel() string {
-	if k.Mix != nil {
-		return k.Mix.Label()
+func (k Key) SourceLabel() string { return sourceLabel(k.Source, k.Mix) }
+
+// SourceLabel renders the job's stream as Key.SourceLabel does.
+func (j Job) SourceLabel() string { return sourceLabel(j.Source, j.Mix) }
+
+func sourceLabel(src Source, mix *Mix) string {
+	if mix != nil {
+		return mix.Label()
 	}
-	return k.Source.Label()
+	return src.Label()
 }
 
 // Hash returns the key's content address: the hex SHA-256 of its canonical

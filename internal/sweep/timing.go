@@ -7,8 +7,9 @@ import (
 )
 
 // DefaultTiming returns the paper's Table 3 constants — the cycle model
-// of sim.DefaultTiming, which v1 stores implicitly pinned on every timing
-// cell.
+// of sim.DefaultTiming, whose miss penalty TimingAxes keeps when its
+// penalty axis is empty. Every timing cell's key carries its constants in
+// full.
 func DefaultTiming() sim.Timing { return sim.DefaultTiming().Timing }
 
 // TimingAxes declares a cycle-model design space as independent axes and

@@ -134,7 +134,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	for i, j := range cfg.Jobs {
 		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("sweepd: job %d (%s/%s): %w", i, j.Source.Label(), j.Mech.Label(), err)
+			return nil, fmt.Errorf("sweepd: job %d (%s/%s): %w", i, j.SourceLabel(), j.Mech.Label(), err)
 		}
 		h := j.Key().Hash()
 		if _, dup := c.cells[h]; dup {
@@ -239,7 +239,7 @@ func (c *Coordinator) requeueLocked(h, why string) {
 		cl.state = cellFailed
 		c.failedN++
 		c.logf("sweepd: cell %.12s… (%s %s) failed permanently after %d attempts: %s",
-			h, cl.job.Source.Label(), cl.job.Mech.Label(), cl.attempts, why)
+			h, cl.job.SourceLabel(), cl.job.Mech.Label(), cl.attempts, why)
 		return
 	}
 	cl.state = cellPending
@@ -320,7 +320,7 @@ func (c *Coordinator) Err() error {
 	for _, h := range c.order {
 		if cl := c.cells[h]; cl.state == cellFailed {
 			return fmt.Errorf("sweepd: %d of %d cells failed permanently; first: %s %s (%s)",
-				c.failedN, len(c.cells), cl.job.Source.Label(), cl.job.Mech.Label(), cl.lastErr)
+				c.failedN, len(c.cells), cl.job.SourceLabel(), cl.job.Mech.Label(), cl.lastErr)
 		}
 	}
 	return fmt.Errorf("sweepd: %d cells failed permanently", c.failedN)
@@ -612,7 +612,7 @@ func (c *Coordinator) completeLease(req CompleteRequest) CompleteReply {
 		c.doneN++
 		c.logf("[%d/%d] %s %s tlb=%d buf=%d  from %s",
 			c.cached+c.doneN+c.failedN, c.cached+len(c.cells),
-			cl.job.Source.Label(), cl.job.Mech.Label(),
+			cl.job.SourceLabel(), cl.job.Mech.Label(),
 			cl.job.Config.TLB.Entries, cl.job.Config.BufferEntries, req.Worker)
 	}
 	if len(accepted) > 0 {

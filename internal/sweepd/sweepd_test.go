@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -406,6 +407,49 @@ func TestFailedCellsExhaustAttempts(t *testing.T) {
 	err = coord.Err()
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("failed permanently")) {
 		t.Fatalf("Err() = %v", err)
+	}
+}
+
+// TestMixCellsNamedInErrors pins that the coordinator names a mix cell by
+// its mix label ("galgel+gcc"), not by the empty single-source label, both
+// when New rejects an invalid job and when a leased mix cell fails
+// permanently through lease expiry.
+func TestMixCellsNamedInErrors(t *testing.T) {
+	mixJob := func() sweep.Job {
+		return sweep.Job{
+			Mix: &sweep.Mix{Sources: []sweep.Source{
+				sweep.WorkloadSource("galgel"), sweep.WorkloadSource("gcc"),
+			}},
+			Mech:   sweep.Mech{Kind: "RP"},
+			Config: sim.Default(),
+			Refs:   10_000,
+		}
+	}
+
+	bad := mixJob()
+	bad.Seed = 7 // mix cells replay the members' own streams
+	if _, err := New(Config{Jobs: []sweep.Job{bad}}); err == nil || !strings.Contains(err.Error(), "galgel+gcc") {
+		t.Fatalf("New on an invalid mix job: err = %v, want it to name galgel+gcc", err)
+	}
+
+	clk := newFakeClock()
+	coord, err := New(Config{Jobs: []sweep.Job{mixJob()}, LeaseTTL: time.Minute, MaxAttempts: 1, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	var lr LeaseReply
+	postJSON(t, srv.URL+PathLease, LeaseRequest{Worker: "silent", Max: 1}, &lr)
+	if len(lr.Jobs) != 1 {
+		t.Fatalf("leased %d cells, want 1", len(lr.Jobs))
+	}
+	clk.advance(2 * time.Minute)
+	if s := coord.Status(); s.Failed != 1 {
+		t.Fatalf("mix cell not failed after expiry: %+v", s)
+	}
+	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "galgel+gcc") {
+		t.Fatalf("Err() = %v, want it to name galgel+gcc", err)
 	}
 }
 

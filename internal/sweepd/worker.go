@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"tlbprefetch/internal/sweep"
@@ -368,37 +369,20 @@ func (f *feed) NextBatch() ([]sweep.Job, error) {
 		for _, j := range rep.Jobs {
 			h := j.Key().Hash()
 			f.outstanding = append(f.outstanding, h)
-			if j.Source.IsTrace() {
-				path, err := f.resolveTrace(j.Source.TraceSHA256)
-				if err != nil {
-					f.prefailed = append(f.prefailed, CellFailure{Hash: h, Err: err.Error()})
-					continue
-				}
-				j.Source.TracePath = path
+			srcs, err := f.resolveSources(j.Sources())
+			if err != nil {
+				f.prefailed = append(f.prefailed, CellFailure{Hash: h, Err: err.Error()})
+				continue
 			}
+			// j is a copy, but its Mix is a shared pointer: give the job a
+			// Mix of its own, or every lease of the same mix would alias
+			// one Sources slice.
 			if j.Mix != nil {
-				// j is a copy, but its Mix is a shared pointer — deep-copy
-				// before filling in local trace paths, or every lease of
-				// the same mix would alias one mutated Sources slice.
 				m := *j.Mix
-				m.Sources = append([]sweep.Source(nil), j.Mix.Sources...)
-				var failed error
-				for i := range m.Sources {
-					if !m.Sources[i].IsTrace() {
-						continue
-					}
-					path, err := f.resolveTrace(m.Sources[i].TraceSHA256)
-					if err != nil {
-						failed = err
-						break
-					}
-					m.Sources[i].TracePath = path
-				}
-				if failed != nil {
-					f.prefailed = append(f.prefailed, CellFailure{Hash: h, Err: failed.Error()})
-					continue
-				}
+				m.Sources = srcs
 				j.Mix = &m
+			} else {
+				j.Source = srcs[0]
 			}
 			runnable = append(runnable, j)
 		}
@@ -432,6 +416,23 @@ func (f *feed) NextBatch() ([]sweep.Job, error) {
 		}
 		return runnable, nil
 	}
+}
+
+// resolveSources returns a copy of a cell's sources with every trace's
+// local path filled in (see resolveTrace).
+func (f *feed) resolveSources(srcs []sweep.Source) ([]sweep.Source, error) {
+	out := slices.Clone(srcs)
+	for i := range out {
+		if !out[i].IsTrace() {
+			continue
+		}
+		path, err := f.resolveTrace(out[i].TraceSHA256)
+		if err != nil {
+			return nil, err
+		}
+		out[i].TracePath = path
+	}
+	return out, nil
 }
 
 // resolveTrace maps a leased cell's trace digest to a local path: the

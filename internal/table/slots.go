@@ -7,21 +7,14 @@ package table
 // and DP (distances, which may be negative). The list is MRU-first: Values()
 // returns the most recently confirmed prediction first, which is the order
 // prefetches are issued in (so that when the prefetch buffer is small, the
-// strongest predictions land first).
+// strongest predictions land first). A zero SlotList holds nothing until
+// Reset gives it a capacity.
 type SlotList struct {
 	vals []int64
 	cap  int
 }
 
-// NewSlotList returns an empty list with capacity s > 0.
-func NewSlotList(s int) SlotList {
-	if s <= 0 {
-		panic("table: SlotList capacity must be positive")
-	}
-	return SlotList{vals: make([]int64, 0, s), cap: s}
-}
-
-// Reset reinitializes the list to empty with capacity s, reusing the
+// Reset (re)initializes the list to empty with capacity s > 0, reusing the
 // existing backing array when it is large enough. MP and DP call this when
 // they recycle an evicted table row (via Table.GetOrInsertLazy), which is
 // what keeps row turnover allocation-free in steady state.

@@ -223,7 +223,8 @@ func TestQuickLRUSetContents(t *testing.T) {
 }
 
 func TestSlotListTouchAndLRU(t *testing.T) {
-	l := NewSlotList(2)
+	var l SlotList
+	l.Reset(2)
 	l.Touch(5)
 	l.Touch(7)
 	if got := l.Values(); len(got) != 2 || got[0] != 7 || got[1] != 5 {
@@ -245,7 +246,8 @@ func TestSlotListTouchAndLRU(t *testing.T) {
 }
 
 func TestSlotListNegative(t *testing.T) {
-	l := NewSlotList(3)
+	var l SlotList
+	l.Reset(3)
 	l.Touch(-4)
 	l.Touch(2)
 	l.Touch(-4)
@@ -257,10 +259,11 @@ func TestSlotListNegative(t *testing.T) {
 func TestSlotListPanicsOnZeroCap(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewSlotList(0) did not panic")
+			t.Fatal("Reset(0) did not panic")
 		}
 	}()
-	NewSlotList(0)
+	var l SlotList
+	l.Reset(0)
 }
 
 // Property: SlotList holds at most cap distinct values; the front is always
@@ -268,7 +271,8 @@ func TestSlotListPanicsOnZeroCap(t *testing.T) {
 func TestQuickSlotList(t *testing.T) {
 	f := func(vals []int8, capHint uint8) bool {
 		c := int(capHint%6) + 1
-		l := NewSlotList(c)
+		var l SlotList
+		l.Reset(c)
 		var last int64
 		touched := false
 		for _, v := range vals {
