@@ -15,6 +15,7 @@ import (
 	"tlbprefetch"
 	"tlbprefetch/internal/experiments"
 	"tlbprefetch/internal/multiprog"
+	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -202,7 +203,7 @@ func BenchmarkAblationDPTableSize(b *testing.B) {
 		b.Run(labelRows(rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(),
-					tlbprefetch.NewDistance(rows, 1, 2), w, 200_000)
+					tlbprefetch.Mech{Kind: "DP", Rows: rows, Ways: 1, Slots: 2}.Build(), w, 200_000)
 				if i == b.N-1 {
 					b.ReportMetric(st.Accuracy(), "acc")
 				}
@@ -223,7 +224,8 @@ func labelRows(r int) string {
 }
 
 // BenchmarkAblationTaggedSP compares tagged vs plain sequential prefetching
-// (the paper adopts the tagged variant following Vanderwiel & Lilja).
+// (the paper adopts the tagged variant following Vanderwiel & Lilja). The
+// registry's SP is the tagged one, so plain SP comes from internal/prefetch.
 func BenchmarkAblationTaggedSP(b *testing.B) {
 	w, _ := tlbprefetch.WorkloadByName("gzip")
 	for _, tagged := range []bool{true, false} {
@@ -234,7 +236,7 @@ func BenchmarkAblationTaggedSP(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(),
-					tlbprefetch.NewSequential(tagged), w, 200_000)
+					prefetch.NewSequential(tagged), w, 200_000)
 				if i == b.N-1 {
 					b.ReportMetric(st.Accuracy(), "acc")
 				}
@@ -250,14 +252,14 @@ func BenchmarkAblationAdaptiveSP(b *testing.B) {
 	w, _ := tlbprefetch.WorkloadByName("gzip")
 	for _, adaptive := range []bool{false, true} {
 		name := "tagged"
-		mk := func() tlbprefetch.Prefetcher { return tlbprefetch.NewSequential(true) }
+		mech := tlbprefetch.Mech{Kind: "SP"}
 		if adaptive {
 			name = "adaptive"
-			mk = func() tlbprefetch.Prefetcher { return tlbprefetch.NewAdaptiveSequential() }
+			mech = tlbprefetch.Mech{Kind: "SP-A"}
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), mk(), w, 200_000)
+				st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), mech.Build(), w, 200_000)
 				if i == b.N-1 {
 					b.ReportMetric(st.Accuracy(), "acc")
 				}
@@ -267,7 +269,9 @@ func BenchmarkAblationAdaptiveSP(b *testing.B) {
 }
 
 // BenchmarkAblationRPDegree compares the paper's 2-neighbour RP against
-// Saulsbury et al.'s 3-entry variant: accuracy gain vs extra traffic.
+// Saulsbury et al.'s 3-entry variant: accuracy gain vs extra traffic. The
+// degree is a constructor parameter the registry does not expose, so RP
+// comes from internal/prefetch.
 func BenchmarkAblationRPDegree(b *testing.B) {
 	w, _ := tlbprefetch.WorkloadByName("ammp")
 	for _, degree := range []int{2, 3} {
@@ -279,7 +283,7 @@ func BenchmarkAblationRPDegree(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(),
-					tlbprefetch.NewRecencyDegree(degree), w, 200_000)
+					prefetch.NewRecencyDegree(degree), w, 200_000)
 				if i == b.N-1 {
 					b.ReportMetric(st.Accuracy(), "acc")
 					b.ReportMetric(float64(st.MemOps()), "memops")
@@ -302,7 +306,7 @@ func BenchmarkAblationRPSkipRule(b *testing.B) {
 			tc := tlbprefetch.DefaultTimingConfig()
 			tc.RPSkipWhenBusy = skip
 			for i := 0; i < b.N; i++ {
-				st := tlbprefetch.RunWorkloadTimed(tc, tlbprefetch.NewRecency(), w, 200_000)
+				st := tlbprefetch.RunWorkloadTimed(tc, tlbprefetch.Mech{Kind: "RP"}.Build(), w, 200_000)
 				if i == b.N-1 {
 					b.ReportMetric(st.CPI(), "CPI")
 				}
@@ -339,21 +343,21 @@ func benchTrace(b *testing.B, name string, n uint64) []tlbprefetch.Ref {
 // throughputMechs are the per-mechanism sub-benchmark targets at their
 // figure operating points: every kind in the sweep registry has a row here
 // (the AST gate in internal/sweep/coverage_test.go enforces it).
-func throughputMechs() map[string]func() tlbprefetch.Prefetcher {
-	return map[string]func() tlbprefetch.Prefetcher{
-		"none":  func() tlbprefetch.Prefetcher { return nil },
-		"SP":    func() tlbprefetch.Prefetcher { return tlbprefetch.NewSequential(true) },
-		"SP-A":  func() tlbprefetch.Prefetcher { return tlbprefetch.NewAdaptiveSequential() },
-		"ASP":   func() tlbprefetch.Prefetcher { return tlbprefetch.NewASP(256, 1) },
-		"MP":    func() tlbprefetch.Prefetcher { return tlbprefetch.NewMarkov(256, 1, 2) },
-		"RP":    func() tlbprefetch.Prefetcher { return tlbprefetch.NewRecency() },
-		"RP3":   func() tlbprefetch.Prefetcher { return tlbprefetch.NewRecencyDegree(3) },
-		"DP":    func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistance(256, 1, 2) },
-		"DP-PC": func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistancePC(256, 1, 2) },
-		"DP2":   func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistance2(256, 1, 2) },
-		"STMS":  func() tlbprefetch.Prefetcher { return tlbprefetch.NewSTMS(16384, 1, 2) },
-		"MASP":  func() tlbprefetch.Prefetcher { return tlbprefetch.NewMASP(256, 1, 2) },
-		"SBFP":  func() tlbprefetch.Prefetcher { return tlbprefetch.NewSBFP() },
+func throughputMechs() map[string]tlbprefetch.Mech {
+	return map[string]tlbprefetch.Mech{
+		"none":  {Kind: "none"},
+		"SP":    {Kind: "SP"},
+		"SP-A":  {Kind: "SP-A"},
+		"ASP":   {Kind: "ASP", Rows: 256, Ways: 1},
+		"MP":    {Kind: "MP", Rows: 256, Ways: 1, Slots: 2},
+		"RP":    {Kind: "RP"},
+		"RP3":   {Kind: "RP3"},
+		"DP":    {Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
+		"DP-PC": {Kind: "DP-PC", Rows: 256, Ways: 1, Slots: 2},
+		"DP2":   {Kind: "DP2", Rows: 256, Ways: 1, Slots: 2},
+		"STMS":  {Kind: "STMS", Rows: 16384, Ways: 1, Slots: 2},
+		"MASP":  {Kind: "MASP", Rows: 256, Ways: 1, Slots: 2},
+		"SBFP":  {Kind: "SBFP"},
 	}
 }
 
@@ -368,9 +372,9 @@ func throughputMechs() map[string]func() tlbprefetch.Prefetcher {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	refs := benchTrace(b, "swim", 4_000_000)
 	for _, name := range []string{"none", "SP", "ASP", "MP", "RP", "DP", "STMS", "MASP", "SBFP"} {
-		mk := throughputMechs()[name]
+		mech := throughputMechs()[name]
 		b.Run(name, func(b *testing.B) {
-			s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), mk())
+			s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), mech.Build())
 			// Warm all structures to steady state before measuring.
 			for _, r := range refs[:len(refs)/4] {
 				s.Ref(r.PC, r.VAddr)
@@ -395,9 +399,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkSimulatorThroughputMcf(b *testing.B) {
 	refs := benchTrace(b, "mcf", 4_000_000)
 	for _, name := range []string{"none", "DP", "RP"} {
-		mk := throughputMechs()[name]
+		mech := throughputMechs()[name]
 		b.Run(name, func(b *testing.B) {
-			s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), mk())
+			s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), mech.Build())
 			for _, r := range refs[:len(refs)/4] {
 				s.Ref(r.PC, r.VAddr)
 			}
@@ -444,12 +448,12 @@ func BenchmarkOnMiss(b *testing.B) {
 	evs := rec.evs
 	mechs := throughputMechs()
 	for _, kind := range sweep.Kinds() {
-		mk, ok := mechs[kind]
+		mech, ok := mechs[kind]
 		if !ok {
 			b.Fatalf("registry kind %q has no throughputMechs row", kind)
 		}
 		b.Run(kind, func(b *testing.B) {
-			p := mk()
+			p := mech.Build()
 			if p == nil {
 				b.Skip("the none baseline has no OnMiss")
 			}
@@ -478,7 +482,7 @@ func BenchmarkSimulatorThroughputGenerated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	refs := uint64(b.N)
-	st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), tlbprefetch.NewDistance(256, 1, 2), w, refs)
+	st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}.Build(), w, refs)
 	if st.Refs != refs {
 		b.Fatalf("simulated %d refs, want %d", st.Refs, refs)
 	}
@@ -573,7 +577,7 @@ func BenchmarkMixExec(b *testing.B) {
 		benchTrace(b, "gcc", 2_000_000),
 	}
 	cfg := tlbprefetch.DefaultConfig()
-	mk := func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistance(256, 1, 2) }
+	mk := tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}.Build
 	it := mixInterleaver(streams)
 	e := multiprog.NewExec(cfg, multiprog.Retain, multiprog.ASIDFlush, len(streams), mk)
 	b.ReportAllocs()

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -30,44 +31,56 @@ import (
 	"tlbprefetch/internal/sweep"
 )
 
-func main() {
-	refs := flag.Uint64("refs", 1_000_000, "references simulated per workload")
-	tlbEntries := flag.Int("tlb", 128, "TLB entries")
-	tlbWays := flag.Int("ways", 0, "TLB associativity (0 = fully associative)")
-	buffer := flag.Int("buffer", 16, "prefetch buffer entries (b)")
-	pageShift := flag.Uint("pageshift", 12, "log2 of the page size")
-	slots := flag.Int("slots", 2, "prediction slots per row (s)")
-	warmup := flag.Uint64("warmup", 0, "references to simulate before counting (statistics fast-forward)")
-	storePath := flag.String("store", "", "sweep result store (JSON): cells found there are not re-simulated, fresh cells are merged back")
-	figFmt := flag.String("figure", "", "render fig7/fig8/fig9/table3-space/ext-modern as a grouped-bar report figure: text, csv or svg")
-	quiet := flag.Bool("q", false, "suppress timing banner")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(experimentNames(), " "))
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the process exit code (2 for a usage
+// error, 1 for an unopenable store).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	refs := fs.Uint64("refs", 1_000_000, "references simulated per workload")
+	tlbEntries := fs.Int("tlb", 128, "TLB entries")
+	tlbWays := fs.Int("ways", 0, "TLB associativity (0 = fully associative)")
+	buffer := fs.Int("buffer", 16, "prefetch buffer entries (b)")
+	pageShift := fs.Uint("pageshift", 12, "log2 of the page size")
+	slots := fs.Int("slots", 2, "prediction slots per row (s)")
+	warmup := fs.Uint64("warmup", 0, "references to simulate before counting (statistics fast-forward)")
+	storePath := fs.String("store", "", "sweep result store (JSON): cells found there are not re-simulated, fresh cells are merged back")
+	figFmt := fs.String("figure", "", "render fig7/fig8/fig9/table3-space/ext-modern as a grouped-bar report figure: text, csv or svg")
+	quiet := fs.Bool("q", false, "suppress timing banner")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: experiments [flags] <experiment>\n")
+		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(experimentNames(), " "))
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	// Validate the experiment name before doing any work: exiting later
-	// (os.Exit skips defers) would discard freshly simulated store cells.
-	if !knownExperiment(flag.Arg(0)) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	// Validate the experiment name before doing any work, so a typo costs
+	// no simulation.
+	if !knownExperiment(fs.Arg(0)) {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
 	}
 	switch *figFmt {
 	case "", "text", "csv", "svg":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -figure format %q (text, csv, svg)\n", *figFmt)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -figure format %q (text, csv, svg)\n", *figFmt)
+		return 2
 	}
-	if *figFmt != "" && !slices.Contains(figureExperiments, flag.Arg(0)) {
-		fmt.Fprintf(os.Stderr, "-figure applies to a single figure experiment (%s), not %q\n",
-			strings.Join(figureExperiments, ", "), flag.Arg(0))
-		os.Exit(2)
+	if *figFmt != "" && !slices.Contains(figureExperiments, fs.Arg(0)) {
+		fmt.Fprintf(stderr, "-figure applies to a single figure experiment (%s), not %q\n",
+			strings.Join(figureExperiments, ", "), fs.Arg(0))
+		return 2
 	}
 
 	tally := &sweep.Summary{}
@@ -84,19 +97,19 @@ func main() {
 	// Reject a geometry the simulator cannot model here, as a usage error,
 	// rather than let the first experiment's constructor panic on it.
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
 	}
 	if *storePath != "" {
 		store, err := sweep.OpenStore(*storePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "experiments:", err)
+			return 1
 		}
 		opts.Store = store
 		defer func() {
 			if err := store.Save(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
+				fmt.Fprintln(stderr, "experiments:", err)
 			}
 		}()
 	}
@@ -108,48 +121,48 @@ func main() {
 		switch format {
 		case "csv":
 			for _, f := range figs {
-				fmt.Print(f.CSV())
+				fmt.Fprint(stdout, f.CSV())
 			}
 		case "svg":
-			fmt.Print(report.SVGDocument(figs...))
+			fmt.Fprint(stdout, report.SVGDocument(figs...))
 		default:
 			for _, f := range figs {
-				fmt.Print(f.Text())
+				fmt.Fprint(stdout, f.Text())
 			}
 		}
 	}
 
-	run := func(name string) {
+	runOne := func(name string) {
 		start := time.Now()
 		switch name {
 		case "table1":
-			fmt.Println("Table 1: hardware comparison at a glance")
-			fmt.Print(experiments.Table1(opts))
+			fmt.Fprintln(stdout, "Table 1: hardware comparison at a glance")
+			fmt.Fprint(stdout, experiments.Table1(opts))
 		case "table2":
-			fmt.Println("Table 2: average and miss-rate-weighted prediction accuracy (56 apps, s=2, r=256)")
-			fmt.Print(experiments.FormatTable2(experiments.Table2(opts)))
+			fmt.Fprintln(stdout, "Table 2: average and miss-rate-weighted prediction accuracy (56 apps, s=2, r=256)")
+			fmt.Fprint(stdout, experiments.FormatTable2(experiments.Table2(opts)))
 		case "table3":
-			fmt.Print(experiments.FormatTable3(experiments.Table3(opts)))
+			fmt.Fprint(stdout, experiments.FormatTable3(experiments.Table3(opts)))
 		case "table3-lat":
-			fmt.Println("Table 3 latency sensitivity: miss-penalty axis (50..400 cycles)")
+			fmt.Fprintln(stdout, "Table 3 latency sensitivity: miss-penalty axis (50..400 cycles)")
 			rows, err := experiments.Table3Space(opts, experiments.DefaultLatencyAxis())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
+				fmt.Fprintln(stderr, "experiments:", err)
 				return
 			}
-			fmt.Print(experiments.FormatTable3Latency(rows))
+			fmt.Fprint(stdout, experiments.FormatTable3Latency(rows))
 		case "table3-space":
 			rows, err := experiments.Table3Space(opts, experiments.DefaultTable3SpaceAxes())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
+				fmt.Fprintln(stderr, "experiments:", err)
 				return
 			}
 			if *figFmt != "" {
 				renderFigures(*figFmt, experiments.Table3SpaceFigure(rows))
 				break
 			}
-			fmt.Print(experiments.FormatTable3Space(rows))
-			fmt.Println()
+			fmt.Fprint(stdout, experiments.FormatTable3Space(rows))
+			fmt.Fprintln(stdout)
 			renderFigures("text", experiments.Table3SpaceFigure(rows))
 		case "fig7":
 			res := experiments.Fig7(opts)
@@ -157,61 +170,62 @@ func main() {
 				renderFigures(*figFmt, experiments.FigureFromApps("Figure 7: prediction accuracy, SPEC CPU2000", res))
 				break
 			}
-			fmt.Println("Figure 7: prediction accuracy, SPEC CPU2000")
-			fmt.Print(experiments.FormatFigure(res))
+			fmt.Fprintln(stdout, "Figure 7: prediction accuracy, SPEC CPU2000")
+			fmt.Fprint(stdout, experiments.FormatFigure(res))
 		case "fig8":
 			res := experiments.Fig8(opts)
 			if *figFmt != "" {
 				renderFigures(*figFmt, experiments.FigureFromApps("Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive", res))
 				break
 			}
-			fmt.Println("Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive")
-			fmt.Print(experiments.FormatFigure(res))
+			fmt.Fprintln(stdout, "Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive")
+			fmt.Fprint(stdout, experiments.FormatFigure(res))
 		case "fig9":
 			res := experiments.Fig9(opts)
 			if *figFmt != "" {
 				renderFigures(*figFmt, experiments.Fig9Figures(res)...)
 				break
 			}
-			fmt.Print(experiments.FormatFig9(res))
+			fmt.Fprint(stdout, experiments.FormatFig9(res))
 		case "ext-dpvariants":
-			fmt.Println("Extension A: DP indexing variants (paper §4 future work)")
-			fmt.Print(experiments.FormatExtDPVariants(experiments.ExtDPVariants(opts)))
+			fmt.Fprintln(stdout, "Extension A: DP indexing variants (paper §4 future work)")
+			fmt.Fprint(stdout, experiments.FormatExtDPVariants(experiments.ExtDPVariants(opts)))
 		case "ext-cache":
-			fmt.Println("Extension B: distance prefetching at the cache level")
-			fmt.Print(experiments.FormatExtCache(experiments.ExtCache(opts)))
+			fmt.Fprintln(stdout, "Extension B: distance prefetching at the cache level")
+			fmt.Fprint(stdout, experiments.FormatExtCache(experiments.ExtCache(opts)))
 		case "ext-multiprog":
-			fmt.Println("Extension C: multiprogramming — flush vs retain prediction tables")
-			fmt.Print(experiments.FormatExtMultiprog(experiments.ExtMultiprog(opts)))
+			fmt.Fprintln(stdout, "Extension C: multiprogramming — flush vs retain prediction tables")
+			fmt.Fprint(stdout, experiments.FormatExtMultiprog(experiments.ExtMultiprog(opts)))
 		case "ext-pagesize":
-			fmt.Println("Extension D: page-size sensitivity of DP")
-			fmt.Print(experiments.FormatExtPageSize(experiments.ExtPageSize(opts)))
+			fmt.Fprintln(stdout, "Extension D: page-size sensitivity of DP")
+			fmt.Fprint(stdout, experiments.FormatExtPageSize(experiments.ExtPageSize(opts)))
 		case "ext-tlbassoc":
-			fmt.Println("Extension E: TLB-associativity sensitivity of DP")
-			fmt.Print(experiments.FormatExtTLBAssoc(experiments.ExtTLBAssoc(opts)))
+			fmt.Fprintln(stdout, "Extension E: TLB-associativity sensitivity of DP")
+			fmt.Fprint(stdout, experiments.FormatExtTLBAssoc(experiments.ExtTLBAssoc(opts)))
 		case "ext-modern":
 			res := experiments.ExtModern(opts)
 			if *figFmt != "" {
 				renderFigures(*figFmt, experiments.ExtModernFigure(res))
 				break
 			}
-			fmt.Println("Extension F: 2002 mechanisms vs modern successors (STMS, MASP, SBFP)")
-			fmt.Print(experiments.FormatExtModern(res))
+			fmt.Fprintln(stdout, "Extension F: 2002 mechanisms vs modern successors (STMS, MASP, SBFP)")
+			fmt.Fprint(stdout, experiments.FormatExtModern(res))
 		}
 		if !*quiet {
-			fmt.Printf("\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 
-	if flag.Arg(0) == "all" {
+	if fs.Arg(0) == "all" {
 		for _, name := range allExperiments {
-			run(name)
+			runOne(name)
 		}
 	} else {
-		run(flag.Arg(0))
+		runOne(fs.Arg(0))
 	}
-	fmt.Fprintf(os.Stderr, "experiments: %d cells (%d cached, %d run in %d shards)\n",
+	fmt.Fprintf(stderr, "experiments: %d cells (%d cached, %d run in %d shards)\n",
 		tally.Total, tally.Cached, tally.Ran, tally.Shards)
+	return 0
 }
 
 // allExperiments is the "all" ordering (the paper's presentation order,

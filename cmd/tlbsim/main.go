@@ -61,6 +61,10 @@ func main() {
 	case *workloadName == "" && *traceFile == "":
 		fatal("need -workload or -trace (or -list)")
 	}
+	// Trace mode runs the whole file and ignores -refs.
+	if *workloadName != "" && *refs == 0 {
+		usageError(fmt.Errorf("-refs must be positive in workload mode"))
+	}
 
 	// Either timing-constant flag opts into the cycle model.
 	if *missPenalty != 0 || *memopLat != 0 {

@@ -155,6 +155,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// A zero sweep.Grid.Refs means the library default, so a declared grid
+	// would silently run 1,000,000-reference cells under -refs 0.
+	if cfg.refs == 0 && !render && cfg.diffPath == "" && cfg.workerURL == "" {
+		fmt.Fprintln(os.Stderr, "tlbsweep: -refs must be positive")
+		os.Exit(2)
+	}
 
 	code, err := run(cfg)
 	if err != nil {

@@ -38,14 +38,15 @@ func frame(s *tlbprefetch.Simulator, base uint64, motif []int64, noise func() (u
 
 func run(name string, noiseEvery int) {
 	motif := []int64{0, 2, 5, 1, 4, 3, 6} // fixed sub-band visit order
-	mechs := []tlbprefetch.Prefetcher{
-		tlbprefetch.NewDistance(256, 1, 2),
-		tlbprefetch.NewASP(256, 1),
-		tlbprefetch.NewRecency(),
-		tlbprefetch.NewMarkov(1024, 1, 2),
+	mechs := []tlbprefetch.Mech{
+		{Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
+		{Kind: "ASP", Rows: 256, Ways: 1},
+		{Kind: "RP"},
+		{Kind: "MP", Rows: 1024, Ways: 1, Slots: 2},
 	}
 	fmt.Printf("%s:\n", name)
-	for _, pf := range mechs {
+	for _, m := range mechs {
+		pf := m.Build()
 		s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), pf)
 		base := uint64(1 << 21)
 		rng := uint64(0x9e3779b97f4a7c15)

@@ -14,13 +14,16 @@ import (
 	"tlbprefetch"
 )
 
+// dp is the paper's Distance Prefetching at its recommended operating point.
+var dp = tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}
+
 // hybrid wraps DP and adds a next-page fallback when DP stays silent.
 type hybrid struct {
 	dp tlbprefetch.Prefetcher
 }
 
 func newHybrid() *hybrid {
-	return &hybrid{dp: tlbprefetch.NewDistance(256, 1, 2)}
+	return &hybrid{dp: dp.Build()}
 }
 
 // Name implements tlbprefetch.Prefetcher.
@@ -51,10 +54,10 @@ func main() {
 		if !ok {
 			panic("missing workload " + name)
 		}
-		dp := tlbprefetch.RunWorkload(cfg, tlbprefetch.NewDistance(256, 1, 2), w, 1_000_000)
+		base := tlbprefetch.RunWorkload(cfg, dp.Build(), w, 1_000_000)
 		hy := tlbprefetch.RunWorkload(cfg, newHybrid(), w, 1_000_000)
 		fmt.Printf("%-12s %-10.3f %-10.3f %+.3f\n",
-			name, dp.Accuracy(), hy.Accuracy(), hy.Accuracy()-dp.Accuracy())
+			name, base.Accuracy(), hy.Accuracy(), hy.Accuracy()-base.Accuracy())
 	}
 	fmt.Println()
 	fmt.Println("The fallback helps on cold sequential streams and is harmless where")

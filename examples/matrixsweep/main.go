@@ -70,18 +70,18 @@ func main() {
 	)
 	bases := [3]uint64{1 << 20, 1<<20 + 437, 1<<20 + 874}
 
-	mechs := []func() tlbprefetch.Prefetcher{
-		func() tlbprefetch.Prefetcher { return tlbprefetch.NewDistance(256, 1, 2) },
-		func() tlbprefetch.Prefetcher { return tlbprefetch.NewASP(256, 1) },
-		func() tlbprefetch.Prefetcher { return tlbprefetch.NewRecency() },
-		func() tlbprefetch.Prefetcher { return tlbprefetch.NewMarkov(1024, 1, 2) },
+	mechs := []tlbprefetch.Mech{
+		{Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
+		{Kind: "ASP", Rows: 256, Ways: 1},
+		{Kind: "RP"},
+		{Kind: "MP", Rows: 1024, Ways: 1, Slots: 2},
 	}
 
 	fmt.Println("three 400-page arrays, blocked sweeps, tile order rotating per nest")
 	fmt.Println()
 	ntiles := (pages + tile - 1) / tile
-	for _, mk := range mechs {
-		pf := mk()
+	for _, m := range mechs {
+		pf := m.Build()
 		s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), pf)
 		ords := orders(ntiles)
 		for it := 0; it < iterations; it++ {

@@ -36,10 +36,11 @@ func main() {
 		st   tlbprefetch.TimingStats
 	}
 	var rows []row
-	for _, pf := range []tlbprefetch.Prefetcher{
-		tlbprefetch.NewRecency(),
-		tlbprefetch.NewDistance(256, 1, 2),
+	for _, m := range []tlbprefetch.Mech{
+		{Kind: "RP"},
+		{Kind: "DP", Rows: 256, Ways: 1, Slots: 2},
 	} {
+		pf := m.Build()
 		rows = append(rows, row{pf.Name(), tlbprefetch.RunWorkloadTimed(tc, pf, w, refs)})
 	}
 

@@ -20,12 +20,13 @@ func main() {
 	fmt.Printf("workload %s (%s)\n", w.Name, w.Suite)
 	fmt.Printf("model: %s\n\n", w.PaperNote)
 
-	for _, pf := range []tlbprefetch.Prefetcher{
-		tlbprefetch.NewDistance(256, 1, 2), // the paper's contribution, at its recommended operating point
-		tlbprefetch.NewRecency(),
-		tlbprefetch.NewASP(256, 1),
-		tlbprefetch.NewMarkov(256, 1, 2),
+	for _, m := range []tlbprefetch.Mech{
+		{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}, // the paper's contribution, at its recommended operating point
+		{Kind: "RP"},
+		{Kind: "ASP", Rows: 256, Ways: 1},
+		{Kind: "MP", Rows: 256, Ways: 1, Slots: 2},
 	} {
+		pf := m.Build()
 		st := tlbprefetch.RunWorkload(cfg, pf, w, 2_000_000)
 		fmt.Printf("%-4s accuracy %.3f  (misses %d, buffer hits %d, extra memory ops %d)\n",
 			pf.Name(), st.Accuracy(), st.Misses, st.BufferHits, st.MemOps())

@@ -248,6 +248,32 @@ func TestDistance2Reset(t *testing.T) {
 	}
 }
 
+// The three indexings are one type: each reports its own mechanism name
+// and its own Table 1 indexing, and DP's row is the paper's.
+func TestDistanceIndexings(t *testing.T) {
+	indexedBy := map[string]bool{}
+	for _, c := range []struct {
+		d    *Distance
+		name string
+	}{
+		{NewDistance(256, 1, 2), "DP"},
+		{NewDistancePC(256, 1, 2), "DP-PC"},
+		{NewDistance2(256, 1, 2), "DP2"},
+	} {
+		hi := c.d.HardwareInfo()
+		if c.d.Name() != c.name || hi.Mechanism != c.name {
+			t.Errorf("Name() = %q, HardwareInfo().Mechanism = %q, want %q", c.d.Name(), hi.Mechanism, c.name)
+		}
+		indexedBy[hi.IndexedBy] = true
+	}
+	if len(indexedBy) != 3 {
+		t.Errorf("IndexedBy values %v: want three distinct", indexedBy)
+	}
+	if got := NewDistance(256, 1, 2).HardwareInfo().IndexedBy; got != "distance" {
+		t.Errorf("DP IndexedBy = %q, want distance", got)
+	}
+}
+
 func BenchmarkDistanceOnMiss(b *testing.B) {
 	d := NewDistance(256, 1, 2)
 	b.ResetTimer()

@@ -62,11 +62,15 @@ func DefaultOptions() Options {
 }
 
 // Validate reports whether the options name a run the harness can
-// simulate: a positive reference budget and a pipeline geometry the
-// simulator can model (see sim.Config.Validate).
+// simulate: a positive reference budget, at least one prediction slot per
+// row, and a pipeline geometry the simulator can model (see
+// sim.Config.Validate).
 func (o Options) Validate() error {
 	if o.Refs == 0 {
 		return fmt.Errorf("refs must be positive")
+	}
+	if o.Slots < 1 {
+		return fmt.Errorf("slots must be positive, got %d", o.Slots)
 	}
 	return sim.Config{
 		TLB:           tlb.Config{Entries: o.TLBEntries, Ways: o.TLBWays},

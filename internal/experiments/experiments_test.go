@@ -464,6 +464,13 @@ func TestOptionsValidate(t *testing.T) {
 	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "refs must be positive") {
 		t.Fatalf("zero reference budget: err = %v", err)
 	}
+	for _, slots := range []int{0, -1} {
+		o = DefaultOptions()
+		o.Slots = slots
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "slots must be positive") {
+			t.Fatalf("%d prediction slots: err = %v", slots, err)
+		}
+	}
 }
 
 // TestWarmupReachesEveryPanel pins that the panels varying the simulator

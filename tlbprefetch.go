@@ -11,19 +11,22 @@
 //     Distance Prefetching (DP) — all behind one Prefetcher interface,
 //     plus three published successors for head-to-head comparison:
 //     temporal memory streaming (STMS), multi-stride ASP (MASP) and
-//     sampling-based free prefetching (SBFP);
+//     sampling-based free prefetching (SBFP). Every mechanism is named and
+//     built one way, as a Mech (Kinds lists them); a custom mechanism
+//     implements Prefetcher directly;
 //   - a functional TLB + prefetch-buffer simulator measuring the paper's
 //     prediction-accuracy metric, and a timing simulator implementing the
 //     paper's Table 3 cycle model;
 //   - the 56 synthetic application models standing in for the paper's
 //     SPEC CPU2000 / MediaBench / Etch / Pointer-Intensive workloads;
-//   - binary and text trace formats for driving the simulator from
-//     recorded reference streams.
+//   - three trace formats for driving the simulator from recorded
+//     reference streams: fixed-width binary (v1), delta-encoded blocks
+//     (v2) and one record per line of text.
 //
 // # Quick start
 //
 //	cfg := tlbprefetch.DefaultConfig() // 128-entry FA TLB, 16-entry buffer, 4K pages
-//	pf := tlbprefetch.NewDistance(256, 1, 2)
+//	pf := tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}.Build()
 //	w, _ := tlbprefetch.WorkloadByName("swim")
 //	st := tlbprefetch.RunWorkload(cfg, pf, w, 1_000_000)
 //	fmt.Printf("accuracy %.3f\n", st.Accuracy())
@@ -34,9 +37,9 @@
 package tlbprefetch
 
 import (
-	"tlbprefetch/internal/core"
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
+	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -63,10 +66,6 @@ type Event = prefetch.Event
 
 // Action is a Prefetcher's response to a miss.
 type Action = prefetch.Action
-
-// HardwareInfo summarizes a mechanism's hardware cost (the paper's
-// Table 1).
-type HardwareInfo = prefetch.HardwareInfo
 
 // TLBConfig describes a TLB geometry.
 type TLBConfig = tlb.Config
@@ -124,66 +123,21 @@ func NewTimingSimulator(cfg TimingConfig, pf Prefetcher) *TimingSimulator {
 // NewGroup builds a fan-out over the given simulators.
 func NewGroup(members ...*Simulator) *Group { return sim.NewGroup(members...) }
 
-// NewDistance returns the paper's contribution, Distance Prefetching: a
-// table of `entries` rows with `ways` associativity (1 = direct-mapped) and
-// `slots` predicted distances per row. The paper's recommended operating
-// point is NewDistance(256, 1, 2), and even 32 rows work well.
-func NewDistance(entries, ways, slots int) Prefetcher { return core.NewDistance(entries, ways, slots) }
+// Mech names and builds a prefetching mechanism: Kind is a registry name
+// (see Kinds), Rows/Ways size the table of the table-based kinds and Slots
+// is s, the predictions per row. Validate checks a configuration built
+// from user input; Build instantiates it (the "none" baseline builds nil).
+// The paper's recommended operating point for its contribution is
+// Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}, and even 32 rows work
+// well.
+type Mech = sweep.Mech
 
-// NewDistancePC returns the PC+distance-indexed DP variant (paper §4 future
-// work).
-func NewDistancePC(entries, ways, slots int) Prefetcher {
-	return core.NewDistancePC(entries, ways, slots)
-}
-
-// NewDistance2 returns the two-consecutive-distances DP variant (paper §4
-// future work).
-func NewDistance2(entries, ways, slots int) Prefetcher {
-	return core.NewDistance2(entries, ways, slots)
-}
-
-// NewRecency returns Recency-based Prefetching (Saulsbury et al.): an LRU
-// stack threaded through the page table; prefetches the missing page's
-// stack neighbours.
-func NewRecency() Prefetcher { return prefetch.NewRecency() }
-
-// NewMarkov returns Markov Prefetching adapted to TLBs: a page-indexed
-// table holding `slots` successor pages per row.
-func NewMarkov(entries, ways, slots int) Prefetcher { return prefetch.NewMarkov(entries, ways, slots) }
-
-// NewASP returns Arbitrary Stride Prefetching (Chen & Baer's reference
-// prediction table), PC-indexed with one stride slot per row.
-func NewASP(entries, ways int) Prefetcher { return prefetch.NewASP(entries, ways) }
-
-// NewSequential returns sequential prefetching; tagged selects the variant
-// that also triggers on the first hit to a prefetched entry (the one the
-// paper evaluates).
-func NewSequential(tagged bool) Prefetcher { return prefetch.NewSequential(tagged) }
-
-// NewAdaptiveSequential returns the Dahlgren/Dubois/Stenström adaptive
-// sequential prefetcher the paper cites in §2.1 (prefetch degree tracks
-// measured usefulness).
-func NewAdaptiveSequential() Prefetcher { return prefetch.NewAdaptiveSequential() }
-
-// NewRecencyDegree returns RP with a wider stack prefetch window (degree 3
-// reproduces Saulsbury et al.'s three-entry variant).
-func NewRecencyDegree(degree int) Prefetcher { return prefetch.NewRecencyDegree(degree) }
-
-// NewSTMS returns temporal memory streaming adapted to TLB miss streams
-// (after Wenisch et al., HPCA 2009): a global history buffer of the last
-// `entries` misses with a `ways`-associative index table, replaying up to
-// `degree` history successors per miss.
-func NewSTMS(entries, ways, degree int) Prefetcher { return prefetch.NewSTMS(entries, ways, degree) }
-
-// NewMASP returns the multi-stride ASP generalization (after Vavouliotis et
-// al., ISCA 2021): `slots` concurrent strides tracked per PC, prefetched
-// together once a stride repeats.
-func NewMASP(entries, ways, slots int) Prefetcher { return prefetch.NewMASP(entries, ways, slots) }
-
-// NewSBFP returns sampling-based free TLB prefetching (Vavouliotis et al.,
-// ISCA 2021): a free-distance table of usefulness counters deciding which
-// page-walk neighbours to keep, with a bounded sampler and prefetch queue.
-func NewSBFP() Prefetcher { return prefetch.NewSBFP() }
+// Kinds returns every mechanism kind Mech can build, in registry order:
+// the no-prefetching baseline, the paper's five mechanisms (SP, ASP, MP,
+// RP, DP) with their variants (adaptive SP-A, three-entry RP3, and DP
+// indexed by PC+distance, DP-PC, or by two distances, DP2), and the
+// modern successors (STMS, MASP, SBFP).
+func Kinds() []string { return sweep.Kinds() }
 
 // Workloads returns all 56 application models, sorted by suite then name.
 func Workloads() []Workload { return workload.All() }
@@ -219,18 +173,16 @@ func RunWorkloadTimed(cfg TimingConfig, pf Prefetcher, w Workload, refs uint64) 
 
 // NewBinaryTraceWriter / NewBinaryTraceReader expose the fixed-width v1
 // trace file format (16 bytes per record after a 16-byte header);
-// NewBlockTraceWriter / NewBlockTraceReader expose the v2 block format
-// (delta + varint encoded, typically 2-6 bytes per record, batched
-// decode); NewTextTraceWriter / NewTextTraceReader the one-line-per-record
-// text format. OpenTraceFile auto-detects text, v1 and v2 from the file's
-// leading bytes. Every reader is a TraceBatchReader.
+// NewBlockTraceWriter writes the v2 block format (delta + varint encoded,
+// typically 2-6 bytes per record, batched decode); NewTextTraceWriter the
+// one-line-per-record text format. OpenTraceFile reads all three,
+// detecting text, v1 and v2 from the file's leading bytes. Every reader is
+// a TraceBatchReader.
 var (
 	NewBinaryTraceWriter = trace.NewBinaryWriter
 	NewBinaryTraceReader = trace.NewBinaryReader
 	NewBlockTraceWriter  = trace.NewBlockWriter
-	NewBlockTraceReader  = trace.NewBlockReader
 	NewTextTraceWriter   = trace.NewTextWriter
-	NewTextTraceReader   = trace.NewTextReader
 	OpenTraceFile        = trace.OpenFile
 	DigestTraceFile      = trace.DigestFile
 	// CopyTrace pumps a batch reader into a writer until EOF, returning the

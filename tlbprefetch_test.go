@@ -9,7 +9,7 @@ import (
 
 func TestQuickStartFlow(t *testing.T) {
 	cfg := tlbprefetch.DefaultConfig()
-	pf := tlbprefetch.NewDistance(256, 1, 2)
+	pf := tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}.Build()
 	w, ok := tlbprefetch.WorkloadByName("swim")
 	if !ok {
 		t.Fatal("swim workload missing")
@@ -27,20 +27,17 @@ func TestQuickStartFlow(t *testing.T) {
 }
 
 func TestAllMechanismConstructors(t *testing.T) {
-	mechs := []tlbprefetch.Prefetcher{
-		tlbprefetch.NewDistance(256, 1, 2),
-		tlbprefetch.NewDistancePC(256, 1, 2),
-		tlbprefetch.NewDistance2(256, 1, 2),
-		tlbprefetch.NewRecency(),
-		tlbprefetch.NewMarkov(256, 1, 2),
-		tlbprefetch.NewASP(256, 1),
-		tlbprefetch.NewSequential(true),
-	}
 	w, _ := tlbprefetch.WorkloadByName("gap")
-	for _, pf := range mechs {
-		st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), pf, w, 50_000)
+	for _, kind := range tlbprefetch.Kinds() {
+		// Kinds without a table or slots ignore those fields.
+		m := tlbprefetch.Mech{Kind: kind, Rows: 256, Ways: 1, Slots: 2}
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %v", kind, err)
+			continue
+		}
+		st := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), m.Build(), w, 50_000)
 		if st.Refs != 50_000 {
-			t.Errorf("%s: refs = %d", pf.Name(), st.Refs)
+			t.Errorf("%s: refs = %d", kind, st.Refs)
 		}
 	}
 }
@@ -69,7 +66,7 @@ func TestTimingFacade(t *testing.T) {
 	w, _ := tlbprefetch.WorkloadByName("ammp")
 	base := tlbprefetch.RunWorkloadTimed(tlbprefetch.DefaultTimingConfig(), nil, w, 200_000)
 	dp := tlbprefetch.RunWorkloadTimed(tlbprefetch.DefaultTimingConfig(),
-		tlbprefetch.NewDistance(256, 1, 2), w, 200_000)
+		tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}.Build(), w, 200_000)
 	if dp.Cycles >= base.Cycles {
 		t.Fatalf("DP (%d cycles) did not beat baseline (%d)", dp.Cycles, base.Cycles)
 	}
@@ -94,15 +91,15 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), tlbprefetch.NewDistance(256, 1, 2))
+	dp := tlbprefetch.Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}
+	s := tlbprefetch.NewSimulator(tlbprefetch.DefaultConfig(), dp.Build())
 	if err := s.RunBatch(br); err != nil {
 		t.Fatal(err)
 	}
 	fromTrace := s.Stats()
 
 	// Driving the simulator from the trace must equal driving it directly.
-	direct := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(),
-		tlbprefetch.NewDistance(256, 1, 2), w, 10_000)
+	direct := tlbprefetch.RunWorkload(tlbprefetch.DefaultConfig(), dp.Build(), w, 10_000)
 	if fromTrace != direct {
 		t.Fatalf("trace-driven %+v != direct %+v", fromTrace, direct)
 	}
