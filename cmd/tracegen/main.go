@@ -80,14 +80,10 @@ func main() {
 		refs         = flag.Uint64("refs", 1_000_000, "references to generate")
 		out          = flag.String("o", "", "output file (default: <workload>.trc or .txt)")
 		format       = flag.String("format", "v2", "output encoding: v2 (block binary), v1 (fixed binary), text")
-		text         = flag.Bool("text", false, "write the text format (alias for -format text)")
 		force        = flag.Bool("force", false, "overwrite the output file if it already exists")
 	)
 	flag.Parse()
 
-	if *text {
-		*format = "text"
-	}
 	if (*workloadName == "") == (*convert == "") {
 		usage("need exactly one of -workload or -convert")
 	}

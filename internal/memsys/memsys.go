@@ -21,13 +21,13 @@ package memsys
 // occupancy models a pipelined memory system with multiple requests in
 // flight, which is what a 2002-era out-of-order core's memory interface
 // provides. NewPipelinedChannel(l, l) is full serialization.
+//
+// The channel's only state is the cycle it next becomes free; the cycle
+// model's TimingStats account for the time its operations cost.
 type Channel struct {
 	opLatency   uint64
 	opOccupancy uint64
 	freeAt      uint64 // cycle at which the channel can start the next op
-
-	ops       uint64 // total operations issued
-	busyCycle uint64 // total cycles the channel was occupied
 }
 
 // NewPipelinedChannel builds a channel whose operations complete latency
@@ -60,8 +60,6 @@ func (c *Channel) Issue(now uint64, n int) (completeAt uint64) {
 		start = c.freeAt
 	}
 	c.freeAt = start + uint64(n)*c.opOccupancy
-	c.ops += uint64(n)
-	c.busyCycle += uint64(n) * c.opOccupancy
 	return start + uint64(n-1)*c.opOccupancy + c.opLatency
 }
 
@@ -83,20 +81,5 @@ func (c *Channel) IssueEach(dst []uint64, now uint64, n int) []uint64 {
 		start += c.opOccupancy
 	}
 	c.freeAt = start
-	c.ops += uint64(n)
-	c.busyCycle += uint64(n) * c.opOccupancy
 	return dst
-}
-
-// Stats returns the operation count and total occupied cycles.
-func (c *Channel) Stats() (ops, busyCycles uint64) { return c.ops, c.busyCycle }
-
-// FreeAt returns the cycle the channel next becomes idle.
-func (c *Channel) FreeAt() uint64 { return c.freeAt }
-
-// Reset clears the channel.
-func (c *Channel) Reset() {
-	c.freeAt = 0
-	c.ops = 0
-	c.busyCycle = 0
 }

@@ -69,21 +69,6 @@ func TestIssueEach(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
-	c := NewPipelinedChannel(50, 50)
-	c.Issue(0, 2)
-	c.IssueEach(nil, 0, 3)
-	ops, busy := c.Stats()
-	if ops != 5 || busy != 250 {
-		t.Fatalf("stats = %d,%d; want 5,250", ops, busy)
-	}
-	c.Reset()
-	ops, busy = c.Stats()
-	if ops != 0 || busy != 0 || c.FreeAt() != 0 {
-		t.Fatal("Reset left state")
-	}
-}
-
 func TestZeroLatencyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -11,9 +11,10 @@
 // same time in the past.
 //
 // Because the pointers live in memory, every manipulation costs a memory
-// system operation; the package counts pointer reads/writes so the timing
-// model can charge them (the paper charges 4 pointer manipulations per miss
-// plus 2 prefetch fetches).
+// system operation; Unlink and Push return the pointer writes they
+// perform, which RP reports as its metadata traffic for the timing model to
+// charge (the paper charges 4 pointer manipulations per miss plus 2
+// prefetch fetches).
 //
 // The table itself is an open-addressed hash table whose cells are the
 // PTEs: a PTE's stack pointers are cell indices, so a miss's neighbour
@@ -51,8 +52,6 @@ type PageTable struct {
 	used  int    // occupied cells: the PTEs allocated
 	top   int32  // slot of the top of the stack, or none
 	size  int    // number of pages currently linked in the stack
-
-	pointerOps uint64 // memory writes to PTE pointer fields
 }
 
 // New returns an empty page table.
@@ -177,7 +176,6 @@ func (pt *PageTable) unlink(i int32) int {
 	}
 	c.next, c.prev = none, offStack
 	pt.size--
-	pt.pointerOps += uint64(ops)
 	return ops
 }
 
@@ -187,8 +185,7 @@ func (pt *PageTable) unlink(i int32) int {
 // writes (2 in steady state: the new top's next, and the old top's prev; 1
 // for the very first push). If the page is somehow already linked it is
 // unlinked first (defensive; the simulator's invariants prevent this), and
-// the unlink's writes count in PointerOps both on their own and within the
-// push's total.
+// the unlink's writes are part of the returned total.
 func (pt *PageTable) Push(vpn uint64) int {
 	i, ok := pt.find(vpn)
 	if !ok {
@@ -211,7 +208,6 @@ func (pt *PageTable) Push(vpn uint64) int {
 	pt.top = i
 	ops++ // write new entry's pointers / the top pointer
 	pt.size++
-	pt.pointerOps += uint64(ops)
 	return ops
 }
 
@@ -220,10 +216,6 @@ func (pt *PageTable) StackSize() int { return pt.size }
 
 // Pages returns the number of PTEs allocated (distinct pages pushed).
 func (pt *PageTable) Pages() int { return pt.used }
-
-// PointerOps returns the cumulative count of pointer-field memory writes —
-// the extra memory traffic RP induces beyond the prefetch fetches.
-func (pt *PageTable) PointerOps() uint64 { return pt.pointerOps }
 
 // Top returns the top-of-stack page, if any.
 func (pt *PageTable) Top() (uint64, bool) {
@@ -293,11 +285,10 @@ func (pt *PageTable) CheckInvariants() (bool, string) {
 	return true, ""
 }
 
-// Reset drops all entries and counters, keeping the table's capacity.
+// Reset drops all entries, keeping the table's capacity.
 func (pt *PageTable) Reset() {
 	clear(pt.cells)
 	pt.used = 0
 	pt.top = none
 	pt.size = 0
-	pt.pointerOps = 0
 }

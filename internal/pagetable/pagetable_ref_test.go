@@ -11,11 +11,10 @@ import (
 // kept as the reference model for the open-addressed table: one heap PTE
 // per page, neighbours linked by page number.
 type refTable struct {
-	entries    map[uint64]*refPTE
-	top        uint64
-	hasTop     bool
-	size       int
-	pointerOps uint64
+	entries map[uint64]*refPTE
+	top     uint64
+	hasTop  bool
+	size    int
 }
 
 type refPTE struct {
@@ -78,7 +77,6 @@ func (pt *refTable) Unlink(vpn uint64) int {
 	e.inStack = false
 	e.hasNext, e.hasPrev = false, false
 	pt.size--
-	pt.pointerOps += uint64(ops)
 	return ops
 }
 
@@ -105,7 +103,6 @@ func (pt *refTable) Push(vpn uint64) int {
 	pt.top, pt.hasTop = vpn, true
 	ops++
 	pt.size++
-	pt.pointerOps += uint64(ops)
 	return ops
 }
 
@@ -124,7 +121,6 @@ func (pt *refTable) Reset() {
 	clear(pt.entries)
 	pt.hasTop = false
 	pt.size = 0
-	pt.pointerOps = 0
 }
 
 // ptOp is one page-table operation of a differential sequence.
@@ -147,8 +143,8 @@ func (o ptOp) String() string {
 }
 
 // applyBoth runs op on the table and the reference model and compares the
-// return values and every observable afterwards: PointerOps, Pages, Top,
-// StackSize and the full StackWalk.
+// return values and every observable afterwards: Pages, Top, StackSize
+// and the full StackWalk.
 func applyBoth(pt *PageTable, ref *refTable, op ptOp) error {
 	switch op.kind {
 	case 'p':
@@ -169,9 +165,6 @@ func applyBoth(pt *PageTable, ref *refTable, op ptOp) error {
 	case 'r':
 		pt.Reset()
 		ref.Reset()
-	}
-	if got, want := pt.PointerOps(), ref.pointerOps; got != want {
-		return fmt.Errorf("PointerOps %d, reference %d", got, want)
 	}
 	if got, want := pt.Pages(), len(ref.entries); got != want {
 		return fmt.Errorf("Pages %d, reference %d", got, want)

@@ -159,12 +159,12 @@ func TestRepushMovesToTop(t *testing.T) {
 
 func TestPointerOpsAccumulate(t *testing.T) {
 	pt := New()
-	pt.Push(1) // 1
-	pt.Push(2) // 2
-	pt.Push(3) // 2  => 5 so far
-	pt.Unlink(2)
+	got := pt.Push(1) // 1
+	got += pt.Push(2) // 2
+	got += pt.Push(3) // 2  => 5 so far
+	got += pt.Unlink(2)
 	// middle unlink = 2 => 7
-	if got := pt.PointerOps(); got != 7 {
+	if got != 7 {
 		t.Fatalf("pointer ops = %d, want 7", got)
 	}
 }
@@ -192,7 +192,7 @@ func TestReset(t *testing.T) {
 	pt.Push(1)
 	pt.Push(2)
 	pt.Reset()
-	if pt.Pages() != 0 || pt.StackSize() != 0 || pt.PointerOps() != 0 {
+	if pt.Pages() != 0 || pt.StackSize() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	if _, ok := pt.Top(); ok {

@@ -22,16 +22,29 @@ func batchTestStream(t *testing.T, wname string, n int) []trace.Ref {
 	return refs
 }
 
+// refModel is the per-reference pipeline written out on its own (count,
+// probe, fill, back half), sharing no code with frontend: the equivalence
+// tests compare the production reference loop against it.
+func refModel(s *Simulator, pc, vaddr uint64) {
+	s.stat.Refs++
+	vpn := vaddr >> s.cfg.PageShift
+	if s.tlb.Access(vpn) {
+		return
+	}
+	evicted, hasEvicted := s.tlb.Insert(vpn)
+	s.miss(pc, vpn, evicted, hasEvicted, s.tlb)
+}
+
 // TestSimulatorBatchEquivalence is the differential contract of the batched
 // entry points: RefBatch over any chunking of a stream must produce Stats
-// byte-identical to per-reference Ref calls, for every mechanism family.
+// byte-identical to the per-reference model, for every mechanism family.
 func TestSimulatorBatchEquivalence(t *testing.T) {
 	cfg := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
 	refs := batchTestStream(t, "mcf", 60_000)
 	for i, pf := range equivMechs() {
 		perRef := New(cfg, pf)
 		for _, r := range refs {
-			perRef.Ref(r.PC, r.VAddr)
+			refModel(perRef, r.PC, r.VAddr)
 		}
 		batched := New(cfg, equivMechs()[i])
 		// Deliberately ragged chunk sizes, including empty chunks.
@@ -63,7 +76,7 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 		}
 		perRef := New(cfg, equivMechs()[i])
 		for _, r := range refs {
-			perRef.Ref(r.PC, r.VAddr)
+			refModel(perRef, r.PC, r.VAddr)
 		}
 		if got, want := viaRun.Stats(), perRef.Stats(); got != want {
 			t.Errorf("mechanism %d: Run %+v != per-ref %+v", i, got, want)
@@ -82,7 +95,7 @@ func TestGroupBatchEquivalence(t *testing.T) {
 	for _, pf := range equivMechs() {
 		s := New(cfg, pf)
 		for _, r := range refs {
-			s.Ref(r.PC, r.VAddr)
+			refModel(s, r.PC, r.VAddr)
 		}
 		perRef = append(perRef, s)
 	}

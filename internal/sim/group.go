@@ -94,28 +94,5 @@ func (g *Group) RefBatch(refs []trace.Ref) {
 	}
 	g.started = true
 	front := g.members[0]
-	shift := front.cfg.PageShift
-	t := front.tlb
-	// Hits are counted once and credited to every member's Refs before its
-	// next miss and at the end of the batch: nothing reads Refs in between
-	// (a member's clock reads it only at a miss, Now or Stats).
-	var hits uint64
-	for i := range refs {
-		vpn := refs[i].VAddr >> shift
-		if t.Access(vpn) {
-			hits++
-			continue
-		}
-		evicted, hasEvicted := t.Insert(vpn)
-		for _, m := range g.members {
-			m.stat.Refs += hits + 1
-			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
-		}
-		hits = 0
-	}
-	if hits > 0 {
-		for _, m := range g.members {
-			m.stat.Refs += hits
-		}
-	}
+	frontend(front.tlb, front.cfg.PageShift, refs, g.members)
 }

@@ -59,7 +59,7 @@ func TestGroupSharedFrontendEquivalence(t *testing.T) {
 		for i, pf := range equivMechs() {
 			ind := New(cfg, pf)
 			workload.Generate(w, 60_000, func(pc, vaddr uint64) bool {
-				ind.Ref(pc, vaddr)
+				refModel(ind, pc, vaddr)
 				return true
 			})
 			got := g.Members()[i].Stats()
@@ -95,7 +95,7 @@ func TestGroupSharedFrontendMidRunStatsReset(t *testing.T) {
 		ind := New(cfg, pf)
 		var n uint64
 		workload.Generate(w, warmup+run, func(pc, vaddr uint64) bool {
-			ind.Ref(pc, vaddr)
+			refModel(ind, pc, vaddr)
 			n++
 			if n == warmup {
 				ind.ResetStats()

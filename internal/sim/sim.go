@@ -3,9 +3,12 @@
 // every TLB miss is reported to the attached prefetching mechanism, whose
 // predictions are fetched into the buffer.
 //
-// The pipeline exists once, in Simulator. On its own it is the functional
-// model behind the prediction-accuracy results (Figures 7-9, Table 2): it
-// counts events but not cycles, like the paper's sim-cache runs.
+// The pipeline exists once, in Simulator. One reference loop (frontend)
+// serves Ref, RefBatch and Group alike, and Stats is the one record of its
+// events: the TLB, the buffer and the memory channel keep no counters of
+// their own. On its own Simulator is the functional model behind the
+// prediction-accuracy results (Figures 7-9, Table 2): it counts events but
+// not cycles, like the paper's sim-cache runs.
 // TimingSimulator attaches the cycle model of the paper's Table 3
 // experiment (sim-outorder runs) as an optional back half of the same
 // miss path: TLB miss penalty, prefetch-channel contention and in-flight
@@ -138,15 +141,9 @@ func (s *Simulator) Config() Config { return s.cfg }
 // Prefetcher returns the attached mechanism.
 func (s *Simulator) Prefetcher() prefetch.Prefetcher { return s.pf }
 
-// Ref simulates one memory reference.
+// Ref simulates one memory reference: RefBatch over a one-reference chunk.
 func (s *Simulator) Ref(pc, vaddr uint64) {
-	s.stat.Refs++
-	vpn := vaddr >> s.cfg.PageShift
-	if s.tlb.Access(vpn) {
-		return
-	}
-	evicted, hasEvicted := s.tlb.Insert(vpn)
-	s.miss(pc, vpn, evicted, hasEvicted, s.tlb)
+	s.RefBatch([]trace.Ref{{PC: pc, VAddr: vaddr}})
 }
 
 // miss runs the back half of the pipeline for one TLB miss: the buffer
@@ -203,20 +200,37 @@ func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 	s.pf = pf
 }
 
-// RefBatch simulates a chunk of references. It is exactly len(refs) calls
-// to Ref without the per-reference call overhead: the hot TLB-hit path
-// runs inline over the slice.
+// RefBatch simulates a chunk of references through the pipeline's one
+// reference loop, with the simulator as its own frontend.
 func (s *Simulator) RefBatch(refs []trace.Ref) {
-	shift := s.cfg.PageShift
-	t := s.tlb
+	frontend(s.tlb, s.cfg.PageShift, refs, []*Simulator{s})
+}
+
+// frontend is the pipeline's one reference loop, behind Ref, RefBatch and
+// Group.RefBatch: each reference probes t once, and each miss fills t and
+// runs every member's back half against it. Hits are counted once and
+// credited to every member's Refs before its next miss and at the end of
+// the chunk: nothing reads Refs in between (a member's clock reads it only
+// at a miss, Now or Stats).
+func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, members []*Simulator) {
+	var hits uint64
 	for i := range refs {
-		s.stat.Refs++
 		vpn := refs[i].VAddr >> shift
 		if t.Access(vpn) {
+			hits++
 			continue
 		}
 		evicted, hasEvicted := t.Insert(vpn)
-		s.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+		for _, m := range members {
+			m.stat.Refs += hits + 1
+			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+		}
+		hits = 0
+	}
+	if hits > 0 {
+		for _, m := range members {
+			m.stat.Refs += hits
+		}
 	}
 }
 
@@ -257,18 +271,6 @@ func (s *Simulator) TLB() *tlb.TLB { return s.tlb }
 
 // Buffer exposes the prefetch buffer (tests).
 func (s *Simulator) Buffer() *tlb.PrefetchBuffer { return s.buf }
-
-// Reset returns the simulator to its initial state, including the attached
-// mechanism and, for a timing simulator, the clock.
-func (s *Simulator) Reset() {
-	s.tlb.Reset()
-	s.buf.Reset()
-	s.pf.Reset()
-	s.stat = Stats{}
-	if s.clk != nil {
-		s.clk.reset()
-	}
-}
 
 // ResetStats clears the counters while keeping all simulation state (TLB,
 // buffer, mechanism tables) warm — used to measure steady-state behaviour

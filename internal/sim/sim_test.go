@@ -224,19 +224,6 @@ func TestQuickStatsConsistency(t *testing.T) {
 	}
 }
 
-func TestSimulatorReset(t *testing.T) {
-	s := New(cfgSmall(), core.NewDistance(64, 1, 2))
-	s.RunBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5, 6)))
-	s.Reset()
-	st := s.Stats()
-	if st.Refs != 0 || st.Misses != 0 {
-		t.Fatalf("stats after reset: %+v", st)
-	}
-	if s.TLB().Len() != 0 || s.Buffer().Len() != 0 {
-		t.Fatal("structures not cleared")
-	}
-}
-
 func TestGroupFanout(t *testing.T) {
 	s1 := New(cfgSmall(), prefetch.NewSequential(true))
 	s2 := New(cfgSmall(), core.NewDistance(64, 1, 2))

@@ -244,13 +244,6 @@ func (c *clock) beginWindow(refs uint64) {
 	c.stat = TimingStats{}
 }
 
-// reset returns the clock and its channel to cycle zero.
-func (c *clock) reset() {
-	c.ch.Reset()
-	c.now, c.refAccum, c.synced, c.base = 0, 0, 0, 0
-	c.stat = TimingStats{}
-}
-
 // timedIssue is the cycle-model back half of one miss, run after the
 // mechanism has answered: it stalls the clock for the miss, applies RP's
 // skip rule and issues the prefetch batch through the channel.

@@ -196,16 +196,6 @@ func TestTimingFunctionalAgreement(t *testing.T) {
 	}
 }
 
-func TestTimingReset(t *testing.T) {
-	s := NewTiming(timingCfg(), core.NewDistance(64, 1, 2))
-	s.RunBatch(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5)))
-	s.Reset()
-	st := s.Stats()
-	if st.Cycles != 0 || st.Refs != 0 || s.Now() != 0 {
-		t.Fatalf("reset left state: %+v", st)
-	}
-}
-
 // scripted is a mechanism that answers the n-th miss with the n-th batch.
 type scripted struct {
 	batches [][]uint64
@@ -271,6 +261,38 @@ func TestTimingRefZeroAlloc(t *testing.T) {
 		replay() // warm up: grow the scratch buffers, populate the tables
 		if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per replay of a warm timing simulator", pf.Name(), allocs)
+		}
+	}
+}
+
+// TestFrontendZeroAlloc pins the functional routes into the one reference
+// loop as allocation-free once warm: Ref's one-reference chunk and
+// RefBatch's one-member slice stay on the stack, and a Group hands over
+// the member slice it owns.
+func TestFrontendZeroAlloc(t *testing.T) {
+	refs := batchTestStream(t, "mcf", 20_000)
+	ref := New(Default(), core.NewDistance(256, 1, 2))
+	batched := New(Default(), core.NewDistance(256, 1, 2))
+	g := NewGroup(New(Default(), core.NewDistance(256, 1, 2)), New(Default(), prefetch.NewSBFP()))
+	for _, c := range []struct {
+		name   string
+		replay func()
+	}{
+		{"Ref", func() {
+			for _, r := range refs {
+				ref.Ref(r.PC, r.VAddr)
+			}
+		}},
+		{"RefBatch", func() {
+			for pos := 0; pos < len(refs); pos += 4096 {
+				batched.RefBatch(refs[pos:min(pos+4096, len(refs))])
+			}
+		}},
+		{"Group", func() { feedChunks(g, refs) }},
+	} {
+		c.replay() // warm up: grow the scratch buffers, populate the tables
+		if allocs := testing.AllocsPerRun(3, c.replay); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per replay of a warm pipeline", c.name, allocs)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"path/filepath"
 	"testing"
 )
 
@@ -72,5 +73,90 @@ func TestEveryKindDigest(t *testing.T) {
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != everyKindDigest {
 		t.Errorf("every-kind result digest = %s, want %s", got, everyKindDigest)
+	}
+}
+
+// gridDigest runs a grid's cells on two workers and returns the SHA-256 of
+// sweep.JSON over the results.
+func gridDigest(t *testing.T, g Grid) string {
+	t.Helper()
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := (&Runner{Workers: 2}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := JSON(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGridDigests pins the result bytes of the paths the every-kind grid
+// does not reach: trace decoding in all three encodings, the cycle model's
+// axes, every mix scheduler point, and single sources mixed with mixes in
+// one grid. Like everyKindDigest, a change to a digest is a result change.
+func TestGridDigests(t *testing.T) {
+	dir := t.TempDir()
+	record := func(name, workloadName, format string, refs uint64) Source {
+		return recordTraceFormat(t, filepath.Join(dir, name), workloadName, format, refs)
+	}
+	dp := Mech{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}
+	mcf := record("mcf.trc", "mcf", "v2", 20_000)
+	cases := []struct {
+		name   string
+		grid   Grid
+		digest string
+	}{
+		{"trace-formats", Grid{
+			Traces: []Source{
+				record("gap.v1", "gap", "v1", 30_000),
+				record("gap.v2", "gap", "v2", 30_000),
+				record("gap.txt", "gap", "text", 30_000),
+			},
+			Mechs:  []Mech{dp, {Kind: "RP"}, {Kind: "SBFP"}},
+			Refs:   25_000,
+			Warmup: 5_000,
+		}, "eb85cc93d9f9fda1436bbc363e190765650841e18281c9b8e6ddfe3b76fcce01"},
+		{"timing-axes", Grid{
+			Workloads: []string{"mcf"},
+			Mechs:     []Mech{{Kind: "none"}, dp, {Kind: "RP"}},
+			Refs:      40_000,
+			TimingAxes: TimingAxes{
+				MissPenalties: []uint64{50, 200},
+				MemOpRatios:   []float64{0.25, 0.5},
+				RefsPerCycle:  []uint64{1, 3},
+			},
+		}, "176658c3d21ad79ef454ecd4c0da118ced1ff7fb59c131a7c69bc6d0bd893bae"},
+		{"mix-schedulers", Grid{
+			Mixes:    []Mix{{Sources: []Source{WorkloadSource("galgel"), WorkloadSource("gcc")}}},
+			Quanta:   []uint64{2_000, 9_000},
+			Policies: []string{"retain", "flush", "per-process"},
+			ASIDs:    []string{"flush", "tagged"},
+			Mechs:    []Mech{dp, {Kind: "RP"}},
+			Refs:     30_000,
+		}, "3c66fce23e7f93c2b954f49738a9096435e56762c07015af34c5c169d990bbb0"},
+		{"sources-and-mixes", Grid{
+			Workloads: []string{"swim"},
+			Traces:    []Source{mcf},
+			Mixes: []Mix{
+				{Sources: []Source{WorkloadSource("swim"), mcf}},
+				{Sources: []Source{WorkloadSource("galgel"), WorkloadSource("gcc")}},
+			},
+			Quanta:     []uint64{5_000},
+			Mechs:      []Mech{dp, {Kind: "RP"}},
+			TLBEntries: []int{64, 128},
+			Buffers:    []int{8, 16},
+			Refs:       20_000,
+		}, "1dd0e135ee05c23f0bb5c96a48dae8b71d0daf919fb6f5f85f6a566888ef6667"},
+	}
+	for _, c := range cases {
+		if got := gridDigest(t, c.grid); got != c.digest {
+			t.Errorf("%s: result digest = %s, want %s", c.name, got, c.digest)
+		}
 	}
 }

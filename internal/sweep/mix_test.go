@@ -144,6 +144,13 @@ func TestGridRejectsMixWithTimingOrWarmup(t *testing.T) {
 	if _, err := g.Jobs(); err == nil {
 		t.Error("mix grid with timing enumerated")
 	}
+	// Scheduler axes without a mix would be silently ignored.
+	for _, sched := range []Grid{{Quanta: []uint64{5_000}}, {Policies: []string{"flush"}}, {ASIDs: []string{"tagged"}}} {
+		sched.Workloads, sched.Mechs = []string{"swim"}, []Mech{{Kind: "DP", Rows: 256, Ways: 1, Slots: 2}}
+		if _, err := sched.Jobs(); err == nil {
+			t.Errorf("scheduler axes %v/%v/%v without a mix enumerated", sched.Quanta, sched.Policies, sched.ASIDs)
+		}
+	}
 }
 
 // TestMixWorkerCountDeterminism extends the store-level determinism

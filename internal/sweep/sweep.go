@@ -447,7 +447,7 @@ type Grid struct {
 	// own field, then to the default (DefaultQuantum / "retain" /
 	// "flush"); a zero entry in Quanta is an error, not the default. Mix
 	// cells ignore Seed and are incompatible with Warmup and the timing
-	// axes.
+	// axes; a scheduler axis in a grid without mixes is an error.
 	Mixes      []Mix
 	Quanta     []uint64
 	Policies   []string
@@ -490,6 +490,8 @@ func (g Grid) Jobs() ([]Job, error) {
 		if !g.TimingAxes.Empty() {
 			return nil, fmt.Errorf("sweep: mix cells run the functional simulator — a grid cannot cross mixes with timing axes")
 		}
+	} else if len(g.Quanta) > 0 || len(g.Policies) > 0 || len(g.ASIDs) > 0 {
+		return nil, fmt.Errorf("sweep: quantum, policy and ASID axes apply to mix cells only — the grid has no mix")
 	}
 	for _, q := range g.Quanta {
 		if q == 0 {

@@ -30,10 +30,7 @@ type PrefetchBuffer struct {
 	s     *assoc.Store[bufEntry]
 	epoch uint32
 
-	inserted     uint64
-	hits         uint64
-	evicted      uint64 // evicted before ever being used (lifetime)
-	evictedEpoch uint64 // as evicted, but current-epoch insertions only
+	evictedEpoch uint64 // current-epoch insertions evicted before any use
 }
 
 type bufEntry struct {
@@ -71,7 +68,6 @@ func (p *PrefetchBuffer) Insert(vpn uint64, readyAt uint64) (evictedVPN uint64, 
 	}
 	sl, evictedVPN, wasEvicted := p.s.InsertMRU(vpn)
 	if wasEvicted {
-		p.evicted++
 		// The recycled slot still holds the evicted entry's value here
 		// (InsertMRU leaves values in place), so this reads the epoch the
 		// evicted prefetch was inserted in.
@@ -80,7 +76,6 @@ func (p *PrefetchBuffer) Insert(vpn uint64, readyAt uint64) (evictedVPN uint64, 
 		}
 	}
 	*p.s.Val(sl) = bufEntry{readyAt: readyAt, epoch: p.epoch}
-	p.inserted++
 	return evictedVPN, wasEvicted
 }
 
@@ -93,13 +88,7 @@ func (p *PrefetchBuffer) TakeOut(vpn uint64) (readyAt uint64, ok bool) {
 	}
 	readyAt = p.s.Val(sl).readyAt
 	p.s.Remove(sl)
-	p.hits++
 	return readyAt, true
-}
-
-// Stats returns insertion, hit and unused-eviction counters (lifetime).
-func (p *PrefetchBuffer) Stats() (inserted, hits, evictedUnused uint64) {
-	return p.inserted, p.hits, p.evicted
 }
 
 // BeginEpoch starts a new statistics window: prefetches inserted before
@@ -124,22 +113,14 @@ func (p *PrefetchBuffer) UnusedInEpoch() uint64 {
 }
 
 // Flush empties the buffer the way a context switch does: every resident
-// entry is a prefetch that never served a miss, so each counts as evicted
-// unused (lifetime and current-epoch) before the storage clears. Counters
-// and the statistics epoch survive — use Reset to also forget statistics.
+// entry is a prefetch that never served a miss, so each current-epoch
+// entry counts as evicted unused before the storage clears. The count and
+// the statistics epoch survive.
 func (p *PrefetchBuffer) Flush() {
 	for sl := p.s.Head(0); sl >= 0; sl = p.s.Next(sl) {
-		p.evicted++
 		if p.s.Val(sl).epoch == p.epoch {
 			p.evictedEpoch++
 		}
 	}
 	p.s.Reset()
-}
-
-// Reset empties the buffer and clears statistics.
-func (p *PrefetchBuffer) Reset() {
-	p.s.Reset()
-	p.epoch = 0
-	p.inserted, p.hits, p.evicted, p.evictedEpoch = 0, 0, 0, 0
 }

@@ -11,7 +11,9 @@
 // by the O(1) engine in internal/assoc (intrusive recency lists plus an
 // open-addressing index) rather than scanned slices; behaviour is
 // bit-identical to the slice layout, which the randomized model tests in
-// internal/assoc pin down.
+// internal/assoc pin down. They count nothing the simulator's Stats
+// counts: the only tally kept here is the buffer's unused-prefetch count,
+// which Stats reads.
 //
 // The prefetch buffer is a small fully associative structure probed in
 // parallel with the TLB on a miss; prefetched translations wait there and
@@ -70,9 +72,6 @@ func (c Config) Validate() error {
 type TLB struct {
 	cfg Config
 	s   *assoc.Store[struct{}]
-
-	accesses uint64
-	misses   uint64
 }
 
 // New builds a TLB. It panics on an invalid configuration (geometry is a
@@ -92,16 +91,9 @@ func (t *TLB) Config() Config { return t.cfg }
 // Access returns true. On a miss it returns false WITHOUT inserting — the
 // fill happens later via Insert, after the miss has been serviced (from the
 // prefetch buffer or the page table).
-func (t *TLB) Access(vpn uint64) bool {
-	t.accesses++
-	if t.s.Touch(vpn) {
-		return true
-	}
-	t.misses++
-	return false
-}
+func (t *TLB) Access(vpn uint64) bool { return t.s.Touch(vpn) }
 
-// Contains probes without touching recency or statistics.
+// Contains probes without touching recency.
 func (t *TLB) Contains(vpn uint64) bool {
 	return t.s.Has(vpn)
 }
@@ -122,20 +114,5 @@ func (t *TLB) Insert(vpn uint64) (evicted uint64, wasEvicted bool) {
 // Len returns the number of resident translations.
 func (t *TLB) Len() int { return t.s.Len() }
 
-// Stats returns access and miss counters.
-func (t *TLB) Stats() (accesses, misses uint64) { return t.accesses, t.misses }
-
-// MissRate returns misses/accesses (0 when no accesses), the m_i used in the
-// paper's Table 2 weighting.
-func (t *TLB) MissRate() float64 {
-	if t.accesses == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(t.accesses)
-}
-
-// Reset empties the TLB and clears statistics.
-func (t *TLB) Reset() {
-	t.s.Reset()
-	t.accesses, t.misses = 0, 0
-}
+// Reset empties the TLB.
+func (t *TLB) Reset() { t.s.Reset() }

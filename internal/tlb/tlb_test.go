@@ -38,13 +38,6 @@ func TestAccessMissThenInsert(t *testing.T) {
 	if !tl.Access(10) {
 		t.Fatal("miss after insert")
 	}
-	acc, miss := tl.Stats()
-	if acc != 2 || miss != 1 {
-		t.Fatalf("stats = %d,%d; want 2,1", acc, miss)
-	}
-	if got := tl.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
-	}
 }
 
 func TestLRUEvictionFullyAssociative(t *testing.T) {
@@ -103,12 +96,6 @@ func TestReset(t *testing.T) {
 	tl.Reset()
 	if tl.Len() != 0 {
 		t.Fatal("nonzero Len after Reset")
-	}
-	if a, m := tl.Stats(); a != 0 || m != 0 {
-		t.Fatal("nonzero stats after Reset")
-	}
-	if tl.MissRate() != 0 {
-		t.Fatal("MissRate should be 0 with no accesses")
 	}
 }
 
@@ -222,9 +209,8 @@ func TestPrefetchBufferTakeOut(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("buffer not empty after TakeOut")
 	}
-	ins, hits, evd := b.Stats()
-	if ins != 1 || hits != 1 || evd != 0 {
-		t.Fatalf("stats = %d,%d,%d", ins, hits, evd)
+	if n := b.UnusedInEpoch(); n != 0 {
+		t.Fatalf("unused = %d after the only prefetch was used, want 0", n)
 	}
 }
 
@@ -259,10 +245,11 @@ func TestPrefetchBufferEvictedUnusedCounter(t *testing.T) {
 	b := NewPrefetchBuffer(1)
 	b.Insert(1, 0)
 	b.Insert(2, 0) // evicts 1 unused
-	b.TakeOut(2)
-	_, hits, evd := b.Stats()
-	if hits != 1 || evd != 1 {
-		t.Fatalf("hits=%d evicted=%d; want 1,1", hits, evd)
+	if _, ok := b.TakeOut(2); !ok {
+		t.Fatal("TakeOut(2) missed")
+	}
+	if n := b.UnusedInEpoch(); n != 1 {
+		t.Fatalf("unused = %d; want 1 (page 1 evicted unused)", n)
 	}
 }
 

@@ -107,46 +107,6 @@ func (f *FreshScan) Run(emit EmitFunc, _ *xrand.Rand) bool {
 	return true
 }
 
-// MultiArray models one loop nest of a scientific code:
-//
-//	for i := range n { a[i]; b[i]; c[i] }
-//
-// Each array is swept at one page per ElemsPerPage iterations; each array's
-// load has its own PC (PCBase+k). Order selects the traversal (forward,
-// backward), which is how stencil codes visit the same arrays differently
-// from nest to nest — the property that separates DP (distance rows carry
-// over) from page- and PC-indexed history.
-type MultiArray struct {
-	PCBase        uint64
-	Bases         []uint64 // starting page of each array
-	PagesPerArray int
-	ElemsPerPage  int
-	Backward      bool
-}
-
-// Run implements Phase.
-func (m *MultiArray) Run(emit EmitFunc, _ *xrand.Rand) bool {
-	epp := m.ElemsPerPage
-	if epp < 1 {
-		epp = 1
-	}
-	iters := m.PagesPerArray * epp
-	for i := 0; i < iters; i++ {
-		pi := i / epp
-		if m.Backward {
-			pi = m.PagesPerArray - 1 - pi
-		}
-		off := uint64((i % epp) * (PageBytes / epp))
-		for k, b := range m.Bases {
-			page := b + uint64(pi)
-			if !emit(m.PCBase+uint64(k)*4, page*PageBytes+off) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Tiles models blocked stencil codes (multigrid level walks, red/black
 // Gauss-Seidel, blocked SSOR): several arrays are swept tile by tile, and
 // the tile visit order cycles between passes (forward, backward, even-odd).
@@ -430,25 +390,6 @@ func (w *RandomWalk) Run(emit EmitFunc, r *xrand.Rand) bool {
 		page := w.Base + uint64(r.Intn(w.Pages))
 		if !touch(emit, w.PC, page, w.RefsPerStop) {
 			return false
-		}
-	}
-	return true
-}
-
-// Loop repeats its body phases Times times per Run — for weighting one
-// behaviour more heavily than its siblings in a phase list.
-type Loop struct {
-	Times int
-	Body  []Phase
-}
-
-// Run implements Phase.
-func (l *Loop) Run(emit EmitFunc, r *xrand.Rand) bool {
-	for i := 0; i < l.Times; i++ {
-		for _, p := range l.Body {
-			if !p.Run(emit, r) {
-				return false
-			}
 		}
 	}
 	return true

@@ -105,32 +105,6 @@ func TestFreshScanStride(t *testing.T) {
 	}
 }
 
-func TestMultiArrayInterleaves(t *testing.T) {
-	m := &MultiArray{PCBase: 100, Bases: []uint64{1000, 2000}, PagesPerArray: 2, ElemsPerPage: 2}
-	pages, pcs := collect(m, 1)
-	wantPages := []uint64{1000, 2000, 1000, 2000, 1001, 2001, 1001, 2001}
-	wantPCs := []uint64{100, 104, 100, 104, 100, 104, 100, 104}
-	if len(pages) != len(wantPages) {
-		t.Fatalf("pages = %v", pages)
-	}
-	for i := range wantPages {
-		if pages[i] != wantPages[i] || pcs[i] != wantPCs[i] {
-			t.Fatalf("pages = %v pcs = %v", pages, pcs)
-		}
-	}
-}
-
-func TestMultiArrayBackward(t *testing.T) {
-	m := &MultiArray{PCBase: 100, Bases: []uint64{1000}, PagesPerArray: 3, ElemsPerPage: 1, Backward: true}
-	pages, _ := collect(m, 1)
-	want := []uint64{1002, 1001, 1000}
-	for i := range want {
-		if pages[i] != want[i] {
-			t.Fatalf("pages = %v", pages)
-		}
-	}
-}
-
 func TestTileOrderPatterns(t *testing.T) {
 	if got := tileOrder(4, 0); !equalInts(got, []int{0, 1, 2, 3}) {
 		t.Fatalf("forward = %v", got)
@@ -328,14 +302,6 @@ func TestRandomWalkBounds(t *testing.T) {
 	}
 }
 
-func TestLoopRepeats(t *testing.T) {
-	l := &Loop{Times: 3, Body: []Phase{&Seq{PC: 1, Base: 0, Pages: 2, RefsPerPage: 1}}}
-	pages, _ := collect(l, 1)
-	if len(pages) != 6 {
-		t.Fatalf("refs = %d, want 6", len(pages))
-	}
-}
-
 func TestPhaseFunc(t *testing.T) {
 	calls := 0
 	p := PhaseFunc(func(emit EmitFunc, _ *xrand.Rand) bool {
@@ -353,14 +319,12 @@ func TestPhasesStopWhenEmitRefuses(t *testing.T) {
 		&Seq{PC: 1, Base: 0, Pages: 100, RefsPerPage: 3},
 		&Stride{PC: 1, Base: 0, StridePages: 1, Count: 100, RefsPerStop: 3},
 		&FreshScan{PC: 1, StartPage: 0, PagesPerRun: 100, RefsPerPage: 3},
-		&MultiArray{PCBase: 1, Bases: []uint64{0, 10}, PagesPerArray: 50, ElemsPerPage: 2},
 		&Tiles{PCBase: 1, Bases: []uint64{0}, PagesPerArray: 100, TilePages: 5, ElemsPerPage: 2},
 		&BlockMotif{PC: 1, Start: 0, Motif: []int64{0, 1}, BlockPages: 2, Blocks: 100, RefsPerStop: 3},
 		&PointerChase{PC: 1, Base: 0, Pages: 100, RefsPerHop: 3},
 		&Alternating{PC: 1, Base: 0, N: 100, RefsPerStop: 3},
 		&HotSet{PC: 1, Base: 0, Pages: 10, Refs: 100},
 		&RandomWalk{PC: 1, Base: 0, Pages: 10, Hops: 100, RefsPerStop: 3},
-		&Loop{Times: 10, Body: []Phase{&Seq{PC: 1, Base: 0, Pages: 10, RefsPerPage: 1}}},
 	}
 	for _, p := range phases {
 		n := 0

@@ -8,8 +8,8 @@
 // drawn from the taxonomy the paper itself lays out in §1:
 //
 //	(a) regular/strided accesses to data touched once         -> FreshScan
-//	(b) regular/strided accesses to data touched repeatedly   -> Seq, Stride, MultiArray
-//	(c) strided accesses whose stride changes over time        -> phase lists, MultiArray nests
+//	(b) regular/strided accesses to data touched repeatedly   -> Seq, Stride, Tiles
+//	(c) strided accesses whose stride changes over time        -> phase lists, Tiles pass orders
 //	(d) irregular but repeating reference patterns             -> PointerChase, BlockMotif, Alternating
 //	(e) no regularity                                          -> RandomWalk
 //

@@ -8,24 +8,15 @@ import (
 )
 
 // zipfPairs collects the distinct (Pages, Theta) pairs of the registry's
-// Zipf-skewed hot sets, descending into Loop bodies.
+// Zipf-skewed hot sets.
 func zipfPairs() map[workload.HotSet]bool {
 	pairs := map[workload.HotSet]bool{}
-	var walk func(ps []workload.Phase)
-	walk = func(ps []workload.Phase) {
-		for _, p := range ps {
-			switch p := p.(type) {
-			case *workload.HotSet:
-				if p.Theta > 0 {
-					pairs[workload.HotSet{Pages: p.Pages, Theta: p.Theta}] = true
-				}
-			case *workload.Loop:
-				walk(p.Body)
+	for _, w := range workload.All() {
+		for _, p := range w.Build() {
+			if p, ok := p.(*workload.HotSet); ok && p.Theta > 0 {
+				pairs[workload.HotSet{Pages: p.Pages, Theta: p.Theta}] = true
 			}
 		}
-	}
-	for _, w := range workload.All() {
-		walk(w.Build())
 	}
 	return pairs
 }
