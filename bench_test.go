@@ -85,6 +85,23 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// BenchmarkTable3Space runs the table3-space design space in memory: the
+// Table 3 apps × {none, RP, DP} × the 24 points of the default timing axes,
+// 360 cells in 5 timed shards at 50k references each. Within a shard the
+// cells of one mechanism configuration share its instance, so RP and DP
+// answer each miss once rather than once per timing point.
+func BenchmarkTable3Space(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.Table3Space(benchOpts(50_000), experiments.DefaultTable3SpaceAxes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			b.ReportMetric(float64(3*len(rows)), "cells")
+		}
+	}
+}
+
 // BenchmarkFig9 regenerates the DP sensitivity analysis (table geometry,
 // slots, buffer size, TLB size over the eight high-miss applications).
 func BenchmarkFig9(b *testing.B) {

@@ -162,10 +162,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// An error exits 1 unless run reports it as a usage error (2).
 	code, err := run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tlbsweep:", err)
-		os.Exit(1)
+		code = max(code, 1)
 	}
 	os.Exit(code)
 }
@@ -246,9 +247,11 @@ func run(cfg sweepConfig) (int, error) {
 	if err != nil {
 		return 1, err
 	}
+	// Grid.Jobs rejects only flag values and how they combine: a usage
+	// error.
 	jobs, err := grid.Jobs()
 	if err != nil {
-		return 1, err
+		return 2, err
 	}
 
 	if cfg.serve != "" {

@@ -21,7 +21,11 @@ type Event struct {
 	PC uint64
 	// BufferHit reports whether this miss was satisfied by the prefetch
 	// buffer (tagged SP uses this to distinguish "first hit to a
-	// prefetched entry" from a demand fetch; both trigger prefetches).
+	// prefetched entry" from a demand fetch; both trigger prefetches). It
+	// is the one field that differs between the members of a sim.Group,
+	// which share a mechanism instance's predictions and ask it with the
+	// first member's event: a mechanism that reads it needs an instance per
+	// member.
 	BufferHit bool
 	// EvictedVPN is the translation the TLB evicted to make room for the
 	// fill, when HasEvicted is true (RP pushes it on its LRU stack).

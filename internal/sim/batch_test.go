@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -32,7 +33,9 @@ func refModel(s *Simulator, pc, vaddr uint64) {
 		return
 	}
 	evicted, hasEvicted := s.tlb.Insert(vpn)
-	s.miss(pc, vpn, evicted, hasEvicted, s.tlb)
+	readyAt, bufferHit := s.probe(vpn)
+	act := s.pf.OnMiss(prefetch.Event{VPN: vpn, PC: pc, BufferHit: bufferHit, EvictedVPN: evicted, HasEvicted: hasEvicted}, nil)
+	s.issue(s.tlb, act, readyAt, bufferHit)
 }
 
 // TestSimulatorBatchEquivalence is the differential contract of the batched

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 
+	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/trace"
 )
 
@@ -32,9 +34,21 @@ import (
 // ResetTLB at a context switch). Group has no drain loop of its own: the
 // caller pulls the stream (a trace.BatchReader, whether the source is a
 // workload model or a recording) and feeds it with RefBatch.
+//
+// Members built around the same Prefetcher instance (the same pointer)
+// share its predictions. A mechanism sees only the miss stream, which the
+// shared frontend makes identical for every member, so one instance serves
+// them all: OnMiss runs once per miss, with the event of the first member
+// added around the instance, and every such member probes its own buffer,
+// keeps its own counters and issues that Action through its own issue step,
+// functional or timed. The rule holds only for mechanisms whose OnMiss
+// ignores Event.BufferHit, the one per-member field of the event; give each
+// member its own instance of any other. Add groups the members by instance
+// into units; a member holding an instance of its own is a unit of one.
 type Group struct {
-	members []*Simulator
-	started bool // references have been delivered
+	members []*Simulator   // insertion order
+	units   [][]*Simulator // members built around one instance, first added first
+	started bool           // references have been delivered
 }
 
 // NewGroup builds a fan-out over the given simulators, checking each as
@@ -67,6 +81,21 @@ func (g *Group) Add(s *Simulator) {
 		}
 	}
 	g.members = append(g.members, s)
+	for i, u := range g.units {
+		if sameInstance(u[0].pf, s.pf) {
+			g.units[i] = append(u, s)
+			return
+		}
+	}
+	g.units = append(g.units, []*Simulator{s})
+}
+
+// sameInstance reports whether two mechanisms are one instance: the same
+// pointer. A mechanism held by value (Nop, the baseline) is a copy per
+// member, so it is never shared.
+func sameInstance(a, b prefetch.Prefetcher) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	return va.Kind() == reflect.Pointer && va.Type() == vb.Type() && va.Pointer() == vb.Pointer()
 }
 
 // Members returns the member simulators in insertion order.
@@ -87,12 +116,12 @@ func (g *Group) ResetTLB() {
 
 // RefBatch delivers a chunk of references to every member: one probe of
 // the canonical TLB per reference, and the back half of every member per
-// miss.
+// miss, with one OnMiss per mechanism instance.
 func (g *Group) RefBatch(refs []trace.Ref) {
 	if len(refs) == 0 || len(g.members) == 0 {
 		return
 	}
 	g.started = true
 	front := g.members[0]
-	frontend(front.tlb, front.cfg.PageShift, refs, g.members)
+	frontend(front.tlb, front.cfg.PageShift, refs, g.units)
 }

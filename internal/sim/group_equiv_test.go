@@ -330,3 +330,18 @@ func TestStatsCountResidentUnusedPrefetches(t *testing.T) {
 			st.PrefetchesUnused, wantUnused, st.PrefetchesIssued, st.BufferHits)
 	}
 }
+
+// TestGroupAsksSharedMechanismOnce pins how a Group serves members built
+// around one mechanism instance: the instance is asked once per miss,
+// whatever the number and kind of members holding it, while a member with
+// an instance of its own is asked for itself.
+func TestGroupAsksSharedMechanismOnce(t *testing.T) {
+	one := &recorder{inner: prefetch.NewRecency()}
+	own := &recorder{inner: prefetch.NewRecency()}
+	g := NewGroup(New(Default(), one), NewTiming(DefaultTiming(), one).Simulator, New(Default(), own), New(Default(), one))
+	feedChunks(g, batchTestStream(t, "mcf", 50_000))
+	misses := g.Members()[0].Stats().Misses
+	if misses == 0 || uint64(len(one.misses)) != misses || uint64(len(own.misses)) != misses {
+		t.Fatalf("shared instance asked %d times, own instance %d times, for %d misses", len(one.misses), len(own.misses), misses)
+	}
+}

@@ -8,7 +8,10 @@
 // events: the TLB, the buffer and the memory channel keep no counters of
 // their own. On its own Simulator is the functional model behind the
 // prediction-accuracy results (Figures 7-9, Table 2): it counts events but
-// not cycles, like the paper's sim-cache runs.
+// not cycles, like the paper's sim-cache runs. A mechanism sees only the
+// miss stream, so the members of a Group built around one mechanism
+// instance share its predictions: it is asked once per miss, and each member
+// probes its own buffer and issues the answer itself.
 // TimingSimulator attaches the cycle model of the paper's Table 3
 // experiment (sim-outorder runs) as an optional back half of the same
 // miss path: TLB miss penalty, prefetch-channel contention and in-flight
@@ -146,32 +149,22 @@ func (s *Simulator) Ref(pc, vaddr uint64) {
 	s.RefBatch([]trace.Ref{{PC: pc, VAddr: vaddr}})
 }
 
-// miss runs the back half of the pipeline for one TLB miss: the buffer
-// probe, the mechanism callback and the prefetch issue, checking duplicate
-// residency against t (the simulator's own TLB, or the canonical TLB when
-// driven by a shared-frontend Group). With a clock attached, the issue step
-// is the cycle model's (timedIssue).
-func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb.TLB) {
+// probe counts one miss and probes the prefetch buffer for it; a hit
+// migrates the entry into the TLB. Every other miss is a demand fetch,
+// which Stats derives.
+func (s *Simulator) probe(vpn uint64) (readyAt uint64, bufferHit bool) {
 	s.stat.Misses++
-
-	// Probe the prefetch buffer; a hit migrates the entry into the TLB.
-	readyAt, bufferHit := s.buf.TakeOut(vpn)
+	readyAt, bufferHit = s.buf.TakeOut(vpn)
 	if bufferHit {
 		s.stat.BufferHits++
-	} else {
-		s.stat.DemandFetches++
 	}
+	return readyAt, bufferHit
+}
 
-	act := s.pf.OnMiss(prefetch.Event{
-		VPN:        vpn,
-		PC:         pc,
-		BufferHit:  bufferHit,
-		EvictedVPN: evicted,
-		HasEvicted: hasEvicted,
-	}, s.scratch[:0])
-	if cap(act.Prefetches) > cap(s.scratch) {
-		s.scratch = act.Prefetches
-	}
+// issue fetches a miss's predictions into the buffer. With a clock
+// attached, the issue step is the cycle model's (timedIssue). It only reads
+// act, which the members sharing a mechanism instance all issue.
+func (s *Simulator) issue(t *tlb.TLB, act prefetch.Action, readyAt uint64, bufferHit bool) {
 	s.stat.StateMemOps += uint64(act.StateMemOps)
 	if s.clk != nil {
 		s.timedIssue(t, act.Prefetches, act.StateMemOps, readyAt, bufferHit)
@@ -192,7 +185,9 @@ func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb
 // buffer or counters — the multiprogramming per-process policy's context
 // switch, where each process's prediction tables are saved and restored
 // around one shared pipeline. A nil mechanism installs the no-prefetching
-// baseline.
+// baseline. A member that shares its mechanism instance within a Group
+// must not swap it: the members sharing it would go on issuing the
+// predictions of whichever instance their first member holds.
 func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 	if pf == nil {
 		pf = prefetch.Nop{}
@@ -203,16 +198,19 @@ func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 // RefBatch simulates a chunk of references through the pipeline's one
 // reference loop, with the simulator as its own frontend.
 func (s *Simulator) RefBatch(refs []trace.Ref) {
-	frontend(s.tlb, s.cfg.PageShift, refs, []*Simulator{s})
+	frontend(s.tlb, s.cfg.PageShift, refs, [][]*Simulator{{s}})
 }
 
 // frontend is the pipeline's one reference loop, behind Ref, RefBatch and
 // Group.RefBatch: each reference probes t once, and each miss fills t and
-// runs every member's back half against it. Hits are counted once and
-// credited to every member's Refs before its next miss and at the end of
-// the chunk: nothing reads Refs in between (a member's clock reads it only
-// at a miss, Now or Stats).
-func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, members []*Simulator) {
+// runs every member's back half against it (probe the buffer, ask the
+// mechanism, issue), checking duplicate residency against t. Each unit is
+// the members built around one mechanism instance, which only the first of
+// them asks (see Group); a lone simulator is a unit of one. Hits are counted
+// once and credited to every member's Refs before its next miss and at the
+// end of the chunk: nothing reads Refs in between (a member's clock reads it
+// only at a miss, Now or Stats).
+func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, units [][]*Simulator) {
 	var hits uint64
 	for i := range refs {
 		vpn := refs[i].VAddr >> shift
@@ -221,15 +219,33 @@ func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, members []*Simulator) {
 			continue
 		}
 		evicted, hasEvicted := t.Insert(vpn)
-		for _, m := range members {
-			m.stat.Refs += hits + 1
-			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+		for _, u := range units {
+			var act prefetch.Action
+			for j, m := range u {
+				m.stat.Refs += hits + 1
+				readyAt, bufferHit := m.probe(vpn)
+				if j == 0 {
+					act = m.pf.OnMiss(prefetch.Event{
+						VPN:        vpn,
+						PC:         refs[i].PC,
+						BufferHit:  bufferHit,
+						EvictedVPN: evicted,
+						HasEvicted: hasEvicted,
+					}, m.scratch[:0])
+					if cap(act.Prefetches) > cap(m.scratch) {
+						m.scratch = act.Prefetches
+					}
+				}
+				m.issue(t, act, readyAt, bufferHit)
+			}
 		}
 		hits = 0
 	}
 	if hits > 0 {
-		for _, m := range members {
-			m.stat.Refs += hits
+		for _, u := range units {
+			for _, m := range u {
+				m.stat.Refs += hits
+			}
 		}
 	}
 }
@@ -262,6 +278,7 @@ func (s *Simulator) RunBatch(src trace.BatchReader) error {
 // are excluded, matching the other counters.
 func (s *Simulator) Stats() Stats {
 	st := s.stat
+	st.DemandFetches = st.Misses - st.BufferHits
 	st.PrefetchesUnused = s.buf.UnusedInEpoch()
 	return st
 }

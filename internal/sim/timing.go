@@ -212,8 +212,9 @@ type clock struct {
 	synced   uint64 // Stats.Refs value now has been charged up to
 	base     uint64 // cycle at which the statistics window began
 
-	stat  TimingStats // StallCycles, InFlightHits and SkippedPref only
-	ready []uint64    // completion cycles of one prefetch batch
+	stat     TimingStats // StallCycles, InFlightHits and SkippedPref only
+	issuable []uint64    // the prefetches of one batch not already resident
+	ready    []uint64    // completion cycles of one prefetch batch
 }
 
 func newClock(t Timing, isRP bool) *clock {
@@ -281,21 +282,21 @@ func (s *Simulator) timedIssue(t *tlb.TLB, prefetches []uint64, stateOps int, re
 		c.stat.SkippedPref++
 	}
 
-	// Compact the issuable prefetches in place (the batch lives in the
-	// simulator's own scratch), then charge the metadata operations to the
-	// channel first (RP updates the stack before prefetching) and let the
-	// fetches complete one by one behind them.
+	// Filter the issuable prefetches into the clock's own scratch (the batch
+	// may be shared with other Group members, see Group), then charge the
+	// metadata operations to the channel first (RP updates the stack before
+	// prefetching) and let the fetches complete one by one behind them.
 	s.stat.PrefetchesRequested += uint64(len(prefetches))
-	issue := prefetches[:0]
+	c.issuable = c.issuable[:0]
 	for _, p := range prefetches {
 		if !t.Contains(p) && !s.buf.Contains(p) {
-			issue = append(issue, p)
+			c.issuable = append(c.issuable, p)
 		}
 	}
-	s.stat.PrefetchDuplicates += uint64(len(prefetches) - len(issue))
-	s.stat.PrefetchesIssued += uint64(len(issue))
-	c.ready = c.ch.IssueEach(c.ready[:0], c.ch.Issue(c.now, stateOps), len(issue))
-	for i, p := range issue {
+	s.stat.PrefetchDuplicates += uint64(len(prefetches) - len(c.issuable))
+	s.stat.PrefetchesIssued += uint64(len(c.issuable))
+	c.ready = c.ch.IssueEach(c.ready[:0], c.ch.Issue(c.now, stateOps), len(c.issuable))
+	for i, p := range c.issuable {
 		s.buf.Insert(p, c.ready[i])
 	}
 }

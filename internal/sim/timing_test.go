@@ -268,12 +268,20 @@ func TestTimingRefZeroAlloc(t *testing.T) {
 // TestFrontendZeroAlloc pins the functional routes into the one reference
 // loop as allocation-free once warm: Ref's one-reference chunk and
 // RefBatch's one-member slice stay on the stack, and a Group hands over
-// the member slice it owns.
+// the member slices it owns. Timed members sharing a mechanism instance
+// filter the shared prediction into their clocks' own scratch.
 func TestFrontendZeroAlloc(t *testing.T) {
 	refs := batchTestStream(t, "mcf", 20_000)
 	ref := New(Default(), core.NewDistance(256, 1, 2))
 	batched := New(Default(), core.NewDistance(256, 1, 2))
 	g := NewGroup(New(Default(), core.NewDistance(256, 1, 2)), New(Default(), prefetch.NewSBFP()))
+	rp, dp := prefetch.NewRecency(), core.NewDistance(256, 1, 2)
+	timed := NewGroup()
+	for _, penalty := range []uint64{50, 100, 200} {
+		for _, pf := range []prefetch.Prefetcher{rp, dp} {
+			timed.Add(NewTiming(ScaledTiming(penalty), pf).Simulator)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		replay func()
@@ -289,6 +297,7 @@ func TestFrontendZeroAlloc(t *testing.T) {
 			}
 		}},
 		{"Group", func() { feedChunks(g, refs) }},
+		{"timed Group sharing RP and DP", func() { feedChunks(timed, refs) }},
 	} {
 		c.replay() // warm up: grow the scratch buffers, populate the tables
 		if allocs := testing.AllocsPerRun(3, c.replay); allocs != 0 {

@@ -98,8 +98,10 @@ func gridDigest(t *testing.T, g Grid) string {
 
 // TestGridDigests pins the result bytes of the paths the every-kind grid
 // does not reach: trace decoding in all three encodings, the cycle model's
-// axes, every mix scheduler point, and single sources mixed with mixes in
-// one grid. Like everyKindDigest, a change to a digest is a result change.
+// axes, every mix scheduler point, single sources mixed with mixes in one
+// grid, and timed shards whose cells share mechanism instances beside a
+// feedback kind (SP-A) that must not. Like everyKindDigest, a change to a
+// digest is a result change.
 func TestGridDigests(t *testing.T) {
 	dir := t.TempDir()
 	record := func(name, workloadName, format string, refs uint64) Source {
@@ -153,6 +155,13 @@ func TestGridDigests(t *testing.T) {
 			Buffers:    []int{8, 16},
 			Refs:       20_000,
 		}, "1dd0e135ee05c23f0bb5c96a48dae8b71d0daf919fb6f5f85f6a566888ef6667"},
+		{"shared-mechanisms", Grid{
+			Workloads:  []string{"swim", "mcf"},
+			Mechs:      []Mech{dp, {Kind: "RP"}, {Kind: "SP-A"}, {Kind: "SBFP"}},
+			Buffers:    []int{8, 16},
+			TimingAxes: TimingAxes{MissPenalties: []uint64{50, 100, 200}},
+			Refs:       20_000,
+		}, "8706294efce42efd6c3e935204397ad3ce53a57a885d5f05e9ccee4ada01b1d8"},
 	}
 	for _, c := range cases {
 		if got := gridDigest(t, c.grid); got != c.digest {

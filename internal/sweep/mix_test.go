@@ -294,22 +294,10 @@ func TestGridRejectsZeroQuantum(t *testing.T) {
 func TestMixSharedFrontendMatchesPerRefExec(t *testing.T) {
 	const refs = 10_000
 	shares := multiprog.Split(refs, 2)
-	gen := func(name string, n uint64) []trace.Ref {
-		w, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("workload %s missing", name)
-		}
-		out := make([]trace.Ref, 0, n)
-		workload.Generate(w, n, func(pc, vaddr uint64) bool {
-			out = append(out, trace.Ref{PC: pc, VAddr: vaddr})
-			return true
-		})
-		return out
-	}
-	recorded := map[string][]trace.Ref{"mcf-digest": gen("mcf", shares[0]), "twolf-digest": gen("twolf", shares[1])}
+	recorded := map[string][]trace.Ref{"mcf-digest": workloadRefs(t, "mcf", shares[0]), "twolf-digest": workloadRefs(t, "twolf", shares[1])}
 	streams := map[Source][]trace.Ref{
-		WorkloadSource("galgel"): gen("galgel", shares[0]),
-		WorkloadSource("gcc"):    gen("gcc", shares[1]),
+		WorkloadSource("galgel"): workloadRefs(t, "galgel", shares[0]),
+		WorkloadSource("gcc"):    workloadRefs(t, "gcc", shares[1]),
 	}
 	for digest, refs := range recorded {
 		streams[Source{TraceSHA256: digest}] = refs

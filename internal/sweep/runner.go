@@ -277,16 +277,20 @@ func (r *Runner) runShard(shard []int, jobs []Job, resolve func(string) (workloa
 	// same, so all of them share one canonical TLB frontend via sim.Group
 	// (buffer sizes and cycle-model constants may differ — they live in
 	// the per-member back half). Timed cells join as the Simulator of a
-	// TimingSimulator, which also settles their cycles.
+	// TimingSimulator, which also settles their cycles. Cells of one
+	// mechanism configuration share its instance, which the group asks once
+	// per miss.
 	g := sim.NewGroup()
 	timed := make([]*sim.TimingSimulator, len(shard))
+	built := make(map[Mech]prefetch.Prefetcher)
 	for mi, idx := range shard {
 		j := jobs[idx]
+		pf := j.Mech.buildShared(built)
 		if j.Timing != nil {
-			timed[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
+			timed[mi] = sim.NewTiming(j.Timing.Config(j.Config), pf)
 			g.Add(timed[mi].Simulator)
 		} else {
-			g.Add(sim.New(j.Config, j.Mech.Build()))
+			g.Add(sim.New(j.Config, pf))
 		}
 	}
 	b, closer, err := r.memberStream(first.Source, first.Seed, first.Warmup+first.Refs, resolve)

@@ -90,27 +90,32 @@ type kindRow struct {
 	// walk degree for temporal streaming, the strides tracked per PC for
 	// multi-stride ASP.
 	slots bool
+	// feedback reports whether the kind's OnMiss reads Event.BufferHit, the
+	// member's own buffer outcome: such a kind cannot share one instance
+	// across the members of a shard (see buildShared).
+	feedback bool
 	// build instantiates the kind from a normalized, validated Mech.
 	build func(m Mech) prefetch.Prefetcher
 }
 
 // registry is every mechanism kind, in the order Kinds reports them.
 // Adding a kind takes one row here (plus the differential test and
-// benchmark row that TestRegistryCoverage requires).
+// benchmark row that TestRegistryCoverage requires; TestFeedbackFlagExact
+// checks its feedback column).
 var registry = []kindRow{
-	{"none", false, false, func(Mech) prefetch.Prefetcher { return nil }},
-	{"SP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSequential(true) }},
-	{"SP-A", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewAdaptiveSequential() }},
-	{"ASP", true, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewASP(m.Rows, m.Ways) }},
-	{"MP", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewMarkov(m.Rows, m.Ways, m.Slots) }},
-	{"RP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecency() }},
-	{"RP3", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecencyDegree(3) }},
-	{"DP", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistance(m.Rows, m.Ways, m.Slots) }},
-	{"DP-PC", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistancePC(m.Rows, m.Ways, m.Slots) }},
-	{"DP2", true, true, func(m Mech) prefetch.Prefetcher { return core.NewDistance2(m.Rows, m.Ways, m.Slots) }},
-	{"STMS", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewSTMS(m.Rows, m.Ways, m.Slots) }},
-	{"MASP", true, true, func(m Mech) prefetch.Prefetcher { return prefetch.NewMASP(m.Rows, m.Ways, m.Slots) }},
-	{"SBFP", false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSBFP() }},
+	{"none", false, false, false, func(Mech) prefetch.Prefetcher { return nil }},
+	{"SP", false, false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSequential(true) }},
+	{"SP-A", false, false, true, func(Mech) prefetch.Prefetcher { return prefetch.NewAdaptiveSequential() }},
+	{"ASP", true, false, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewASP(m.Rows, m.Ways) }},
+	{"MP", true, true, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewMarkov(m.Rows, m.Ways, m.Slots) }},
+	{"RP", false, false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecency() }},
+	{"RP3", false, false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewRecencyDegree(3) }},
+	{"DP", true, true, false, func(m Mech) prefetch.Prefetcher { return core.NewDistance(m.Rows, m.Ways, m.Slots) }},
+	{"DP-PC", true, true, false, func(m Mech) prefetch.Prefetcher { return core.NewDistancePC(m.Rows, m.Ways, m.Slots) }},
+	{"DP2", true, true, false, func(m Mech) prefetch.Prefetcher { return core.NewDistance2(m.Rows, m.Ways, m.Slots) }},
+	{"STMS", true, true, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewSTMS(m.Rows, m.Ways, m.Slots) }},
+	{"MASP", true, true, false, func(m Mech) prefetch.Prefetcher { return prefetch.NewMASP(m.Rows, m.Ways, m.Slots) }},
+	{"SBFP", false, false, false, func(Mech) prefetch.Prefetcher { return prefetch.NewSBFP() }},
 }
 
 // lookup returns the registry row of the mechanism's kind (the zero row,
@@ -214,6 +219,24 @@ func (m Mech) Build() prefetch.Prefetcher {
 		panic(fmt.Sprintf("sweep: unknown mechanism kind %q", m.Kind))
 	}
 	return k.build(m)
+}
+
+// buildShared returns the instance of the mechanism that the members of one
+// shard share, building it on first use: the members see one miss stream,
+// so they would hold identical prediction state (see sim.Group). A feedback
+// kind builds an instance per call, and so in effect does none, whose nil
+// becomes a Nop value per simulator.
+func (m Mech) buildShared(built map[Mech]prefetch.Prefetcher) prefetch.Prefetcher {
+	m = m.Normalize()
+	if k, _ := m.lookup(); k.feedback {
+		return m.Build()
+	}
+	pf, ok := built[m]
+	if !ok {
+		pf = m.Build()
+		built[m] = pf
+	}
+	return pf
 }
 
 // Job is one cell of a sweep: one reference stream through one simulator

@@ -120,7 +120,12 @@ func NewTimingSimulator(cfg TimingConfig, pf Prefetcher) *TimingSimulator {
 	return sim.NewTiming(cfg, pf)
 }
 
-// NewGroup builds a fan-out over the given simulators.
+// NewGroup builds a fan-out over the given simulators. Members built around
+// the same Prefetcher instance (the same pointer) share its predictions: its
+// OnMiss runs once per miss, with the first such member's Event, and every
+// such member issues that answer. Share an instance only if its OnMiss
+// ignores Event.BufferHit (the adaptive and the untagged sequential
+// prefetchers read it); otherwise give each member its own.
 func NewGroup(members ...*Simulator) *Group { return sim.NewGroup(members...) }
 
 // Mech names and builds a prefetching mechanism: Kind is a registry name
