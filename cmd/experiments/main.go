@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"tlbprefetch/internal/cli"
 	"tlbprefetch/internal/experiments"
 	"tlbprefetch/internal/report"
 	"tlbprefetch/internal/sweep"
@@ -35,8 +36,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses args, writes results to stdout and
 // diagnostics to stderr, and returns the process exit code (2 for a usage
-// error, 1 for an unopenable store).
-func run(args []string, stdout, stderr io.Writer) int {
+// error, 1 for a store that cannot be opened or saved).
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	refs := fs.Uint64("refs", 1_000_000, "references simulated per workload")
@@ -51,7 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("q", false, "suppress timing banner")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: experiments [flags] <experiment>\n")
-		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(experimentNames(), " "))
+		fmt.Fprintf(stderr, "experiments: %s\n\n", strings.Join(experimentNames(), " "))
+		fmt.Fprint(stderr, cli.Rule, "\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -110,6 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer func() {
 			if err := store.Save(); err != nil {
 				fmt.Fprintln(stderr, "experiments:", err)
+				code = 1
 			}
 		}()
 	}
@@ -189,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, experiments.FormatFig9(res))
 		case "ext-dpvariants":
 			fmt.Fprintln(stdout, "Extension A: DP indexing variants (paper §4 future work)")
-			fmt.Fprint(stdout, experiments.FormatExtDPVariants(experiments.ExtDPVariants(opts)))
+			fmt.Fprint(stdout, experiments.FormatFigure(experiments.ExtDPVariants(opts)))
 		case "ext-cache":
 			fmt.Fprintln(stdout, "Extension B: distance prefetching at the cache level")
 			fmt.Fprint(stdout, experiments.FormatExtCache(experiments.ExtCache(opts)))
@@ -201,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, experiments.FormatExtPageSize(experiments.ExtPageSize(opts)))
 		case "ext-tlbassoc":
 			fmt.Fprintln(stdout, "Extension E: TLB-associativity sensitivity of DP")
-			fmt.Fprint(stdout, experiments.FormatExtTLBAssoc(experiments.ExtTLBAssoc(opts)))
+			fmt.Fprint(stdout, experiments.FormatFigure(experiments.ExtTLBAssoc(opts)))
 		case "ext-modern":
 			res := experiments.ExtModern(opts)
 			if *figFmt != "" {
@@ -209,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				break
 			}
 			fmt.Fprintln(stdout, "Extension F: 2002 mechanisms vs modern successors (STMS, MASP, SBFP)")
-			fmt.Fprint(stdout, experiments.FormatExtModern(res))
+			fmt.Fprint(stdout, experiments.FormatFigure(res))
 		}
 		if !*quiet {
 			fmt.Fprintf(stdout, "\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))

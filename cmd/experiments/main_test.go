@@ -50,3 +50,14 @@ func TestAllGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsavableStoreExits1: a store that cannot be saved is a store error,
+// not a success.
+func TestUnsavableStoreExits1(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	store := filepath.Join(t.TempDir(), "nodir", "x.json")
+	if code := run([]string{"-q", "-store", store, "table1"}, &stdout, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), "saving store") {
+		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+}

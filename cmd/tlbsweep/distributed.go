@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"tlbprefetch/internal/cli"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/sweepd"
 	"tlbprefetch/internal/trace"
@@ -30,15 +31,12 @@ import (
 // file-bound store mid-grid so a crash (or SIGTERM) loses at most one
 // interval, and any -trace files are served as content-addressed blobs so
 // workers need not carry their own copies.
-func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error) {
-	if (cfg.tlsCert == "") != (cfg.tlsKey == "") {
-		return 1, fmt.Errorf("-tls-cert and -tls-key must be given together")
-	}
+func (cfg *sweepConfig) runServe(store *sweep.Store) error {
 	// Every trace job carries its local path (the coordinator built the
 	// grid, so it has the files); serve them all as blobs — mix members
 	// included, so a worker can materialize every stream a mix interleaves.
 	blobs := make(map[string]string)
-	for _, j := range jobs {
+	for _, j := range cfg.jobs {
 		for _, src := range j.Sources() {
 			if src.IsTrace() && src.TracePath != "" {
 				blobs[src.TraceSHA256] = src.TracePath
@@ -46,7 +44,7 @@ func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error
 		}
 	}
 	ccfg := sweepd.Config{
-		Jobs:     jobs,
+		Jobs:     cfg.jobs,
 		Store:    store,
 		LeaseTTL: cfg.leaseTTL,
 		MaxBatch: cfg.batch,
@@ -60,23 +58,23 @@ func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error
 	}
 	if !cfg.quiet {
 		ccfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(cfg.stderr, format+"\n", args...)
 		}
 	}
 	coord, err := sweepd.New(ccfg)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	ln, err := net.Listen("tcp", cfg.serve)
 	if err != nil {
-		return 1, fmt.Errorf("-serve %s: %w", cfg.serve, err)
+		return fmt.Errorf("-serve %s: %w", cfg.serve, err)
 	}
 	st := coord.Status()
 	scheme := "http"
 	if cfg.tlsCert != "" {
 		scheme = "https"
 	}
-	fmt.Fprintf(os.Stderr, "tlbsweep: serving %d-cell feed (%d cached, %d to run) on %s://%s\n",
+	fmt.Fprintf(cfg.stderr, "tlbsweep: serving %d-cell feed (%d cached, %d to run) on %s://%s\n",
 		st.Total, st.Cached, st.Pending, scheme, ln.Addr())
 	srv := &http.Server{Handler: coord.Handler()}
 	if cfg.tlsCert != "" {
@@ -97,39 +95,39 @@ func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error
 	if errors.Is(waitErr, context.Canceled) {
 		if cfg.storePath != "" {
 			if err := store.Save(); err != nil {
-				return 1, fmt.Errorf("interrupted, and the final checkpoint failed: %w", err)
+				return fmt.Errorf("interrupted, and the final checkpoint failed: %w", err)
 			}
 		}
 		drained := coord.Status()
-		fmt.Fprintf(os.Stderr, "tlbsweep: interrupted with %d of %d cells still unsettled; store checkpointed — rerun with the same -store and grid to resume\n",
+		fmt.Fprintf(cfg.stderr, "tlbsweep: interrupted with %d of %d cells still unsettled; store checkpointed — rerun with the same -store and grid to resume\n",
 			drained.Pending+drained.Leased, drained.Total)
-		return 3, nil
+		return cli.Exit(3)
 	}
 	if cfg.storePath != "" {
 		if err := store.Save(); err != nil {
-			return 1, err
+			return err
 		}
 	}
 	final := coord.Status()
-	fmt.Fprintf(os.Stderr, "tlbsweep: %d cells (%d cached, %d completed by workers, %d failed) in %v\n",
+	fmt.Fprintf(cfg.stderr, "tlbsweep: %d cells (%d cached, %d completed by workers, %d failed) in %v\n",
 		final.Total, final.Cached, final.Done, final.Failed, time.Since(start).Round(time.Millisecond))
 	if waitErr != nil {
-		return 1, waitErr
+		return waitErr
 	}
 
 	// Emit the grid's results in enumeration order, exactly as a local
 	// sweep of the same grid would.
-	results := make([]sweep.Result, 0, len(jobs))
-	for _, j := range jobs {
+	results := make([]sweep.Result, 0, len(cfg.jobs))
+	for _, j := range cfg.jobs {
 		r, ok, err := store.Get(j.Key().Hash())
 		if err != nil {
-			return 1, err
+			return err
 		}
 		if ok {
 			results = append(results, r)
 		}
 	}
-	return 0, emit(results, cfg.format)
+	return cfg.emit(results)
 }
 
 // runWorker is worker mode: join the coordinator's feed, simulate leased
@@ -137,18 +135,14 @@ func runServe(cfg sweepConfig, jobs []sweep.Job, store *sweep.Store) (int, error
 // the grid completes. Trace cells resolve against local -trace files
 // first, then fall back to fetching the blob from the coordinator into a
 // bounded, digest-verified on-disk cache.
-func runWorker(cfg sweepConfig) (int, error) {
+func (cfg *sweepConfig) runWorker() error {
 	traces, err := localTraces(cfg.traces)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	client, err := workerClient(cfg.tlsCA)
 	if err != nil {
-		return 1, err
-	}
-	cacheDir, err := blobCacheDir(cfg.blobCache)
-	if err != nil {
-		return 1, err
+		return err
 	}
 	w := &sweepd.Worker{
 		URL:      strings.TrimRight(cfg.workerURL, "/"),
@@ -157,22 +151,22 @@ func runWorker(cfg sweepConfig) (int, error) {
 		Client:   client,
 		MaxBatch: cfg.batch,
 		Traces:   traces,
-		Blobs:    &sweepd.BlobCache{Dir: cacheDir},
+		Blobs:    &sweepd.BlobCache{Dir: blobCacheDir(cfg.blobCache)},
 		Runner:   &sweep.Runner{Workers: cfg.workers},
 	}
 	if !cfg.quiet {
 		w.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(cfg.stderr, format+"\n", args...)
 		}
 	}
 	start := time.Now()
 	sum, err := w.Run(context.Background())
 	if err != nil {
-		return 1, err
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "tlbsweep: worker ran %d cells in %d shards in %v\n",
+	fmt.Fprintf(cfg.stderr, "tlbsweep: worker ran %d cells in %d shards in %v\n",
 		sum.Ran, sum.Shards, time.Since(start).Round(time.Millisecond))
-	return 0, nil
+	return nil
 }
 
 // workerClient builds the worker's HTTP client. With -tls-ca it trusts
@@ -197,25 +191,21 @@ func workerClient(caPath string) (*http.Client, error) {
 
 // blobCacheDir resolves the worker's blob-cache directory: the -blob-cache
 // flag, else a stable per-user cache dir, else a temp dir.
-func blobCacheDir(flag string) (string, error) {
+func blobCacheDir(flag string) string {
 	if flag != "" {
-		return flag, nil
+		return flag
 	}
 	if base, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(base, "tlbsweep-blobs"), nil
+		return filepath.Join(base, "tlbsweep-blobs")
 	}
-	return filepath.Join(os.TempDir(), "tlbsweep-blobs"), nil
+	return filepath.Join(os.TempDir(), "tlbsweep-blobs")
 }
 
 // localTraces digests the worker's -trace files into the digest → path
 // map leased trace cells are resolved against.
 func localTraces(spec string) (map[string]string, error) {
 	out := make(map[string]string)
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
+	for _, tok := range split(spec, ",") {
 		digest, err := trace.DigestFile(tok)
 		if err != nil {
 			return nil, err

@@ -40,12 +40,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"tlbprefetch/internal/cli"
 	"tlbprefetch/internal/prof"
 	"tlbprefetch/internal/report"
 	"tlbprefetch/internal/stats"
@@ -53,125 +56,21 @@ import (
 	"tlbprefetch/internal/workload"
 )
 
-func main() {
-	var cfg sweepConfig
-	flag.StringVar(&cfg.workloads, "workloads", "", "comma-separated workload names, suite names (SPEC, MediaBench, Etch, PointerIntensive) or 'all'")
-	flag.StringVar(&cfg.traces, "trace", "", "comma-separated trace files added to the source axis (digested into the keys)")
-	flag.StringVar(&cfg.mixes, "mix", "", "comma-separated multiprogrammed mixes, each '+'-joined members (workload names or trace files), e.g. galgel+gcc")
-	flag.StringVar(&cfg.quanta, "quantum", "", "mix context-switch quantum axis in references (default 20000)")
-	flag.StringVar(&cfg.policies, "policy", "", "mix prediction-table policy axis: retain, flush, per-process (default retain)")
-	flag.StringVar(&cfg.asids, "asid", "", "mix translation treatment axis: flush (TLB+buffer emptied per switch) or tagged (default flush)")
-	flag.StringVar(&cfg.mechs, "mechs", "DP", "comma-separated mechanism kinds: "+strings.Join(sweep.Kinds(), ", "))
-	flag.StringVar(&cfg.rows, "rows", "256", "prediction-table rows axis (table mechanisms)")
-	flag.StringVar(&cfg.ways, "ways", "1", "prediction-table associativity axis (table mechanisms)")
-	flag.StringVar(&cfg.slots, "slots", "2", "prediction slots per row axis (DP/MP families)")
-	flag.StringVar(&cfg.entries, "entries", "128", "TLB entries axis")
-	flag.StringVar(&cfg.tlbWays, "tlbways", "0", "TLB associativity axis (0 = fully associative)")
-	flag.StringVar(&cfg.buffers, "buffer", "16", "prefetch buffer entries axis")
-	flag.StringVar(&cfg.pageShift, "pageshift", "12", "log2 page size axis")
-	flag.Uint64Var(&cfg.refs, "refs", 1_000_000, "references measured per cell")
-	flag.Uint64Var(&cfg.warmup, "warmup", 0, "references simulated before the counters reset")
-	flag.Uint64Var(&cfg.seed, "seed", 0, "base seed: 0 keeps the models' paper-calibrated streams, nonzero derives an independent per-cell stream seed")
-	flag.BoolVar(&cfg.timing, "timing", false, "run every cell under the cycle model (paper Table 3)")
-	flag.StringVar(&cfg.missPenalty, "miss-penalty", "", "TLB miss penalty axis in cycles (implies -timing; default 100, memop/buffer-hit costs scale with it)")
-	flag.StringVar(&cfg.memopLat, "memop-latency", "", "prefetch memory-op latency axis in cycles (implies -timing; default scales at half the miss penalty; exclusive with -memop-ratio)")
-	flag.StringVar(&cfg.memopRatio, "memop-ratio", "", "prefetch memory-op cost axis as a ratio of the miss penalty (implies -timing; the paper's point is 0.5)")
-	flag.StringVar(&cfg.refsPerCyc, "refs-per-cycle", "", "issue-width axis: references retired per cycle (implies -timing; default 2)")
-	flag.StringVar(&cfg.storePath, "store", "", "JSON result store to read from and merge into")
-	flag.StringVar(&cfg.where, "where", "", "render matching store cells (field=value,... filters) instead of sweeping")
-	flag.StringVar(&cfg.figure, "figure", "", "render matching store cells as a grouped-bar figure of this metric ("+report.MetricNames()+"); combine with -where to subset")
-	flag.BoolVar(&cfg.gc, "gc", false, "drop store cells the declared grid does not reference, then save")
-	flag.StringVar(&cfg.diffPath, "diff", "", "compare the -store file against this second store and exit (1 when they differ)")
-	flag.StringVar(&cfg.serve, "serve", "", "serve the grid as a distributed job feed on this address (coordinator mode, e.g. 127.0.0.1:9177)")
-	flag.StringVar(&cfg.workerURL, "worker", "", "join a coordinator's job feed at this base URL (worker mode; the grid comes from the coordinator)")
-	flag.IntVar(&cfg.batch, "batch", 0, "distributed modes: max cells per lease (0 = coordinator default)")
-	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 30*time.Second, "coordinator mode: a worker silent this long forfeits its leased cells")
-	flag.StringVar(&cfg.workerID, "worker-id", "", "worker mode: name shown in coordinator logs (default worker-<pid>)")
-	flag.StringVar(&cfg.token, "token", "", "distributed modes: bearer token — the coordinator requires it on every request (401 otherwise), workers send it")
-	flag.StringVar(&cfg.tlsCert, "tls-cert", "", "coordinator mode: serve the feed over TLS with this certificate file (requires -tls-key)")
-	flag.StringVar(&cfg.tlsKey, "tls-key", "", "coordinator mode: TLS private key file (requires -tls-cert)")
-	flag.StringVar(&cfg.tlsCA, "tls-ca", "", "worker mode: PEM bundle to trust for an https coordinator (self-signed deployments; default system roots)")
-	flag.DurationVar(&cfg.checkpoint, "checkpoint", 30*time.Second, "coordinator mode: save the store this often mid-grid so a crash resumes from the last checkpoint (0 disables)")
-	flag.StringVar(&cfg.blobCache, "blob-cache", "", "worker mode: directory for trace blobs fetched from the coordinator (default <user-cache-dir>/tlbsweep-blobs)")
-	flag.StringVar(&cfg.format, "format", "table", "output format: table, csv, json, none (-figure mode: table, csv, svg)")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.quiet, "q", false, "suppress per-cell progress on stderr")
-	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
-	flag.Usage = func() {
-		o := flag.CommandLine.Output()
-		fmt.Fprintf(o, "usage: tlbsweep [flags]\n\n")
-		fmt.Fprintf(o, "Modes (mutually exclusive): sweep the declared grid (default), render a store\n")
-		fmt.Fprintf(o, "subset (-where and/or -figure), -gc, -diff, -serve, -worker. -figure combines\n")
-		fmt.Fprintf(o, "with -where to render only the matching cells.\n\n")
-		fmt.Fprintf(o, "Exit codes: 0 success; 1 error, differing stores (-diff), or a filter matching\n")
-		fmt.Fprintf(o, "zero cells (-where/-figure — a diagnostic on stderr names the clauses that\n")
-		fmt.Fprintf(o, "match nothing); 2 flag or usage errors.\n\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "tlbsweep: unexpected arguments %q (the grid is declared with flags)\n", flag.Args())
-		os.Exit(2)
-	}
-	render := cfg.where != "" || cfg.figure != ""
-	modes := 0
-	for _, on := range []bool{render, cfg.gc, cfg.diffPath != "", cfg.serve != "", cfg.workerURL != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "tlbsweep: -where/-figure, -gc, -diff, -serve and -worker are mutually exclusive modes")
-		os.Exit(2)
-	}
-	if (render || cfg.gc || cfg.diffPath != "") && cfg.storePath == "" {
-		fmt.Fprintln(os.Stderr, "tlbsweep: -where/-figure/-gc/-diff operate on a store: -store is required")
-		os.Exit(2)
-	}
-	if cfg.workerURL != "" && cfg.storePath != "" {
-		fmt.Fprintln(os.Stderr, "tlbsweep: a worker holds no store — the coordinator given with -serve owns it")
-		os.Exit(2)
-	}
-	if cfg.workerURL != "" {
-		// The grid comes from the coordinator: silently dropping axis
-		// flags would let `-worker URL -workloads swim -refs 1e6` look
-		// like it constrained the work. -trace is the exception (it names
-		// the worker's local recordings, matched to cells by digest).
-		workerFlags := map[string]bool{
-			"worker": true, "worker-id": true, "batch": true, "trace": true,
-			"workers": true, "q": true, "cpuprofile": true, "memprofile": true,
-			"token": true, "tls-ca": true, "blob-cache": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if !workerFlags[f.Name] {
-				fmt.Fprintf(os.Stderr, "tlbsweep: -%s has no effect in worker mode (the coordinator declares the grid)\n", f.Name)
-				os.Exit(2)
-			}
-		})
-	}
-	if !render && cfg.diffPath == "" && cfg.workerURL == "" && cfg.workloads == "" && cfg.traces == "" && cfg.mixes == "" {
-		fmt.Fprintln(os.Stderr, "tlbsweep: need a source axis: -workloads (names, suites, 'all'), -trace files and/or -mix combinations")
-		flag.Usage()
-		os.Exit(2)
-	}
-	// A zero sweep.Grid.Refs means the library default, so a declared grid
-	// would silently run 1,000,000-reference cells under -refs 0.
-	if cfg.refs == 0 && !render && cfg.diffPath == "" && cfg.workerURL == "" {
-		fmt.Fprintln(os.Stderr, "tlbsweep: -refs must be positive")
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// An error exits 1 unless run reports it as a usage error (2).
-	code, err := run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tlbsweep:", err)
-		code = max(code, 1)
+// run is the whole command: results go to stdout, progress and
+// diagnostics to stderr, and the result is the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg := &sweepConfig{stdout: stdout, stderr: stderr}
+	err := cfg.parse(args)
+	if err == nil {
+		err = cfg.execute()
 	}
-	os.Exit(code)
+	return cli.Code("tlbsweep", stderr, err)
 }
 
-// sweepConfig carries the parsed flag surface.
+// sweepConfig carries the parsed flag surface, what parse derives from it
+// and the command's output streams.
 type sweepConfig struct {
 	workloads, traces, mechs             string
 	mixes, quanta, policies, asids       string
@@ -192,29 +91,159 @@ type sweepConfig struct {
 	workers                              int
 	quiet                                bool
 	cpuProf, memProf                     string
+
+	filter         sweep.Filter  // -where, parsed
+	metric         report.Metric // -figure, resolved
+	jobs           []sweep.Job   // the declared grid's cells (sweep, -gc, -serve)
+	stdout, stderr io.Writer
 }
 
-func run(cfg sweepConfig) (int, error) {
-	switch cfg.format {
-	case "table", "csv", "json", "none":
-	case "svg":
-		if cfg.figure == "" {
-			return 1, fmt.Errorf("-format svg renders figures: combine it with -figure")
-		}
-	default:
-		return 1, fmt.Errorf("unknown -format %q (table, csv, json, none; -figure mode also svg)", cfg.format)
+// workerFlags are the flags worker mode reads. The grid comes from the
+// coordinator, so any other flag would only look like it constrained the
+// work; -trace names the worker's local recordings, matched by digest.
+var workerFlags = []string{"worker", "worker-id", "batch", "trace", "workers", "q",
+	"cpuprofile", "memprofile", "token", "tls-ca", "blob-cache"}
+
+// parse reads args and checks every flag before execute touches the store
+// or the network: anything wrong here is a usage error (exit 2). The only
+// files it reads are the -trace and -mix recordings a grid names, after
+// every flag-only axis has parsed.
+func (cfg *sweepConfig) parse(args []string) error {
+	fs := flag.NewFlagSet("tlbsweep", flag.ContinueOnError)
+	fs.SetOutput(cfg.stderr)
+	fs.StringVar(&cfg.workloads, "workloads", "", "comma-separated workload names, suite names (SPEC, MediaBench, Etch, PointerIntensive) or 'all'")
+	fs.StringVar(&cfg.traces, "trace", "", "comma-separated trace files added to the source axis (digested into the keys)")
+	fs.StringVar(&cfg.mixes, "mix", "", "comma-separated multiprogrammed mixes, each '+'-joined members (workload names or trace files), e.g. galgel+gcc")
+	fs.StringVar(&cfg.quanta, "quantum", "", "mix context-switch quantum axis in references (default 20000)")
+	fs.StringVar(&cfg.policies, "policy", "", "mix prediction-table policy axis: retain, flush, per-process (default retain)")
+	fs.StringVar(&cfg.asids, "asid", "", "mix translation treatment axis: flush (TLB+buffer emptied per switch) or tagged (default flush)")
+	fs.StringVar(&cfg.mechs, "mechs", "DP", "comma-separated mechanism kinds: "+strings.Join(sweep.Kinds(), ", "))
+	fs.StringVar(&cfg.rows, "rows", "256", "prediction-table rows axis (table mechanisms)")
+	fs.StringVar(&cfg.ways, "ways", "1", "prediction-table associativity axis (table mechanisms)")
+	fs.StringVar(&cfg.slots, "slots", "2", "prediction slots per row axis (DP/MP families)")
+	fs.StringVar(&cfg.entries, "entries", "128", "TLB entries axis")
+	fs.StringVar(&cfg.tlbWays, "tlbways", "0", "TLB associativity axis (0 = fully associative)")
+	fs.StringVar(&cfg.buffers, "buffer", "16", "prefetch buffer entries axis")
+	fs.StringVar(&cfg.pageShift, "pageshift", "12", "log2 page size axis")
+	fs.Uint64Var(&cfg.refs, "refs", 1_000_000, "references measured per cell")
+	fs.Uint64Var(&cfg.warmup, "warmup", 0, "references simulated before the counters reset")
+	fs.Uint64Var(&cfg.seed, "seed", 0, "base seed: 0 keeps the models' paper-calibrated streams, nonzero derives an independent per-cell stream seed")
+	fs.BoolVar(&cfg.timing, "timing", false, "run every cell under the cycle model (paper Table 3)")
+	fs.StringVar(&cfg.missPenalty, "miss-penalty", "", "TLB miss penalty axis in cycles (implies -timing; default 100, memop/buffer-hit costs scale with it)")
+	fs.StringVar(&cfg.memopLat, "memop-latency", "", "prefetch memory-op latency axis in cycles (implies -timing; default scales at half the miss penalty; exclusive with -memop-ratio)")
+	fs.StringVar(&cfg.memopRatio, "memop-ratio", "", "prefetch memory-op cost axis as a ratio of the miss penalty (implies -timing; the paper's point is 0.5)")
+	fs.StringVar(&cfg.refsPerCyc, "refs-per-cycle", "", "issue-width axis: references retired per cycle (implies -timing; default 2)")
+	fs.StringVar(&cfg.storePath, "store", "", "JSON result store to read from and merge into")
+	fs.StringVar(&cfg.where, "where", "", "render matching store cells (field=value,... filters) instead of sweeping")
+	fs.StringVar(&cfg.figure, "figure", "", "render matching store cells as a grouped-bar figure of this metric ("+report.MetricNames()+"); combine with -where to subset")
+	fs.BoolVar(&cfg.gc, "gc", false, "drop store cells the declared grid does not reference, then save")
+	fs.StringVar(&cfg.diffPath, "diff", "", "compare the -store file against this second store and exit (1 when they differ)")
+	fs.StringVar(&cfg.serve, "serve", "", "serve the grid as a distributed job feed on this address (coordinator mode, e.g. 127.0.0.1:9177)")
+	fs.StringVar(&cfg.workerURL, "worker", "", "join a coordinator's job feed at this base URL (worker mode; the grid comes from the coordinator)")
+	fs.IntVar(&cfg.batch, "batch", 0, "distributed modes: max cells per lease (0 = coordinator default)")
+	fs.DurationVar(&cfg.leaseTTL, "lease-ttl", 30*time.Second, "coordinator mode: a worker silent this long forfeits its leased cells")
+	fs.StringVar(&cfg.workerID, "worker-id", "", "worker mode: name shown in coordinator logs (default worker-<pid>)")
+	fs.StringVar(&cfg.token, "token", "", "distributed modes: bearer token — the coordinator requires it on every request (401 otherwise), workers send it")
+	fs.StringVar(&cfg.tlsCert, "tls-cert", "", "coordinator mode: serve the feed over TLS with this certificate file (requires -tls-key)")
+	fs.StringVar(&cfg.tlsKey, "tls-key", "", "coordinator mode: TLS private key file (requires -tls-cert)")
+	fs.StringVar(&cfg.tlsCA, "tls-ca", "", "worker mode: PEM bundle to trust for an https coordinator (self-signed deployments; default system roots)")
+	fs.DurationVar(&cfg.checkpoint, "checkpoint", 30*time.Second, "coordinator mode: save the store this often mid-grid so a crash resumes from the last checkpoint (0 disables)")
+	fs.StringVar(&cfg.blobCache, "blob-cache", "", "worker mode: directory for trace blobs fetched from the coordinator (default <user-cache-dir>/tlbsweep-blobs)")
+	fs.StringVar(&cfg.format, "format", "table", "output format: table, csv, json, none (-figure mode: table, csv, svg)")
+	fs.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-cell progress on stderr")
+	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file")
+	fs.Usage = func() {
+		fmt.Fprint(cfg.stderr, `usage: tlbsweep [flags]
+
+Modes (mutually exclusive): sweep the declared grid (default), render a store
+subset (-where and/or -figure), -gc, -diff, -serve, -worker. -figure combines
+with -where to render only the matching cells.
+
+`, cli.Rule, `-diff also exits 1 when the stores differ, and -where/-figure when the filter
+matches zero cells (a diagnostic on stderr names the clauses that match
+nothing). An interrupted -serve coordinator checkpoints the store and exits 3.
+
+`)
+		fs.PrintDefaults()
+	}
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
+	render := cfg.where != "" || cfg.figure != ""
+	modes := 0
+	for _, on := range []bool{render, cfg.gc, cfg.diffPath != "", cfg.serve != "", cfg.workerURL != ""} {
+		if on {
+			modes++
+		}
+	}
+	formats := []string{"table", "csv", "json", "none"}
+	if cfg.figure != "" {
+		formats = []string{"table", "csv", "svg"}
+	}
+	switch {
+	case modes > 1:
+		return cli.Usagef("-where/-figure, -gc, -diff, -serve and -worker are mutually exclusive modes")
+	case (render || cfg.gc || cfg.diffPath != "") && cfg.storePath == "":
+		return cli.Usagef("-where/-figure/-gc/-diff operate on a store: -store is required")
+	case cfg.workerURL != "" && cfg.storePath != "":
+		return cli.Usagef("a worker holds no store — the coordinator given with -serve owns it")
+	case (cfg.tlsCert == "") != (cfg.tlsKey == ""):
+		return cli.Usagef("-tls-cert and -tls-key must be given together")
+	case cfg.format == "svg" && cfg.figure == "":
+		return cli.Usagef("-format svg renders figures: combine it with -figure")
+	case !slices.Contains(formats, cfg.format):
+		return cli.Usagef("unknown -format %q (%s)", cfg.format, strings.Join(formats, ", "))
+	}
+
+	var err error
+	switch {
+	case cfg.workerURL != "":
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && !slices.Contains(workerFlags, f.Name) {
+				err = cli.Usagef("-%s has no effect in worker mode (the coordinator declares the grid)", f.Name)
+			}
+		})
+		return err
+	case cfg.diffPath != "":
+		return nil
+	case render:
+		var ok bool
+		if cfg.metric, ok = report.MetricByName(cfg.figure); !ok && cfg.figure != "" {
+			return cli.Usagef("unknown -figure metric %q (known: %s)", cfg.figure, report.MetricNames())
+		}
+		if cfg.filter, err = sweep.ParseFilter(cfg.where); err != nil {
+			return cli.Usage(err)
+		}
+		return nil
+	case cfg.workloads == "" && cfg.traces == "" && cfg.mixes == "":
+		fs.Usage()
+		return cli.Usagef("need a source axis: -workloads (names, suites, 'all'), -trace files and/or -mix combinations")
+	case cfg.refs == 0:
+		// A zero sweep.Grid.Refs means the library default, so a declared
+		// grid would silently run 1,000,000-reference cells.
+		return cli.Usagef("-refs must be positive")
+	}
+	cfg.jobs, err = cfg.buildJobs()
+	return err
+}
+
+// execute runs the mode parse chose. What it returns is an error from a
+// file, the network or the store (exit 1), or a cli.Exit whose reason it
+// has already written to stderr.
+func (cfg *sweepConfig) execute() error {
 	stopProf, err := prof.Start("tlbsweep", cfg.cpuProf, cfg.memProf)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	defer stopProf()
 
-	// Worker mode needs no grid or store of its own: everything comes
-	// from the coordinator's feed.
+	// Worker mode needs no store of its own: everything comes from the
+	// coordinator's feed.
 	if cfg.workerURL != "" {
-		return runWorker(cfg)
+		return cfg.runWorker()
 	}
 
 	// The read-only modes consume an existing store; a missing file there
@@ -222,64 +251,44 @@ func run(cfg sweepConfig) (int, error) {
 	// identical", "0 cells match"). Only a sweep may start a store fresh.
 	readOnly := cfg.diffPath != "" || cfg.where != "" || cfg.figure != "" || cfg.gc
 	var store *sweep.Store
-	if cfg.storePath != "" {
+	if cfg.storePath == "" {
+		store = sweep.NewStore()
+	} else {
 		if readOnly {
 			if _, err := os.Stat(cfg.storePath); err != nil {
-				return 1, fmt.Errorf("-store %s: %w", cfg.storePath, err)
+				return fmt.Errorf("-store %s: %w", cfg.storePath, err)
 			}
 		}
-		store, err = sweep.OpenStore(cfg.storePath)
-		if err != nil {
-			return 1, err
+		if store, err = sweep.OpenStore(cfg.storePath); err != nil {
+			return err
 		}
 	}
 
 	switch {
 	case cfg.diffPath != "":
-		return runDiff(store, cfg.diffPath)
+		return cfg.runDiff(store)
 	case cfg.figure != "":
-		return runFigure(store, cfg.figure, cfg.where, cfg.format)
+		return cfg.runFigure(store)
 	case cfg.where != "":
-		return runWhere(store, cfg.where, cfg.format)
-	}
-
-	grid, err := buildGrid(cfg)
-	if err != nil {
-		return 1, err
-	}
-	// Grid.Jobs rejects only flag values and how they combine: a usage
-	// error.
-	jobs, err := grid.Jobs()
-	if err != nil {
-		return 2, err
-	}
-
-	if cfg.serve != "" {
-		if store == nil {
-			store = sweep.NewStore()
-		}
-		return runServe(cfg, jobs, store)
-	}
-
-	if cfg.gc {
-		keep := make(map[string]bool, len(jobs))
-		for _, j := range jobs {
+		return cfg.runWhere(store)
+	case cfg.serve != "":
+		return cfg.runServe(store)
+	case cfg.gc:
+		keep := make(map[string]bool, len(cfg.jobs))
+		for _, j := range cfg.jobs {
 			keep[j.Key().Hash()] = true
 		}
 		dropped, err := store.GC(keep)
 		if err != nil {
-			return 1, err
+			return err
 		}
 		if err := store.Save(); err != nil {
-			return 1, err
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "tlbsweep: gc dropped %d cells, kept %d\n", dropped, store.Len())
-		return 0, nil
+		fmt.Fprintf(cfg.stderr, "tlbsweep: gc dropped %d cells, kept %d\n", dropped, store.Len())
+		return nil
 	}
 
-	if store == nil {
-		store = sweep.NewStore()
-	}
 	runner := sweep.Runner{Store: store, Workers: cfg.workers}
 	if !cfg.quiet {
 		runner.Progress = func(ev sweep.ProgressEvent) {
@@ -288,223 +297,179 @@ func run(cfg sweepConfig) (int, error) {
 				note = "  (cached)"
 			}
 			k := ev.Result.Key
-			fmt.Fprintf(os.Stderr, "[%*d/%d] %-12s %-10s tlb=%d/%d buf=%d ps=%d  acc=%s%s\n",
+			fmt.Fprintf(cfg.stderr, "[%*d/%d] %-12s %-10s tlb=%d/%d buf=%d ps=%d  acc=%s%s\n",
 				len(fmt.Sprint(ev.Total)), ev.Done, ev.Total,
 				k.SourceLabel(), k.Mech.Label(), k.TLBEntries, k.TLBWays, k.Buffer, k.PageShift,
 				stats.F(ev.Result.Stats.Accuracy()), note)
 		}
 	}
 	start := time.Now()
-	results, sum, err := runner.Run(jobs)
+	results, sum, err := runner.Run(cfg.jobs)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	if cfg.storePath != "" {
 		if err := store.Save(); err != nil {
-			return 1, err
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tlbsweep: %d cells (%d cached, %d run in %d shards) in %v\n",
+	fmt.Fprintf(cfg.stderr, "tlbsweep: %d cells (%d cached, %d run in %d shards) in %v\n",
 		sum.Total, sum.Cached, sum.Ran, sum.Shards, time.Since(start).Round(time.Millisecond))
-
-	return 0, emit(results, cfg.format)
+	return cfg.emit(results)
 }
 
-// runWhere renders the store subset a filter selects, no grid required. A
-// filter matching zero cells is an error (exit 1) with a diagnostic naming
+// runWhere renders the store subset the -where filter selects, no grid
+// required. A filter matching zero cells exits 1 with a diagnostic naming
 // the clauses that match nothing, not a vacuous empty table.
-func runWhere(store *sweep.Store, spec, format string) (int, error) {
-	f, err := sweep.ParseFilter(spec)
+func (cfg *sweepConfig) runWhere(store *sweep.Store) error {
+	results, err := cfg.filter.Select(store)
 	if err != nil {
-		return 1, err
+		return err
 	}
-	results, err := f.Select(store)
-	if err != nil {
-		return 1, err
-	}
-	fmt.Fprintf(os.Stderr, "tlbsweep: %d of %d store cells match %q\n", len(results), store.Len(), spec)
+	fmt.Fprintf(cfg.stderr, "tlbsweep: %d of %d store cells match %q\n", len(results), store.Len(), cfg.where)
 	if len(results) == 0 {
-		diagnoseEmptyMatch(store, f)
-		return 1, nil
+		cfg.diagnoseEmptyMatch(store)
+		return cli.Exit(1)
 	}
-	return 0, emit(results, format)
+	return cfg.emit(results)
 }
 
-// runFigure renders the store subset (everything, or the -where matches) as
-// a grouped-bar figure of the chosen metric.
-func runFigure(store *sweep.Store, metric, spec, format string) (int, error) {
-	m, ok := report.MetricByName(metric)
-	if !ok {
-		return 1, fmt.Errorf("unknown -figure metric %q (known: %s)", metric, report.MetricNames())
-	}
-	f, err := sweep.ParseFilter(spec)
+// runFigure renders the store subset (everything, or the -where matches)
+// as a grouped-bar figure of the chosen metric.
+func (cfg *sweepConfig) runFigure(store *sweep.Store) error {
+	results, err := cfg.filter.Select(store)
 	if err != nil {
-		return 1, err
+		return err
 	}
-	results, err := f.Select(store)
-	if err != nil {
-		return 1, err
-	}
-	fmt.Fprintf(os.Stderr, "tlbsweep: rendering %d of %d store cells as a figure of %s\n",
-		len(results), store.Len(), m.Name)
+	fmt.Fprintf(cfg.stderr, "tlbsweep: rendering %d of %d store cells as a figure of %s\n",
+		len(results), store.Len(), cfg.metric.Name)
 	if len(results) == 0 {
-		diagnoseEmptyMatch(store, f)
-		return 1, nil
+		cfg.diagnoseEmptyMatch(store)
+		return cli.Exit(1)
 	}
-	title := m.Axis + " by application"
-	if spec != "" {
-		title += " [" + spec + "]"
+	title := cfg.metric.Axis + " by application"
+	if cfg.where != "" {
+		title += " [" + cfg.where + "]"
 	}
-	fig, err := report.Build(results, report.Options{Metric: m.Name, Title: title})
+	fig, err := report.Build(results, report.Options{Metric: cfg.metric.Name, Title: title})
 	if err != nil {
-		return 1, err
+		return err
 	}
-	switch format {
-	case "table":
-		fmt.Print(fig.Text())
+	switch cfg.format {
 	case "csv":
-		fmt.Print(fig.CSV())
+		fmt.Fprint(cfg.stdout, fig.CSV())
 	case "svg":
-		fmt.Print(fig.SVG())
+		fmt.Fprint(cfg.stdout, fig.SVG())
 	default:
-		return 1, fmt.Errorf("-figure renders table, csv or svg, not %q", format)
+		fmt.Fprint(cfg.stdout, fig.Text())
 	}
-	return 0, nil
+	return nil
 }
 
 // diagnoseEmptyMatch explains a filter that selected nothing: per-clause
 // solo match counts, with the clauses no store cell satisfies called out —
 // the difference between a typoed value and an empty conjunction.
-func diagnoseEmptyMatch(store *sweep.Store, f sweep.Filter) {
+func (cfg *sweepConfig) diagnoseEmptyMatch(store *sweep.Store) {
 	if store.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "tlbsweep: the store holds no cells at all — sweep into it first")
+		fmt.Fprintln(cfg.stderr, "tlbsweep: the store holds no cells at all — sweep into it first")
 		return
 	}
-	if f.Empty() {
+	if cfg.filter.Empty() {
 		return // store.Len()>0 and an empty filter cannot select nothing
 	}
 	// The index alone carries every key — no segment is read to explain an
 	// empty match.
 	keys := store.IndexKeys()
 	var unmatched []string
-	for _, cm := range f.ClauseMatches(keys) {
-		fmt.Fprintf(os.Stderr, "tlbsweep:   %s alone matches %d cells\n", cm.Clause, cm.Matches)
+	for _, cm := range cfg.filter.ClauseMatches(keys) {
+		fmt.Fprintf(cfg.stderr, "tlbsweep:   %s alone matches %d cells\n", cm.Clause, cm.Matches)
 		if cm.Matches == 0 {
 			unmatched = append(unmatched, cm.Clause)
 		}
 	}
 	if len(unmatched) > 0 {
-		fmt.Fprintf(os.Stderr, "tlbsweep: no store cell satisfies %s — drop or fix those clauses\n",
+		fmt.Fprintf(cfg.stderr, "tlbsweep: no store cell satisfies %s — drop or fix those clauses\n",
 			strings.Join(unmatched, ", "))
 	} else {
-		fmt.Fprintln(os.Stderr, "tlbsweep: every clause matches some cells, but no single cell satisfies the whole conjunction")
+		fmt.Fprintln(cfg.stderr, "tlbsweep: every clause matches some cells, but no single cell satisfies the whole conjunction")
 	}
 }
 
-// runDiff compares two stores; exit code 1 reports a difference.
-func runDiff(a *sweep.Store, bPath string) (int, error) {
-	if _, err := os.Stat(bPath); err != nil {
-		return 1, fmt.Errorf("-diff %s: %w", bPath, err)
+// runDiff compares the store against -diff's; a difference exits 1.
+func (cfg *sweepConfig) runDiff(a *sweep.Store) error {
+	if _, err := os.Stat(cfg.diffPath); err != nil {
+		return fmt.Errorf("-diff %s: %w", cfg.diffPath, err)
 	}
-	b, err := sweep.OpenStore(bPath)
+	b, err := sweep.OpenStore(cfg.diffPath)
 	if err != nil {
-		return 1, err
+		return err
 	}
 	d, err := sweep.DiffStores(a, b)
 	if err != nil {
-		return 1, err
+		return err
 	}
-	fmt.Print(d.Summary())
-	if d.Empty() {
-		return 0, nil
+	fmt.Fprint(cfg.stdout, d.Summary())
+	if !d.Empty() {
+		return cli.Exit(1)
 	}
-	return 1, nil
+	return nil
 }
 
-func emit(results []sweep.Result, format string) error {
-	switch format {
+func (cfg *sweepConfig) emit(results []sweep.Result) error {
+	switch cfg.format {
 	case "table":
-		fmt.Print(sweep.Table(results).String())
+		fmt.Fprint(cfg.stdout, sweep.Table(results).String())
 	case "csv":
-		fmt.Print(sweep.CSV(results))
+		fmt.Fprint(cfg.stdout, sweep.CSV(results))
 	case "json":
 		b, err := sweep.JSON(results)
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(b)
-		fmt.Println()
-	case "none":
+		cfg.stdout.Write(b)
+		fmt.Fprintln(cfg.stdout)
 	}
 	return nil
 }
 
-// buildGrid parses the axis flags into a sweep.Grid.
-func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
-	g := sweep.Grid{Refs: cfg.refs, Warmup: cfg.warmup, Seed: cfg.seed}
+// buildJobs parses the axis flags into a sweep.Grid and enumerates its
+// cells. Every error is a usage error but a trace file that cannot be
+// digested, and those files are read only after the flag-only axes parse.
+func (cfg *sweepConfig) buildJobs() ([]sweep.Job, error) {
+	g := sweep.Grid{Refs: cfg.refs, Warmup: cfg.warmup, Seed: cfg.seed,
+		Policies: split(cfg.policies, ","), ASIDs: split(cfg.asids, ",")}
 	var err error
-
 	if cfg.workloads != "" {
-		names, err := resolveWorkloads(cfg.workloads)
-		if err != nil {
-			return g, err
+		if g.Workloads, err = resolveWorkloads(cfg.workloads); err != nil {
+			return nil, err
 		}
-		g.Workloads = names
-	}
-	for _, tok := range strings.Split(cfg.traces, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		src, err := sweep.TraceSource(tok)
-		if err != nil {
-			return g, err
-		}
-		g.Traces = append(g.Traces, src)
-	}
-	for _, tok := range strings.Split(cfg.mixes, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		mix, err := parseMix(tok)
-		if err != nil {
-			return g, err
-		}
-		g.Mixes = append(g.Mixes, mix)
 	}
 	if cfg.quanta != "" {
 		if g.Quanta, err = parseUints("quantum", cfg.quanta); err != nil {
-			return g, err
+			return nil, err
 		}
-	}
-	if cfg.policies != "" {
-		g.Policies = splitAxis(cfg.policies)
-	}
-	if cfg.asids != "" {
-		g.ASIDs = splitAxis(cfg.asids)
 	}
 
 	rowAxis, err := parseInts("rows", cfg.rows)
 	if err != nil {
-		return g, err
+		return nil, err
 	}
 	wayAxis, err := parseInts("ways", cfg.ways)
 	if err != nil {
-		return g, err
+		return nil, err
 	}
 	slotAxis, err := parseInts("slots", cfg.slots)
 	if err != nil {
-		return g, err
+		return nil, err
 	}
-	for _, kind := range splitAxis(cfg.mechs) {
+	for _, kind := range split(cfg.mechs, ",") {
 		kind = sweep.ParseKind(kind)
 		for _, r := range rowAxis {
 			for _, w := range wayAxis {
 				for _, s := range slotAxis {
 					m := sweep.Mech{Kind: kind, Rows: r, Ways: w, Slots: s}
 					if err := m.Validate(); err != nil {
-						return g, err
+						return nil, cli.Usage(err)
 					}
 					g.Mechs = append(g.Mechs, m)
 				}
@@ -513,31 +478,57 @@ func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
 	}
 
 	if g.TLBEntries, err = parseInts("entries", cfg.entries); err != nil {
-		return g, err
+		return nil, err
 	}
 	if g.TLBWays, err = parseInts("tlbways", cfg.tlbWays); err != nil {
-		return g, err
+		return nil, err
 	}
 	if g.Buffers, err = parseInts("buffer", cfg.buffers); err != nil {
-		return g, err
+		return nil, err
 	}
-	shifts, err := parseInts("pageshift", cfg.pageShift)
-	if err != nil {
-		return g, err
-	}
-	for _, s := range shifts {
-		if s <= 0 {
-			return g, fmt.Errorf("-pageshift values must be positive, got %d", s)
+	if g.PageShifts, err = parseAxis("pageshift", cfg.pageShift, "a positive integer", func(s string) (uint, error) {
+		v, err := strconv.ParseUint(s, 10, 0)
+		if err == nil && v == 0 {
+			err = strconv.ErrRange
 		}
-		g.PageShifts = append(g.PageShifts, uint(s))
+		return uint(v), err
+	}); err != nil {
+		return nil, err
+	}
+	if g.TimingAxes, err = cfg.buildTimingAxes(); err != nil {
+		return nil, err
 	}
 
-	axes, err := buildTimingAxes(cfg)
-	if err != nil {
-		return g, err
+	// A mix's member count is a flag fact; its trace members, like the
+	// -trace files, are the only files a grid reads.
+	var mixes [][]string
+	for _, spec := range split(cfg.mixes, ",") {
+		members := split(spec, "+")
+		if len(members) < 2 {
+			return nil, cli.Usagef("-mix %q needs at least two '+'-joined members", spec)
+		}
+		mixes = append(mixes, members)
 	}
-	g.TimingAxes = axes
-	return g, nil
+	for _, tok := range split(cfg.traces, ",") {
+		src, err := sweep.TraceSource(tok)
+		if err != nil {
+			return nil, err
+		}
+		g.Traces = append(g.Traces, src)
+	}
+	for _, members := range mixes {
+		mix, err := resolveMix(members)
+		if err != nil {
+			return nil, err
+		}
+		g.Mixes = append(g.Mixes, mix)
+	}
+	// Grid.Jobs rejects only flag values and how they combine.
+	jobs, err := g.Jobs()
+	if err != nil {
+		return nil, cli.Usage(err)
+	}
+	return jobs, nil
 }
 
 // buildTimingAxes parses the cycle-model flags into the decoupled design
@@ -545,7 +536,7 @@ func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
 // -memop-ratio fractions of the penalty) × -refs-per-cycle issue widths.
 // Any of the axis flags implies the cycle model; -timing alone runs the
 // single default point.
-func buildTimingAxes(cfg sweepConfig) (sweep.TimingAxes, error) {
+func (cfg *sweepConfig) buildTimingAxes() (sweep.TimingAxes, error) {
 	var axes sweep.TimingAxes
 	if cfg.missPenalty == "" && cfg.memopLat == "" && cfg.memopRatio == "" && cfg.refsPerCyc == "" {
 		if cfg.timing {
@@ -576,22 +567,18 @@ func buildTimingAxes(cfg sweepConfig) (sweep.TimingAxes, error) {
 		}
 	}
 	if _, err := axes.Points(); err != nil { // surface axis conflicts at flag-parse time
-		return axes, err
+		return axes, cli.Usage(err)
 	}
 	return axes, nil
 }
 
-// parseMix parses one '+'-joined mix spec: each member is a workload
-// registry name, or failing that a trace file path (digested into the key
-// like -trace). The scheduler parameters stay zero here — the grid's
-// -quantum/-policy/-asid axes (or their defaults) fill them in per cell.
-func parseMix(spec string) (sweep.Mix, error) {
+// resolveMix resolves a mix's members: each is a workload registry name,
+// or failing that a trace file path (digested into the key like -trace).
+// The scheduler parameters stay zero here — the grid's -quantum/-policy/
+// -asid axes (or their defaults) fill them in per cell.
+func resolveMix(members []string) (sweep.Mix, error) {
 	var mix sweep.Mix
-	for _, tok := range strings.Split(spec, "+") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
+	for _, tok := range members {
 		if _, ok := workload.ByName(tok); ok {
 			mix.Sources = append(mix.Sources, sweep.WorkloadSource(tok))
 			continue
@@ -602,16 +589,13 @@ func parseMix(spec string) (sweep.Mix, error) {
 		}
 		mix.Sources = append(mix.Sources, src)
 	}
-	if len(mix.Sources) < 2 {
-		return mix, fmt.Errorf("-mix %q needs at least two '+'-joined members", spec)
-	}
 	return mix, nil
 }
 
-// splitAxis splits a comma-separated string axis, trimming blanks.
-func splitAxis(spec string) []string {
+// split splits spec at sep, trimming blanks and dropping empty tokens.
+func split(spec, sep string) []string {
 	var out []string
-	for _, tok := range strings.Split(spec, ",") {
+	for _, tok := range strings.Split(spec, sep) {
 		if tok = strings.TrimSpace(tok); tok != "" {
 			out = append(out, tok)
 		}
@@ -631,11 +615,7 @@ func resolveWorkloads(spec string) ([]string, error) {
 			out = append(out, name)
 		}
 	}
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
+	for _, tok := range split(spec, ",") {
 		if tok == "all" {
 			for _, w := range workload.All() {
 				add(w.Name)
@@ -649,74 +629,52 @@ func resolveWorkloads(spec string) ([]string, error) {
 			continue
 		}
 		if _, ok := workload.ByName(tok); !ok {
-			return nil, fmt.Errorf("unknown workload or suite %q (try tlbsim -list)", tok)
+			return nil, cli.Usagef("unknown workload or suite %q (try tlbsim -list)", tok)
 		}
 		add(tok)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-workloads %q selected no workloads", spec)
+		return nil, cli.Usagef("-workloads %q selected no workloads", spec)
 	}
 	return out, nil
 }
 
-// parseInts parses a comma-separated integer axis.
+// parseAxis parses a comma-separated numeric axis; want names what parse
+// accepts. A malformed or empty axis is a usage error.
+func parseAxis[T any](name, spec, want string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, tok := range split(spec, ",") {
+		v, err := parse(tok)
+		if err != nil {
+			return nil, cli.Usagef("-%s: %q is not %s", name, tok, want)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, cli.Usagef("-%s needs at least one value", name)
+	}
+	return out, nil
+}
+
 func parseInts(name, spec string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %q is not an integer", name, tok)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s needs at least one value", name)
-	}
-	return out, nil
+	return parseAxis(name, spec, "an integer", strconv.Atoi)
 }
 
-// parseFloats parses a comma-separated ratio axis.
-func parseFloats(name, spec string) ([]float64, error) {
-	var out []float64
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(tok, 64)
-		// !(v > 0) also rejects NaN; infinities parse fine but would cast
-		// to platform-dependent uint64 cells, so reject them explicitly.
-		if err != nil || !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("-%s: %q is not a positive finite number", name, tok)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s needs at least one value", name)
-	}
-	return out, nil
-}
-
-// parseUints parses a comma-separated unsigned axis.
 func parseUints(name, spec string) ([]uint64, error) {
-	var out []uint64
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
+	return parseAxis(name, spec, "a non-negative integer", func(s string) (uint64, error) {
+		return strconv.ParseUint(s, 10, 64)
+	})
+}
+
+// parseFloats parses a ratio axis. !(v > 0) also rejects NaN; infinities
+// parse fine but would cast to platform-dependent uint64 cells, so they
+// are rejected explicitly.
+func parseFloats(name, spec string) ([]float64, error) {
+	return parseAxis(name, spec, "a positive finite number", func(s string) (float64, error) {
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (!(v > 0) || math.IsInf(v, 0)) {
+			err = strconv.ErrRange
 		}
-		v, err := strconv.ParseUint(tok, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %q is not a non-negative integer", name, tok)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s needs at least one value", name)
-	}
-	return out, nil
+		return v, err
+	})
 }

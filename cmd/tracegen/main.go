@@ -31,6 +31,7 @@ import (
 	"slices"
 
 	"tlbprefetch"
+	"tlbprefetch/internal/cli"
 )
 
 // formats are the output encodings newWriter builds.
@@ -62,67 +63,69 @@ func newWriter(format string, f *os.File) (tlbprefetch.TraceWriter, finisher, er
 	return nil, nil, fmt.Errorf("unknown -format %q %v", format, formats)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the summary goes to stdout, diagnostics to
+// stderr, and the result is the process exit code (cli.Rule).
+func run(args []string, stdout, stderr io.Writer) int {
+	return cli.Code("tracegen", stderr, generate(args, stdout, stderr))
 }
 
-// usage reports a command-line mistake and exits 2.
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	os.Exit(2)
-}
-
-func main() {
+// generate checks every flag, then writes the trace and prints its digest.
+func generate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workloadName = flag.String("workload", "", "workload model to emit (see tlbsim -list)")
-		convert      = flag.String("convert", "", "input trace to re-encode instead of generating (format auto-detected)")
-		refs         = flag.Uint64("refs", 1_000_000, "references to generate")
-		out          = flag.String("o", "", "output file (default: <workload>.trc or .txt)")
-		format       = flag.String("format", "v2", "output encoding: v2 (block binary), v1 (fixed binary), text")
-		force        = flag.Bool("force", false, "overwrite the output file if it already exists")
+		workloadName = fs.String("workload", "", "workload model to emit (see tlbsim -list)")
+		convert      = fs.String("convert", "", "input trace to re-encode instead of generating (format auto-detected)")
+		refs         = fs.Uint64("refs", 1_000_000, "references to generate")
+		out          = fs.String("o", "", "output file (default: <workload>.trc or .txt)")
+		format       = fs.String("format", "v2", "output encoding: v2 (block binary), v1 (fixed binary), text")
+		force        = fs.Bool("force", false, "overwrite the output file if it already exists")
 	)
-	flag.Parse()
+	fs.Usage = func() {
+		fmt.Fprint(stderr, "usage: tracegen [flags]\n\n", cli.Rule, "\n")
+		fs.PrintDefaults()
+	}
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if (*workloadName == "") == (*convert == "") {
-		usage("need exactly one of -workload or -convert")
+		return cli.Usagef("need exactly one of -workload or -convert")
 	}
 	if !slices.Contains(formats, *format) {
-		usage("unknown -format %q %v", *format, formats)
+		return cli.Usagef("unknown -format %q %v", *format, formats)
+	}
+	w, ok := tlbprefetch.WorkloadByName(*workloadName)
+	path := *out
+	switch {
+	case *convert != "" && path == "":
+		return cli.Usagef("-convert needs an explicit -o (refusing to guess a name next to the input)")
+	case *convert != "" && sameFile(*convert, path):
+		return cli.Usagef("-o %s is the -convert input; write the conversion to another file", path)
+	case *convert != "": // a conversion reads neither -workload nor -refs
+	case !ok:
+		return cli.Usagef("unknown workload %q", *workloadName)
+	case *refs == 0:
+		// A header-only trace would pass for a recording of nothing.
+		return cli.Usagef("-refs must be positive")
+	case path == "" && *format == "text":
+		path = *workloadName + ".txt"
+	case path == "":
+		path = *workloadName + ".trc"
 	}
 
 	var (
-		src   tlbprefetch.TraceBatchReader
-		srcC  io.Closer
-		label string
+		src  tlbprefetch.TraceBatchReader
+		srcC io.Closer
 	)
 	if *convert != "" {
 		var err error
 		if src, srcC, err = tlbprefetch.OpenTraceFile(*convert); err != nil {
-			fatal(err)
+			return err
 		}
-		label = *convert
-	} else {
-		w, ok := tlbprefetch.WorkloadByName(*workloadName)
-		if !ok {
-			fatal(fmt.Errorf("unknown workload %q", *workloadName))
-		}
-		label = w.Name
-	}
-
-	path := *out
-	if path == "" {
-		if *convert != "" {
-			usage("-convert needs an explicit -o (refusing to guess a name next to the input)")
-		}
-		if *format == "text" {
-			path = *workloadName + ".txt"
-		} else {
-			path = *workloadName + ".trc"
-		}
-	}
-	if *convert != "" && sameFile(*convert, path) {
-		usage("-o %s is the -convert input; write the conversion to another file", path)
+		defer srcC.Close()
 	}
 	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 	if !*force {
@@ -131,33 +134,19 @@ func main() {
 		flags = os.O_WRONLY | os.O_CREATE | os.O_EXCL
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			fmt.Fprintf(os.Stderr, "tracegen: %s already exists (its digest may be referenced by sweep grids); use -force to overwrite\n", path)
-			os.Exit(1)
-		}
-		fatal(err)
+	if os.IsExist(err) {
+		return fmt.Errorf("%s already exists (its digest may be referenced by sweep grids); use -force to overwrite", path)
+	} else if err != nil {
+		return err
 	}
 
-	// From here on a failure removes the output, so it never leaves an
-	// empty or partial trace behind.
-	fail := func(err error) {
-		f.Close()
-		os.Remove(path)
-		fatal(err)
-	}
 	tw, finish, err := newWriter(*format, f)
-	if err != nil {
-		fail(err)
-	}
 	var n uint64
-	if *convert != "" {
+	switch {
+	case err != nil:
+	case *convert != "":
 		n, err = tlbprefetch.CopyTrace(tw, src)
-		if cerr := srcC.Close(); err == nil {
-			err = cerr
-		}
-	} else {
-		w, _ := tlbprefetch.WorkloadByName(*workloadName)
+	default:
 		n, err = tlbprefetch.GenerateWorkload(w, *refs, tw)
 	}
 	if err == nil {
@@ -169,19 +158,22 @@ func main() {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		fail(err)
+	var digest string
+	if err == nil {
+		digest, err = tlbprefetch.DigestTraceFile(path)
 	}
-	digest, err := tlbprefetch.DigestTraceFile(path)
 	if err != nil {
-		fail(err)
+		// A failure never leaves an empty or partial trace behind.
+		os.Remove(path)
+		return err
 	}
 	if *convert != "" {
-		fmt.Printf("converted %d references from %s to %s (%s)\n", n, label, path, *format)
+		fmt.Fprintf(stdout, "converted %d references from %s to %s (%s)\n", n, *convert, path, *format)
 	} else {
-		fmt.Printf("wrote %d references of %s to %s\n", n, label, path)
+		fmt.Fprintf(stdout, "wrote %d references of %s to %s\n", n, w.Name, path)
 	}
-	fmt.Printf("sha256 %s\n", digest)
+	fmt.Fprintf(stdout, "sha256 %s\n", digest)
+	return nil
 }
 
 // sameFile reports whether a and b name one existing file.

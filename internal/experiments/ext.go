@@ -28,11 +28,6 @@ func ExtDPVariants(opts Options) []AppResult {
 	return RunSuite(fig9Workloads(), opts, mechs)
 }
 
-// FormatExtDPVariants renders the variant comparison.
-func FormatExtDPVariants(results []AppResult) string {
-	return FormatFigure(results)
-}
-
 // --- Extension B: DP at the cache level -------------------------------------
 
 // ExtCacheRow is one workload's cache-level comparison.
@@ -225,11 +220,6 @@ func ExtTLBAssoc(opts Options) []AppResult {
 	return appResults(apps, labels, runGrid(apps, opts, g, len(apps)*len(g.TLBWays)))
 }
 
-// FormatExtTLBAssoc renders the associativity sweep.
-func FormatExtTLBAssoc(rows []AppResult) string {
-	return FormatFigure(rows)
-}
-
 // --- Extension D: page size --------------------------------------------------
 
 // ExtPageSizeRow is one application's DP accuracy across page sizes.
@@ -294,11 +284,6 @@ func extModernMechs() []MechConfig {
 // high-miss-rate applications of Figure 9.
 func ExtModern(opts Options) []AppResult {
 	return RunSuite(fig9Workloads(), opts, extModernMechs())
-}
-
-// FormatExtModern renders the comparison as the standard accuracy panel.
-func FormatExtModern(results []AppResult) string {
-	return FormatFigure(results)
 }
 
 // ExtModernFigure arranges the comparison as a grouped-bar report figure
