@@ -162,7 +162,7 @@ func TestGroupMatchesPerRefExec(t *testing.T) {
 }
 
 // TestGroupSharesOneFrontendPerASIDMode pins the grouping: the Execs of a
-// mode share one sim.Group, and the modes never mix.
+// mode share one sim.Group, and each front holds one ASID mode.
 func TestGroupSharesOneFrontendPerASIDMode(t *testing.T) {
 	var execs []*Exec
 	for _, pol := range []Policy{Retain, Flush, PerProcess} {
@@ -183,10 +183,16 @@ func TestGroupSharesOneFrontendPerASIDMode(t *testing.T) {
 			front[m] = i
 		}
 	}
+	mode := map[int]ASIDMode{}
 	for _, e := range execs {
 		i, ok := front[e.sim]
-		if !ok || g.flush[i] != (e.asid == ASIDFlush) {
-			t.Errorf("%v/%v Exec is not on its ASID mode's front", e.policy, e.asid)
+		if !ok {
+			t.Errorf("%v/%v Exec is on no front", e.policy, e.asid)
+			continue
 		}
+		if m, seen := mode[i]; seen && m != e.asid {
+			t.Errorf("front %d mixes ASID modes %v and %v", i, m, e.asid)
+		}
+		mode[i] = e.asid
 	}
 }

@@ -184,23 +184,23 @@ func NewExec(cfg sim.Config, policy Policy, asid ASIDMode, nprocs int, mk func()
 // whole runs on a shared TLB. An Exec is fed by one of them, never both.
 func (e *Exec) Ref(proc int, pc, vaddr uint64) {
 	if proc != e.cur {
-		if e.cur >= 0 && e.asid == ASIDFlush {
-			e.sim.TLB().Reset()
-		}
 		e.switchTo(proc)
 	}
 	e.sim.Ref(pc, vaddr)
 }
 
-// switchTo attributes the outgoing process's counters and applies the
-// switch actions of the pipeline's back half: buffer flush (ASIDFlush) and
-// prefetcher reset or swap. The TLB is the caller's to flush, because a
-// Group shares it between Execs. The first dispatch installs the process
-// without any flushing — nothing ran yet, there is nothing to invalidate.
+// switchTo is the one place a context switch is decided: it attributes the
+// outgoing process's counters and applies the switch actions — under
+// ASIDFlush, empty the TLB and the prefetch buffer; then reset or swap the
+// prefetcher. In a Group the Execs of one ASID mode share one TLB: the
+// first of them empties it and the others find it empty, which changes
+// nothing. The first dispatch installs the process without any flushing —
+// nothing ran yet, there is nothing to invalidate.
 func (e *Exec) switchTo(next int) {
 	e.attribute()
 	if e.cur >= 0 {
 		if e.asid == ASIDFlush {
+			e.sim.TLB().Reset()
 			e.sim.Buffer().Flush()
 		}
 		if e.policy == Flush {
@@ -265,16 +265,15 @@ func (e *Exec) Results() ExecResult {
 // the same references. So the Execs of one ASID mode share one sim.Group:
 // one TLB probe per reference, with only the misses fanning out to the
 // members' buffers and mechanisms. At a real process change the Group
-// empties each ASIDFlush frontend's TLB once and applies every Exec's
-// back-half switch actions. sim.Group settles its members' counters at
-// the end of every batch and a switch always falls between batches, so
+// applies every Exec's switch actions (Exec.switchTo), so the first Exec
+// of the ASIDFlush front empties the TLB they share. A switch always
+// falls between batches, where every member's counters are current, so
 // the per-process attribution is exact (pinned against per-reference
 // Exec.Ref by TestGroupMatchesPerRefExec).
 type Group struct {
 	execs  []*Exec
 	fronts []*sim.Group
-	flush  []bool // fronts[i] empties its TLB at a switch (ASIDFlush)
-	cur    int    // running process (-1 before the first run)
+	cur    int // running process (-1 before the first run)
 }
 
 // NewGroup builds a Group over fresh Execs, which it then owns: they must
@@ -290,7 +289,6 @@ func NewGroup(execs ...*Exec) *Group {
 			f = sim.NewGroup()
 			byMode[e.asid] = f
 			g.fronts = append(g.fronts, f)
-			g.flush = append(g.flush, e.asid == ASIDFlush)
 		}
 		f.Add(e.sim)
 	}
@@ -302,13 +300,6 @@ func NewGroup(execs ...*Exec) *Group {
 // first when the process changed.
 func (g *Group) RefBatch(proc int, run []trace.Ref) {
 	if proc != g.cur {
-		if g.cur >= 0 {
-			for i, f := range g.fronts {
-				if g.flush[i] {
-					f.ResetTLB()
-				}
-			}
-		}
 		for _, e := range g.execs {
 			e.switchTo(proc)
 		}

@@ -6,14 +6,9 @@ import (
 	"tlbprefetch/internal/trace"
 )
 
-// streamBuf is the per-process buffer a StreamInterleaver keeps: one batch
-// refill per 4096 references makes the refill cost invisible next to the
-// simulation work the scheduled stream feeds.
-const streamBuf = 4096
-
 // StreamInterleaver round-robins per-process reference sources with a
-// fixed context-switch quantum, holding only one buffered chunk per
-// process. The schedule is a pure function of the stream lengths and the
+// fixed context-switch quantum, holding only one buffered chunk
+// (trace.BatchSize references) per process. The schedule is a pure function of the stream lengths and the
 // quantum: process 0 runs first, a process runs until its quantum expires
 // or its stream ends, and exhausted processes drop out of the rotation —
 // when one process remains it simply keeps running (no spurious switches
@@ -60,7 +55,7 @@ func NewStreamInterleaver(srcs []trace.BatchReader, quantum uint64) *StreamInter
 		proc:    len(srcs) - 1, // first advance lands on process 0
 	}
 	for p := range srcs {
-		it.bufs[p] = make([]trace.Ref, 0, streamBuf)
+		it.bufs[p] = make([]trace.Ref, 0, trace.BatchSize)
 		it.refill(p)
 		if len(it.bufs[p]) > 0 {
 			it.live++

@@ -145,7 +145,7 @@ func TestStreamInterleaverRunsMatchSlice(t *testing.T) {
 			srcs[i] = trace.NewSliceReader(s)
 		}
 		checkRuns(t, fmt.Sprintf("case %d", ci), NewStreamInterleaver(srcs, tc.quantum),
-			newSliceInterleaver(streams, tc.quantum), streamBuf)
+			newSliceInterleaver(streams, tc.quantum), trace.BatchSize)
 	}
 	streams := mixStreams(t, []uint64{33, 17})
 	checkRuns(t, "one-ref batches", NewStreamInterleaver([]trace.BatchReader{

@@ -24,18 +24,23 @@ func batchTestStream(t *testing.T, wname string, n int) []trace.Ref {
 }
 
 // refModel is the per-reference pipeline written out on its own (count,
-// probe, fill, back half), sharing no code with frontend: the equivalence
-// tests compare the production reference loop against it.
+// probe, fill, back half) over the simulator's own front, sharing no code
+// with frontend: the equivalence tests compare the production reference
+// loop against it.
 func refModel(s *Simulator, pc, vaddr uint64) {
-	s.stat.Refs++
+	f := s.front
+	if f.tlb == nil {
+		f.tlb = tlb.New(s.cfg.TLB)
+	}
+	f.refs++
 	vpn := vaddr >> s.cfg.PageShift
-	if s.tlb.Access(vpn) {
+	if f.tlb.Access(vpn) {
 		return
 	}
-	evicted, hasEvicted := s.tlb.Insert(vpn)
+	evicted, hasEvicted := f.tlb.Insert(vpn)
 	readyAt, bufferHit := s.probe(vpn)
 	act := s.pf.OnMiss(prefetch.Event{VPN: vpn, PC: pc, BufferHit: bufferHit, EvictedVPN: evicted, HasEvicted: hasEvicted}, nil)
-	s.issue(s.tlb, act, readyAt, bufferHit)
+	s.issue(act, readyAt, bufferHit)
 }
 
 // TestSimulatorBatchEquivalence is the differential contract of the batched

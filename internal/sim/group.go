@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"tlbprefetch/internal/prefetch"
+	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/trace"
 )
 
@@ -16,24 +17,26 @@ import (
 // geometry see identical TLB contents and identical miss streams, exactly
 // as if run separately. Group exploits that: its members must share one
 // TLB geometry and page size (the sweep runner's shard key guarantees it),
-// and it runs the first member's TLB as the canonical shared frontend.
+// and they share one front — the first member's TLB and reference count.
 // Each reference probes that one TLB once, and only misses fan out to the
 // members' private buffer+mechanism back halves — collapsing N-way
 // redundant probe work into one probe while producing bit-identical
 // per-member statistics (pinned by TestGroupSharedFrontendEquivalence).
-// NewGroup and Add panic on a member that would break the equivalence: a
-// different geometry, a member that already simulated references, or any
-// member added after the group started.
+// Only the first member builds a TLB. NewGroup and Add panic on a member
+// that would break the equivalence: a different geometry, a member that
+// is not pristine (it already ran alone or joined a Group), or any member
+// added after the group started.
 //
 // Members may be functional or timed (the Simulator of a TimingSimulator):
 // a timed member's clock charges the references between its misses from
-// its reference count, so the shared frontend never has to touch a member
-// on a TLB hit. The sweep runner drives every single-source shard,
+// the shared reference count, so the shared frontend never has to touch a
+// member on a TLB hit. The sweep runner drives every single-source shard,
 // functional or timed, through one Group, and every mix shard through one
-// Group per ASID mode (multiprog.Group, which flushes the shared TLB with
-// ResetTLB at a context switch). Group has no drain loop of its own: the
-// caller pulls the stream (a trace.BatchReader, whether the source is a
-// workload model or a recording) and feeds it with RefBatch.
+// Group per ASID mode (multiprog.Group, whose Execs empty the shared TLB
+// at a context switch). Group has no drain loop of its own: the caller
+// pulls the stream (a trace.BatchReader, whether the source is a workload
+// model or a recording) and feeds it with RefBatch. A member is fed only
+// through its Group.
 //
 // Members built around the same Prefetcher instance (the same pointer)
 // share its predictions. A mechanism sees only the miss stream, which the
@@ -48,7 +51,6 @@ import (
 type Group struct {
 	members []*Simulator   // insertion order
 	units   [][]*Simulator // members built around one instance, first added first
-	started bool           // references have been delivered
 }
 
 // NewGroup builds a fan-out over the given simulators, checking each as
@@ -61,24 +63,29 @@ func NewGroup(members ...*Simulator) *Group {
 	return g
 }
 
-// Add appends a member. It panics when the member cannot share the
-// frontend: once the group has delivered references the existing members'
-// TLB state lives only in the canonical TLB, a used member has TLB state
-// the canonical TLB would not reproduce, and a member of another geometry
-// would see a different miss stream.
+// Add appends a member. The first member builds the group's TLB; every
+// later one shares the first member's front instead of building its own.
+// Add panics when the member cannot share the front: a member that is not
+// pristine already has a front of its own in use (it ran alone, or it
+// belongs to another Group), once the group has delivered references the
+// shared TLB holds state a new member never saw, and a member of another
+// geometry would see a different miss stream.
 func (g *Group) Add(s *Simulator) {
-	if g.started {
-		panic("sim: cannot Add to a Group that already delivered references")
+	if s.front.tlb != nil {
+		panic("sim: a Group member must be pristine (it already ran or belongs to a Group)")
 	}
-	if s.stat.Refs != 0 || s.tlb.Len() != 0 {
-		panic("sim: a Group member must be pristine (it already simulated references)")
-	}
-	if len(g.members) > 0 {
-		first := g.members[0].cfg
-		if s.cfg.TLB.Canonical() != first.TLB.Canonical() || s.cfg.PageShift != first.PageShift {
-			panic(fmt.Sprintf("sim: Group member geometry %+v/page shift %d differs from the frontend's %+v/%d",
-				s.cfg.TLB, s.cfg.PageShift, first.TLB, first.PageShift))
+	if len(g.members) == 0 {
+		s.front.tlb = tlb.New(s.cfg.TLB)
+	} else {
+		first := g.members[0]
+		if first.front.refs != 0 {
+			panic("sim: cannot Add to a Group that already delivered references")
 		}
+		if s.cfg.TLB.Canonical() != first.cfg.TLB.Canonical() || s.cfg.PageShift != first.cfg.PageShift {
+			panic(fmt.Sprintf("sim: Group member geometry %+v/page shift %d differs from the frontend's %+v/%d",
+				s.cfg.TLB, s.cfg.PageShift, first.cfg.TLB, first.cfg.PageShift))
+		}
+		s.front = first.front
 	}
 	g.members = append(g.members, s)
 	for i, u := range g.units {
@@ -101,27 +108,18 @@ func sameInstance(a, b prefetch.Prefetcher) bool {
 // Members returns the member simulators in insertion order.
 func (g *Group) Members() []*Simulator { return g.members }
 
-// SharedFrontend reports whether the group runs one canonical TLB for all
+// SharedFrontend reports whether the group runs one front for all
 // members: every non-empty group does (a lone member runs its own TLB as
 // the frontend).
 func (g *Group) SharedFrontend() bool { return len(g.members) > 0 }
 
-// ResetTLB empties the canonical TLB every member sees: the translation
-// flush of a context switch without address-space tags.
-func (g *Group) ResetTLB() {
-	if len(g.members) > 0 {
-		g.members[0].tlb.Reset()
-	}
-}
-
 // RefBatch delivers a chunk of references to every member: one probe of
-// the canonical TLB per reference, and the back half of every member per
+// the shared TLB per reference, and the back half of every member per
 // miss, with one OnMiss per mechanism instance.
 func (g *Group) RefBatch(refs []trace.Ref) {
-	if len(refs) == 0 || len(g.members) == 0 {
+	if len(g.members) == 0 {
 		return
 	}
-	g.started = true
-	front := g.members[0]
-	frontend(front.tlb, front.cfg.PageShift, refs, g.units)
+	first := g.members[0]
+	frontend(first.front, first.cfg.PageShift, refs, g.units)
 }

@@ -108,10 +108,12 @@ func TestGroupSharedFrontendMidRunStatsReset(t *testing.T) {
 	}
 }
 
-// TestGroupLazyHitCredit pins the shared frontend's deferred hit count: a
-// chunk with no miss at all and a chunk that ends in a run of hits must
-// leave every member's Refs, and a timed member's Now and TimingStats,
-// where per-member RefBatch leaves them at each chunk boundary.
+// TestGroupLazyHitCredit pins the shared front's reference count, which
+// the frontend stores at each miss and at the end of each chunk and no
+// member touches on a hit: a chunk with no miss at all and a chunk that
+// ends in a run of hits must leave every member's Refs, and a timed
+// member's Now and TimingStats, where per-member RefBatch leaves them at
+// each chunk boundary.
 func TestGroupLazyHitCredit(t *testing.T) {
 	tcfg := DefaultTiming()
 	tcfg.TLB = tlb.Config{Entries: 8}
@@ -248,6 +250,37 @@ func TestGroupUsedMemberPanics(t *testing.T) {
 	// stays warm.
 	a.ResetStats()
 	mustPanic(t, "Add of a used member after ResetStats", func() { NewGroup(b).Add(a) })
+}
+
+// TestGroupAddForeignMemberPanics checks the other half of the pristine
+// guard: a simulator that belongs to a Group, as its first member or a
+// later one, already feeds through that group's front, so it cannot join a
+// second Group; nor can one that ran alone, whatever the first member of
+// the group it joins.
+func TestGroupAddForeignMemberPanics(t *testing.T) {
+	cfg := Config{TLB: tlb.Config{Entries: 8}, BufferEntries: 4, PageShift: 12}
+	first, later := New(cfg, nil), New(cfg, nil)
+	NewGroup(first, later)
+	mustPanic(t, "NewGroup of another group's first member", func() { NewGroup(first) })
+	mustPanic(t, "Add of another group's later member", func() { NewGroup(New(cfg, nil)).Add(later) })
+	alone := New(cfg, nil)
+	alone.Ref(0, 42<<12)
+	alone.ResetStats()
+	mustPanic(t, "Add of a member that ran alone", func() { NewGroup(New(cfg, nil)).Add(alone) })
+}
+
+// TestGroupMembersShareOneTLB: a simulator builds no TLB until it runs or
+// joins a Group, and a Group's members all probe the first member's.
+func TestGroupMembersShareOneTLB(t *testing.T) {
+	tc := DefaultTiming()
+	a, b := New(tc.Config, nil), NewTiming(tc, prefetch.NewRecency()).Simulator
+	if a.TLB() != nil {
+		t.Fatal("sim.New built a TLB before the simulator ran")
+	}
+	NewGroup(a, b)
+	if a.TLB() == nil || a.TLB() != b.TLB() {
+		t.Fatalf("members probe TLBs %p and %p, want one shared TLB", a.TLB(), b.TLB())
+	}
 }
 
 // TestGroupAddAfterSharedStartPanics: once the shared frontend has

@@ -4,14 +4,16 @@
 // predictions are fetched into the buffer.
 //
 // The pipeline exists once, in Simulator. One reference loop (frontend)
-// serves Ref, RefBatch and Group alike, and Stats is the one record of its
-// events: the TLB, the buffer and the memory channel keep no counters of
-// their own. On its own Simulator is the functional model behind the
-// prediction-accuracy results (Figures 7-9, Table 2): it counts events but
-// not cycles, like the paper's sim-cache runs. A mechanism sees only the
-// miss stream, so the members of a Group built around one mechanism
-// instance share its predictions: it is asked once per miss, and each member
-// probes its own buffer and issues the answer itself.
+// serves Ref, RefBatch and Group alike, over one front: the TLB and the
+// count of references delivered through it, which a lone simulator holds
+// for itself and a Group's members share. Stats is the one record of the
+// pipeline's events: the TLB, the buffer and the memory channel keep no
+// counters of their own. On its own Simulator is the functional model
+// behind the prediction-accuracy results (Figures 7-9, Table 2): it counts
+// events but not cycles, like the paper's sim-cache runs. A mechanism sees
+// only the miss stream, so the members of a Group built around one
+// mechanism instance share its predictions: it is asked once per miss, and
+// each member probes its own buffer and issues the answer itself.
 // TimingSimulator attaches the cycle model of the paper's Table 3
 // experiment (sim-outorder runs) as an optional back half of the same
 // miss path: TLB miss penalty, prefetch-channel contention and in-flight
@@ -103,13 +105,26 @@ func (s Stats) MissRate() float64 {
 // metadata maintenance plus prefetch fetches.
 func (s Stats) MemOps() uint64 { return s.StateMemOps + s.PrefetchesIssued }
 
+// front is the Figure 1 frontend: the TLB every reference probes and the
+// number of references delivered through it. A lone Simulator holds its
+// own; a Group's members share the first member's (see Group.Add). The TLB
+// is built when the simulator first runs alone or becomes a group's first
+// member, so a nil TLB marks a simulator that never did either.
+type front struct {
+	tlb  *tlb.TLB
+	refs uint64
+}
+
 // Simulator is the functional TLB + prefetch-buffer + mechanism pipeline.
 type Simulator struct {
-	cfg  Config
-	tlb  *tlb.TLB
-	buf  *tlb.PrefetchBuffer
-	pf   prefetch.Prefetcher
-	stat Stats
+	cfg   Config
+	front *front
+	buf   *tlb.PrefetchBuffer
+	pf    prefetch.Prefetcher
+	stat  Stats // every counter but Refs, which Stats derives from the front
+
+	// refBase is the front's reference count at the last ResetStats.
+	refBase uint64
 
 	// scratch is the reusable prediction buffer handed to the mechanism on
 	// every miss (see prefetch.Prefetcher.OnMiss); it grows to the largest
@@ -131,10 +146,10 @@ func New(cfg Config, pf prefetch.Prefetcher) *Simulator {
 		pf = prefetch.Nop{}
 	}
 	return &Simulator{
-		cfg: cfg,
-		tlb: tlb.New(cfg.TLB),
-		buf: tlb.NewPrefetchBuffer(cfg.BufferEntries),
-		pf:  pf,
+		cfg:   cfg,
+		front: &front{},
+		buf:   tlb.NewPrefetchBuffer(cfg.BufferEntries),
+		pf:    pf,
 	}
 }
 
@@ -164,15 +179,15 @@ func (s *Simulator) probe(vpn uint64) (readyAt uint64, bufferHit bool) {
 // issue fetches a miss's predictions into the buffer. With a clock
 // attached, the issue step is the cycle model's (timedIssue). It only reads
 // act, which the members sharing a mechanism instance all issue.
-func (s *Simulator) issue(t *tlb.TLB, act prefetch.Action, readyAt uint64, bufferHit bool) {
+func (s *Simulator) issue(act prefetch.Action, readyAt uint64, bufferHit bool) {
 	s.stat.StateMemOps += uint64(act.StateMemOps)
 	if s.clk != nil {
-		s.timedIssue(t, act.Prefetches, act.StateMemOps, readyAt, bufferHit)
+		s.timedIssue(act.Prefetches, act.StateMemOps, readyAt, bufferHit)
 		return
 	}
 	for _, p := range act.Prefetches {
 		s.stat.PrefetchesRequested++
-		if t.Contains(p) || s.buf.Contains(p) {
+		if s.front.tlb.Contains(p) || s.buf.Contains(p) {
 			s.stat.PrefetchDuplicates++
 			continue
 		}
@@ -198,31 +213,33 @@ func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 // RefBatch simulates a chunk of references through the pipeline's one
 // reference loop, with the simulator as its own frontend.
 func (s *Simulator) RefBatch(refs []trace.Ref) {
-	frontend(s.tlb, s.cfg.PageShift, refs, [][]*Simulator{{s}})
+	if s.front.tlb == nil {
+		s.front.tlb = tlb.New(s.cfg.TLB)
+	}
+	frontend(s.front, s.cfg.PageShift, refs, [][]*Simulator{{s}})
 }
 
 // frontend is the pipeline's one reference loop, behind Ref, RefBatch and
-// Group.RefBatch: each reference probes t once, and each miss fills t and
-// runs every member's back half against it (probe the buffer, ask the
-// mechanism, issue), checking duplicate residency against t. Each unit is
-// the members built around one mechanism instance, which only the first of
-// them asks (see Group); a lone simulator is a unit of one. Hits are counted
-// once and credited to every member's Refs before its next miss and at the
-// end of the chunk: nothing reads Refs in between (a member's clock reads it
-// only at a miss, Now or Stats).
-func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, units [][]*Simulator) {
-	var hits uint64
+// Group.RefBatch: each reference probes f's TLB once, and each miss fills
+// it and runs every member's back half against it (probe the buffer, ask
+// the mechanism, issue), checking duplicate residency against the same
+// TLB. Each unit is the members built around one mechanism instance, which
+// only the first of them asks (see Group); a lone simulator is a unit of
+// one. f counts the references it delivers, stored at each miss (a timed
+// member's clock reads it there) and at the end of the chunk; a TLB hit
+// touches no member.
+func frontend(f *front, shift uint, refs []trace.Ref, units [][]*Simulator) {
+	t, base := f.tlb, f.refs
 	for i := range refs {
 		vpn := refs[i].VAddr >> shift
 		if t.Access(vpn) {
-			hits++
 			continue
 		}
+		f.refs = base + uint64(i) + 1
 		evicted, hasEvicted := t.Insert(vpn)
 		for _, u := range units {
 			var act prefetch.Action
 			for j, m := range u {
-				m.stat.Refs += hits + 1
 				readyAt, bufferHit := m.probe(vpn)
 				if j == 0 {
 					act = m.pf.OnMiss(prefetch.Event{
@@ -236,29 +253,18 @@ func frontend(t *tlb.TLB, shift uint, refs []trace.Ref, units [][]*Simulator) {
 						m.scratch = act.Prefetches
 					}
 				}
-				m.issue(t, act, readyAt, bufferHit)
-			}
-		}
-		hits = 0
-	}
-	if hits > 0 {
-		for _, u := range units {
-			for _, m := range u {
-				m.stat.Refs += hits
+				m.issue(act, readyAt, bufferHit)
 			}
 		}
 	}
+	f.refs = base + uint64(len(refs))
 }
 
-// runBatchChunk is the chunk size RunBatch streams through: large enough
-// to amortize the batch call, small enough that the chunk stays in cache
-// while the simulator walks it.
-const runBatchChunk = 4096
-
 // RunBatch drains a batch reader through the simulator in cache-sized
-// chunks: a trace file, a workload.Stream or an in-memory slice alike.
+// chunks (trace.BatchSize): a trace file, a workload.Stream or an
+// in-memory slice alike.
 func (s *Simulator) RunBatch(src trace.BatchReader) error {
-	var buf [runBatchChunk]trace.Ref
+	var buf [trace.BatchSize]trace.Ref
 	for {
 		n, err := src.ReadBatch(buf[:])
 		if err == io.EOF {
@@ -278,13 +284,16 @@ func (s *Simulator) RunBatch(src trace.BatchReader) error {
 // are excluded, matching the other counters.
 func (s *Simulator) Stats() Stats {
 	st := s.stat
+	st.Refs = s.front.refs - s.refBase
 	st.DemandFetches = st.Misses - st.BufferHits
 	st.PrefetchesUnused = s.buf.UnusedInEpoch()
 	return st
 }
 
-// TLB exposes the TLB (tests, invariant checks).
-func (s *Simulator) TLB() *tlb.TLB { return s.tlb }
+// TLB exposes the TLB the simulator's references probe: its own, or its
+// Group's, shared by every member. It is nil until the simulator first runs
+// alone or joins a Group.
+func (s *Simulator) TLB() *tlb.TLB { return s.front.tlb }
 
 // Buffer exposes the prefetch buffer (tests).
 func (s *Simulator) Buffer() *tlb.PrefetchBuffer { return s.buf }
@@ -297,8 +306,9 @@ func (s *Simulator) Buffer() *tlb.PrefetchBuffer { return s.buf }
 // timing simulator's clock keeps running; its cycle counters restart.
 func (s *Simulator) ResetStats() {
 	if s.clk != nil {
-		s.clk.beginWindow(s.stat.Refs)
+		s.clk.beginWindow(s.front.refs)
 	}
 	s.stat = Stats{}
+	s.refBase = s.front.refs
 	s.buf.BeginEpoch()
 }

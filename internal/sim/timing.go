@@ -5,7 +5,6 @@ import (
 
 	"tlbprefetch/internal/memsys"
 	"tlbprefetch/internal/prefetch"
-	"tlbprefetch/internal/tlb"
 )
 
 // Timing is the cycle model of the paper's Table 3 experiment: the
@@ -193,14 +192,14 @@ func (s *TimingSimulator) Stats() TimingStats {
 
 // Now returns the current cycle.
 func (s *TimingSimulator) Now() uint64 {
-	s.clk.advance(s.stat.Refs)
+	s.clk.advance(s.front.refs)
 	return s.clk.now
 }
 
 // clock is the cycle model, the optional back half of a Simulator (nil
 // means functional). TLB hits cost it nothing: every reference's base cost
-// is charged arithmetically from the reference count when the clock is next
-// read — at a miss, or by Now and Stats — which is bit-identical to
+// is charged arithmetically from the front's reference count when the clock
+// is next read — at a miss, or by Now and Stats — which is bit-identical to
 // charging CyclesPerRef every RefsPerCycle references as they retire.
 type clock struct {
 	cfg  Timing // normalized
@@ -209,7 +208,7 @@ type clock struct {
 
 	now      uint64
 	refAccum uint64 // references since the last base-cycle charge
-	synced   uint64 // Stats.Refs value now has been charged up to
+	synced   uint64 // front reference count now has been charged up to
 	base     uint64 // cycle at which the statistics window began
 
 	stat     TimingStats // StallCycles, InFlightHits and SkippedPref only
@@ -227,7 +226,7 @@ func newClock(t Timing, isRP bool) *clock {
 }
 
 // advance charges the base cost of the references retired since the last
-// call; refs is the simulator's current reference count.
+// call; refs is the front's current reference count.
 func (c *clock) advance(refs uint64) {
 	t := c.refAccum + (refs - c.synced)
 	c.now += t / c.cfg.RefsPerCycle * c.cfg.CyclesPerRef
@@ -235,12 +234,10 @@ func (c *clock) advance(refs uint64) {
 	c.synced = refs
 }
 
-// beginWindow starts a new statistics window at reference count refs,
-// about to be cleared to zero: the clock keeps running, only its counters
-// restart.
+// beginWindow starts a new statistics window at the front's reference
+// count refs: the clock keeps running, only its counters restart.
 func (c *clock) beginWindow(refs uint64) {
 	c.advance(refs)
-	c.synced = 0
 	c.base = c.now
 	c.stat = TimingStats{}
 }
@@ -256,9 +253,9 @@ func (c *clock) beginWindow(refs uint64) {
 // duplicates, and that later prefetch must still be treated as the
 // duplicate it was at issue time. On a full buffer the two rules count
 // such a batch differently (TestDuplicateRuleDiffers).
-func (s *Simulator) timedIssue(t *tlb.TLB, prefetches []uint64, stateOps int, readyAt uint64, bufferHit bool) {
+func (s *Simulator) timedIssue(prefetches []uint64, stateOps int, readyAt uint64, bufferHit bool) {
 	c := s.clk
-	c.advance(s.stat.Refs)
+	c.advance(s.front.refs)
 	// A buffer hit stalls for whichever is longer: the in-flight wait until
 	// the prefetch actually arrives ("it is made to stall until the entry
 	// arrives"), or the residual fill/restart cost — the two overlap in the
@@ -289,7 +286,7 @@ func (s *Simulator) timedIssue(t *tlb.TLB, prefetches []uint64, stateOps int, re
 	s.stat.PrefetchesRequested += uint64(len(prefetches))
 	c.issuable = c.issuable[:0]
 	for _, p := range prefetches {
-		if !t.Contains(p) && !s.buf.Contains(p) {
+		if !s.front.tlb.Contains(p) && !s.buf.Contains(p) {
 			c.issuable = append(c.issuable, p)
 		}
 	}

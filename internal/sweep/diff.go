@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tlbprefetch/internal/stats"
@@ -149,17 +148,4 @@ func (s *Store) cleanSegmentDigests() (map[string]string, bool) {
 		out[p] = dig
 	}
 	return out, true
-}
-
-// indexHashes returns every cell hash in sorted order, from the index
-// alone.
-func (s *Store) indexHashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.keys))
-	for h := range s.keys {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }

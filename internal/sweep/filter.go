@@ -179,26 +179,10 @@ func (f Filter) ClauseMatches(keys []Key) []ClauseMatch {
 // filter over a large sharded store costs O(matched segments), not
 // O(store).
 func (f Filter) Select(s *Store) ([]Result, error) {
-	s.mu.Lock()
-	var hashes []string
-	for h, k := range s.keys {
-		if f.Match(k) {
-			hashes = append(hashes, h)
-		}
+	out, err := s.matching(f.Match)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(hashes)
-	out := make([]Result, 0, len(hashes))
-	for _, h := range hashes {
-		r, ok, err := s.getLocked(h)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	s.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		return keyLess(out[i].Key, out[j].Key)
 	})

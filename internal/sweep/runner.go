@@ -58,9 +58,9 @@ type Runner struct {
 // shardKey identifies cells that can share one stream pass and one
 // shared TLB frontend: the same streams (the canonical member sources, see
 // Key.Sources, plus a mix's quantum), seed, length, warmup and TLB-frontend
-// geometry. Buffer size, mechanism — and for timing shards the cycle-model
-// constants; for mix shards the switch policy and ASID mode — may differ
-// within a shard: they live in the per-member back half.
+// geometry. Buffer size, mechanism, the cycle model (functional or any
+// timing point) and, in mix shards, the switch policy and ASID mode may
+// differ within a shard: they live in the per-member back half.
 type shardKey struct {
 	streams   string
 	quantum   uint64
@@ -69,7 +69,6 @@ type shardKey struct {
 	refs      uint64
 	warmup    uint64
 	seed      uint64
-	timing    bool
 }
 
 // newShardKey derives a cell's shard key from its canonical key.
@@ -88,7 +87,6 @@ func newShardKey(k Key) shardKey {
 		refs:      k.Refs,
 		warmup:    k.Warmup,
 		seed:      k.Seed,
-		timing:    k.Timing != nil,
 	}
 	if k.Mix != nil {
 		sk.quantum = k.Mix.Quantum
@@ -247,12 +245,6 @@ func (r *Runner) checkSource(src Source, resolve func(string) (workload.Workload
 	return nil
 }
 
-// streamChunk is the chunk size the runner streams references in: the
-// decode (or generation) cost of a chunk amortizes over 4096 references
-// while the chunk itself stays cache-resident for the simulators walking
-// it.
-const streamChunk = 4096
-
 // openTrace resolves the trace-opening hook.
 func (r *Runner) openTrace() func(src Source) (trace.BatchReader, io.Closer, error) {
 	if r.OpenTrace != nil {
@@ -274,12 +266,12 @@ func (r *Runner) runShard(shard []int, jobs []Job, resolve func(string) (workloa
 	}
 
 	// The shard key makes every member's TLB geometry and page shift the
-	// same, so all of them share one canonical TLB frontend via sim.Group
-	// (buffer sizes and cycle-model constants may differ — they live in
-	// the per-member back half). Timed cells join as the Simulator of a
-	// TimingSimulator, which also settles their cycles. Cells of one
-	// mechanism configuration share its instance, which the group asks once
-	// per miss.
+	// same, so all of them share one front via sim.Group: the first
+	// member's TLB and reference count (buffer sizes and the cycle model
+	// may differ — they live in the per-member back half). Timed cells join
+	// as the Simulator of a TimingSimulator, which also settles their
+	// cycles, beside functional ones. Cells of one mechanism configuration
+	// share its instance, which the group asks once per miss.
 	g := sim.NewGroup()
 	timed := make([]*sim.TimingSimulator, len(shard))
 	built := make(map[Mech]prefetch.Prefetcher)
@@ -298,7 +290,7 @@ func (r *Runner) runShard(shard []int, jobs []Job, resolve func(string) (workloa
 		return err
 	}
 	defer closer.Close()
-	var buf [streamChunk]trace.Ref
+	var buf [trace.BatchSize]trace.Ref
 	warm, seen := first.Warmup, uint64(0)
 	for {
 		n, err := b.ReadBatch(buf[:])

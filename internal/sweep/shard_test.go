@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tlbprefetch/internal/sim"
@@ -10,7 +11,7 @@ import (
 
 // TestShardPartition pins how single-source cells coalesce: two cells that
 // differ in one axis share a shard exactly when that axis lives in the
-// per-member back half (mechanism, buffer, cycle-model constants) or is
+// per-member back half (mechanism, buffer, cycle model) or is
 // another spelling of the same TLB frontend, and split when it changes the
 // reference stream or the frontend geometry.
 func TestShardPartition(t *testing.T) {
@@ -39,7 +40,7 @@ func TestShardPartition(t *testing.T) {
 		{"refs", nil, func(j *Job) { j.Refs = 3_000 }, 2},
 		{"tlb entries", nil, func(j *Job) { j.Config.TLB.Entries = 128 }, 2},
 		{"page shift", nil, func(j *Job) { j.Config.PageShift = 13 }, 2},
-		{"functional vs timed", nil, func(j *Job) { j.Timing = &fast }, 2},
+		{"functional vs timed", nil, func(j *Job) { j.Timing = &fast }, 1},
 		{"trace vs workload", nil, func(j *Job) { j.Source = src }, 2},
 	}
 	for _, tc := range cases {
@@ -57,5 +58,41 @@ func TestShardPartition(t *testing.T) {
 				t.Errorf("Shards = %d, want %d", sum.Shards, tc.shards)
 			}
 		})
+	}
+}
+
+// TestFunctionalAndTimedShareAShard runs functional and timed cells of one
+// stream and geometry in one shard, where the cells of one mechanism share
+// its instance across the two models, and checks each against its run
+// alone.
+func TestFunctionalAndTimedShareAShard(t *testing.T) {
+	timing := DefaultTiming()
+	var jobs []Job
+	for _, m := range []Mech{{Kind: "none"}, {Kind: "DP", Rows: 256, Ways: 1, Slots: 2}, {Kind: "RP"}, {Kind: "SBFP"}} {
+		for _, tm := range []*sim.Timing{nil, &timing} {
+			jobs = append(jobs, Job{
+				Source: WorkloadSource("mcf"),
+				Mech:   m,
+				Config: sim.Config{TLB: tlb.Config{Entries: 64}, BufferEntries: 16, PageShift: 12},
+				Refs:   20_000,
+				Timing: tm,
+			})
+		}
+	}
+	together, sum, err := (&Runner{Workers: 1}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Shards != 1 {
+		t.Fatalf("%d cells ran in %d shards, want one", len(jobs), sum.Shards)
+	}
+	for i, j := range jobs {
+		alone, _, err := (&Runner{Workers: 1}).Run([]Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(together[i], alone[0]) {
+			t.Errorf("%s (timed %v): in the shared shard %+v, alone %+v", j.Mech.Label(), j.Timing != nil, together[i], alone[0])
+		}
 	}
 }

@@ -293,14 +293,10 @@ func (s *Store) Merge(rs []Result) (added int, err error) {
 func (s *Store) IndexKeys() []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hashes := make([]string, 0, len(s.keys))
-	for h := range s.keys {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	out := make([]Key, 0, len(hashes))
-	for _, h := range hashes {
-		out = append(out, s.keys[h])
+	hashes := s.sortedHashes(nil)
+	out := make([]Key, len(hashes))
+	for i, h := range hashes {
+		out[i] = s.keys[h]
 	}
 	return out
 }
@@ -314,21 +310,51 @@ func (s *Store) Results() ([]Result, error) {
 	if err := s.loadAllLocked(); err != nil {
 		return nil, err
 	}
-	hashes := make([]string, 0, len(s.keys))
-	for h := range s.keys {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	out := make([]Result, 0, len(hashes))
-	for _, h := range hashes {
-		r, ok := s.results[h]
-		if !ok {
-			return nil, fmt.Errorf("sweep: store %s index names cell %s but its segment lacks it — corrupt or hand-edited",
-				s.path, h)
+	return s.resultsLocked(s.sortedHashes(nil))
+}
+
+// indexHashes returns every cell hash in sorted order, from the index
+// alone.
+func (s *Store) indexHashes() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sortedHashes(nil)
+}
+
+// matching returns the results of the cells whose key satisfies match,
+// sorted by key hash. Only the segments holding them are read.
+func (s *Store) matching(match func(Key) bool) ([]Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resultsLocked(s.sortedHashes(match))
+}
+
+// resultsLocked returns the results of the given indexed cells, reading
+// each segment they name at most once. The caller holds s.mu.
+func (s *Store) resultsLocked(hashes []string) ([]Result, error) {
+	out := make([]Result, len(hashes))
+	for i, h := range hashes {
+		r, _, err := s.getLocked(h)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, r)
+		out[i] = r
 	}
 	return out, nil
+}
+
+// sortedHashes is the one walk over the index: the hashes of the cells
+// whose key satisfies match (every cell when match is nil), sorted. It
+// reads no segment. The caller holds s.mu.
+func (s *Store) sortedHashes(match func(Key) bool) []string {
+	out := make([]string, 0, len(s.keys))
+	for h, k := range s.keys {
+		if match == nil || match(k) {
+			out = append(out, h)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Bytes serializes the store's full contents as one canonical storeFile

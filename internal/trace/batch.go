@@ -33,6 +33,12 @@ type BatchReader interface {
 	ReadBatch(dst []Ref) (int, error)
 }
 
+// BatchSize is the chunk every streaming loop asks a BatchReader for: large
+// enough that the cost of a ReadBatch call (a decode or generation step)
+// amortizes over the chunk, small enough that the chunk stays in cache
+// while the simulators walk it.
+const BatchSize = 4096
+
 // Reader is BatchReader under its old name. It exists only because the
 // frozen perfbench module still names it; ROADMAP item 5 deletes it. Code
 // in this module uses BatchReader.
@@ -79,12 +85,12 @@ func (r *SliceReader) ReadBatch(dst []Ref) (int, error) {
 	return n, nil
 }
 
-// CopyBatch pumps src into dst in chunks until EOF, returning the number
-// of records copied.
+// CopyBatch pumps src into dst in chunks of BatchSize until EOF,
+// returning the number of records copied.
 func CopyBatch(dst Writer, src BatchReader) (uint64, error) {
 	var (
 		n   uint64
-		buf [4096]Ref
+		buf [BatchSize]Ref
 	)
 	for {
 		k, err := src.ReadBatch(buf[:])

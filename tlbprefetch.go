@@ -94,10 +94,11 @@ type Simulator = sim.Simulator
 type TimingSimulator = sim.TimingSimulator
 
 // Group fans one reference stream out to many simulators of one TLB
-// geometry and page size: it probes one canonical TLB per reference and
-// fans out only the misses (the shared frontend the experiment harness
-// rides). Adding a member of another geometry, a used member, or any
-// member after the first RefBatch panics.
+// geometry and page size: its members share the first member's TLB and
+// reference count, which it probes once per reference, and it fans out
+// only the misses (the shared frontend the experiment harness rides).
+// Adding a member of another geometry, a member that already ran or
+// belongs to another Group, or any member after the first RefBatch panics.
 type Group = sim.Group
 
 // Workload is a named synthetic application model.
