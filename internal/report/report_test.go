@@ -260,6 +260,20 @@ func TestSVGEscapesLabels(t *testing.T) {
 	}
 }
 
+// TestXMLEscapePlainLabelAllocatesNothing: labels are almost always plain
+// workload and mechanism names, and escaping one must cost no allocation
+// (the shared escaper is built once, and a label with nothing to escape
+// comes back as is).
+func TestXMLEscapePlainLabelAllocatesNothing(t *testing.T) {
+	const label = "galgel+gcc DP 256x1 q=5000"
+	if got := xmlEscape(label); got != label {
+		t.Fatalf("xmlEscape(%q) = %q", label, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { xmlEscape(label) }); allocs != 0 {
+		t.Fatalf("xmlEscape of a plain label allocates %v times, want 0", allocs)
+	}
+}
+
 // mixCell builds a functional mix result under the given scheduler point.
 func mixCell(quantum uint64, policy, asid string, hits, misses uint64) sweep.Result {
 	j := sweep.Job{

@@ -194,8 +194,10 @@ func renderSVGFigure(b *strings.Builder, l svgLayout) {
 	}
 }
 
-// xmlEscape escapes the XML-special characters of labels and titles.
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once and shared (a strings.Replacer is safe for
+// concurrent use): a Replacer built per label allocates on every call.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+// xmlEscape escapes the XML-special characters of labels and titles. A
+// label with none of them is returned as is, without allocating.
+func xmlEscape(s string) string { return xmlEscaper.Replace(s) }

@@ -242,14 +242,18 @@ func TestGroupFullyAssociativeSpellingsShare(t *testing.T) {
 // canonical TLB would not reproduce, so it cannot join a group.
 func TestGroupUsedMemberPanics(t *testing.T) {
 	cfg := Config{TLB: tlb.Config{Entries: 8}, BufferEntries: 4, PageShift: 12}
-	a, b := New(cfg, nil), New(cfg, nil)
+	a := New(cfg, nil)
 	a.Ref(0, 42<<12) // a now has TLB state the canonical TLB wouldn't share
-	mustPanic(t, "NewGroup with a used member", func() { NewGroup(b, a) })
-	mustPanic(t, "Add of a used member", func() { NewGroup(b).Add(a) })
+	// Each case builds its own pristine first member: NewGroup adds its
+	// members in order, so a first member shared across cases would
+	// already belong to a group after the first one, and the later cases
+	// would panic on it, never reaching a.
+	mustPanic(t, "NewGroup with a used member", func() { NewGroup(New(cfg, nil), a) })
+	mustPanic(t, "Add of a used member", func() { NewGroup(New(cfg, nil)).Add(a) })
 	// A statistics reset does not make a used member pristine: its TLB
 	// stays warm.
 	a.ResetStats()
-	mustPanic(t, "Add of a used member after ResetStats", func() { NewGroup(b).Add(a) })
+	mustPanic(t, "Add of a used member after ResetStats", func() { NewGroup(New(cfg, nil)).Add(a) })
 }
 
 // TestGroupAddForeignMemberPanics checks the other half of the pristine

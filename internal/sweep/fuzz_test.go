@@ -101,9 +101,9 @@ func FuzzOnMiss(f *testing.F) {
 
 // FuzzOpenStore writes arbitrary bytes at a store's index path, next to
 // the segment files of a real saved store, and opens it. OpenStore must
-// return an error or a usable store: every lookup, the full result scan,
-// GC and Save then return errors rather than panic, and a store that
-// saved reopens.
+// return an error or a usable store of the current layout: every lookup,
+// the full result scan, GC and Save then return errors rather than panic,
+// and a store that saved reopens.
 func FuzzOpenStore(f *testing.F) {
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "store.json")
@@ -146,7 +146,14 @@ func FuzzOpenStore(f *testing.F) {
 	f.Add(index)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema": 3, "results": {}}`))
-	f.Add([]byte(`{"schema":3,"layout":"sharded-v1","segments":{"..":"../../x"},"keys":{}}`))
+	f.Add([]byte(`{"schema":3,"layout":"sharded-v2","segments":{"..":"../../x"},"keys":{}}`))
+	// The real index under the previous layout's name: rejected, since
+	// its segments would still carry keys.
+	v1 := bytes.Replace(index, []byte(`"layout": "sharded-v2"`), []byte(`"layout": "sharded-v1"`), 1)
+	if bytes.Equal(v1, index) {
+		f.Fatal("sharded-v1 seed did not change the real index")
+	}
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "store.json")
@@ -164,6 +171,12 @@ func FuzzOpenStore(f *testing.F) {
 		st, err := OpenStore(path)
 		if err != nil {
 			return
+		}
+		var hdr struct {
+			Layout string `json:"layout"`
+		}
+		if json.Unmarshal(data, &hdr) == nil && hdr.Layout != storeLayout {
+			t.Fatalf("opened a store of layout %q, this binary speaks %q", hdr.Layout, storeLayout)
 		}
 		st.Len()
 		keep := map[string]bool{}
@@ -233,10 +246,20 @@ func FuzzLoadSegment(f *testing.F) {
 	f.Add(real)
 	f.Add(real[:len(real)/2])
 	f.Add([]byte{})
-	f.Add(bytes.Replace(real, []byte(`"prefix": "`+fuzzed), []byte(`"prefix": "`+prefixes[1]), 1))
-	f.Add(bytes.Replace(real, []byte(fmt.Sprintf(`"schema": %d`, KeySchema)), []byte(fmt.Sprintf(`"schema": %d`, KeySchema+1)), 1))
-	f.Add(bytes.Replace(real, []byte(`"refs": 2000`), []byte(`"refs": 2001`), 1))
-	f.Add(bytes.Replace(real, []byte(`"workload": "`), []byte(`"workload": "x`), 1))
+	// Each targeted seed must actually change the segment, or it is only
+	// another copy of real.
+	for _, r := range [][2]string{
+		{`"prefix":"` + fuzzed, `"prefix":"` + prefixes[1]},                              // wrong prefix
+		{fmt.Sprintf(`"schema":%d`, KeySchema), fmt.Sprintf(`"schema":%d`, KeySchema+1)}, // wrong schema
+		{`"Misses":`, `"Misses":1`},                                                      // tampered payload counter
+		{`"results":{"` + fuzzed, `"results":{"` + prefixes[1]},                          // a named cell renamed away
+	} {
+		seed := bytes.Replace(real, []byte(r[0]), []byte(r[1]), 1)
+		if bytes.Equal(seed, real) {
+			f.Fatalf("seed target %s not found in the segment", r[0])
+		}
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		path := filepath.Join(t.TempDir(), "store.json")
 		if err := os.Mkdir(path+".d", 0o755); err != nil {

@@ -9,20 +9,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"syscall"
+
+	"tlbprefetch/internal/sim"
 )
 
 // storeLayout names the sharded on-disk format a file-bound store writes:
 // the bound path holds the index (schema, binary stamp, per-prefix segment
 // digests, and every cell's key), and the payloads live in content-
-// addressed per-prefix segment files under "<path>.d/". Both the index and
-// each segment serialize through encoding/json's sorted-map canonical
-// form, so the whole layout is a pure function of the store's contents —
-// same cells → identical index bytes and an identical segment directory,
-// regardless of worker count or insertion order.
-const storeLayout = "sharded-v1"
+// addressed per-prefix segment files under "<path>.d/". A cell's key is
+// stored once, in the index; a segment holds only the payloads, compactly
+// encoded. Both the index and each segment serialize through
+// encoding/json's sorted-map canonical form, so the whole layout is a pure
+// function of the store's contents — same cells → identical index bytes
+// and an identical segment directory, regardless of worker count or
+// insertion order.
+const storeLayout = "sharded-v2"
 
 // segPrefixLen is how many leading hex digits of a cell's key hash name
 // its segment: 2 digits partition a store into at most 256 segments, so a
@@ -53,23 +56,29 @@ type indexFile struct {
 }
 
 // segmentFile is the on-disk layout of one segment: the payloads of every
-// cell whose key hash starts with Prefix.
+// cell whose key hash starts with Prefix, by key hash. The keys themselves
+// live only in the index.
 type segmentFile struct {
-	Schema  int               `json:"schema"`
-	Prefix  string            `json:"prefix"`
-	Results map[string]Result `json:"results"`
+	Schema  int                    `json:"schema"`
+	Prefix  string                 `json:"prefix"`
+	Results map[string]segmentCell `json:"results"`
 }
 
-// encodeSegment serializes one segment canonically (sorted map keys,
-// two-space indent — same cells, same bytes).
+// segmentCell is a Result without its key: what a segment stores per cell.
+type segmentCell struct {
+	Stats  sim.Stats        `json:"stats"`
+	Apps   []sim.Stats      `json:"apps,omitempty"`
+	Timing *sim.TimingStats `json:"timing,omitempty"`
+}
+
+// encodeSegment serializes one segment canonically (compact, sorted map
+// keys — same cells, same bytes).
 func encodeSegment(prefix string, cells map[string]Result) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(segmentFile{Schema: KeySchema, Prefix: prefix, Results: cells}); err != nil {
-		return nil, err
+	f := segmentFile{Schema: KeySchema, Prefix: prefix, Results: make(map[string]segmentCell, len(cells))}
+	for h, r := range cells {
+		f.Results[h] = segmentCell{Stats: r.Stats, Apps: r.Apps, Timing: r.Timing}
 	}
-	return buf.Bytes(), nil
+	return json.Marshal(f)
 }
 
 // digestOf is the content address of a serialized segment.
@@ -78,12 +87,14 @@ func digestOf(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// loadSegmentLocked makes a prefix's on-disk cells resident (mu held). The
-// segment's bytes are verified against the digest the index committed, and
-// every cell against its own key hash, so neither a tampered segment nor a
-// stale one can satisfy a lookup. Cells already resident (a fresh Put
-// racing ahead of the load) win over the on-disk value; cells on disk that
-// the index no longer names (dropped by GC, not yet saved) are skipped.
+// loadSegmentLocked makes a prefix's on-disk cells resident (mu held),
+// each joined with its key from the index. The segment's bytes are
+// verified against the digest the index committed, its schema and prefix
+// against the index's, and every cell's index key against the cell's hash,
+// so neither a tampered segment, a stale one, nor a tampered index key can
+// satisfy a lookup. Cells already resident (a fresh Put racing ahead of
+// the load) win over the on-disk value; cells on disk that the index no
+// longer names (dropped by GC, not yet saved) are skipped.
 func (s *Store) loadSegmentLocked(p string) error {
 	if s.loaded[p] {
 		return nil
@@ -111,7 +122,7 @@ func (s *Store) loadSegmentLocked(p string) error {
 		return fmt.Errorf("sweep: store %s: segment %s declares schema %d prefix %q, want %d %q — corrupt or hand-edited",
 			s.path, filepath.Base(name), f.Schema, f.Prefix, KeySchema, p)
 	}
-	for h, r := range f.Results {
+	for h, c := range f.Results {
 		k, named := s.keys[h]
 		if !named {
 			continue // dropped from the index (GC) but not yet saved
@@ -120,16 +131,12 @@ func (s *Store) loadSegmentLocked(p string) error {
 			return fmt.Errorf("sweep: store %s: segment %s holds cell %s outside its prefix — corrupt or hand-edited",
 				s.path, filepath.Base(name), h)
 		}
-		if got := r.Key.Hash(); got != h {
+		if got := k.Hash(); got != h {
 			return fmt.Errorf("sweep: store %s entry %s does not hash to its key (%s) — corrupt or hand-edited",
 				s.path, h, got)
 		}
-		if !reflect.DeepEqual(k, r.Key) {
-			return fmt.Errorf("sweep: store %s: index key for cell %s disagrees with its segment — corrupt or hand-edited",
-				s.path, h)
-		}
 		if _, resident := s.results[h]; !resident {
-			s.results[h] = r
+			s.results[h] = Result{Key: k, Stats: c.Stats, Apps: c.Apps, Timing: c.Timing}
 		}
 	}
 	s.loaded[p] = true
@@ -165,7 +172,12 @@ var (
 // references are pruned. A crash at any point leaves either the old
 // complete store or the new complete store — never a torn file, never a
 // rename the filesystem forgot, at worst a few unreferenced segment files
-// the next Save removes.
+// the next writing Save removes.
+//
+// A clean store — nothing dirty, and the bound path already holding its
+// index because it was opened from it or written by an earlier Save —
+// touches no file at all. A store opened on a missing path writes its
+// index on its first Save, even when it holds no cells.
 //
 // Saves are serialized against each other (a periodic checkpoint racing a
 // final save must not let older bytes land last), and the snapshot is
@@ -184,6 +196,10 @@ func (s *Store) Save() error {
 	// landing mid-save re-dirties its prefix for the next checkpoint — and
 	// move back on failure so no change is ever silently dropped.
 	s.mu.Lock()
+	if len(s.dirty) == 0 && s.onDisk {
+		s.mu.Unlock()
+		return nil
+	}
 	for p := range s.dirty {
 		if err := s.loadSegmentLocked(p); err != nil {
 			s.mu.Unlock()
@@ -268,6 +284,7 @@ func (s *Store) Save() error {
 
 	s.mu.Lock()
 	s.segs = segs
+	s.onDisk = true
 	s.mu.Unlock()
 	return nil
 }

@@ -40,8 +40,9 @@ type storeFile struct {
 
 // binaryVersion stamps stores with the producing binary's module version
 // (or VCS revision when built from a checkout) for provenance. It is
-// deterministic for a given binary, so saving an unchanged store rewrites
-// identical bytes.
+// deterministic for a given binary, so one binary saving the same cells
+// writes identical index bytes. A Save with nothing to write leaves the
+// index, and so the stamp of the binary that last wrote it, untouched.
 func binaryVersion() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -63,10 +64,11 @@ func binaryVersion() string {
 //
 // A file-bound store is sharded on disk: the bound path holds the cell
 // index (every key, plus the digest of each segment), and the payloads
-// live in per-prefix segment files under "<path>.d/". The index alone is
-// read at open; a segment is read only when a cell in its prefix is
-// actually needed, so Get, Merge, GC, filtering and diffing are O(touched
-// cells), not O(store).
+// live in per-prefix segment files under "<path>.d/", keyed by hash alone
+// — a key is stored only in the index. The index alone is read at open; a
+// segment is read only when a cell in its prefix is actually needed, so
+// Get, Merge, GC, filtering and diffing are O(touched cells), not
+// O(store), and a Save of an unchanged store writes nothing.
 type Store struct {
 	mu     sync.Mutex
 	saveMu sync.Mutex // serializes Saves: a checkpoint and a final save must not reorder
@@ -77,6 +79,7 @@ type Store struct {
 	loaded  map[string]bool   // prefix → its on-disk segment is fully resident
 	dirty   map[string]bool   // prefix → differs from its on-disk segment
 	segs    map[string]string // prefix → digest of its on-disk segment
+	onDisk  bool              // the bound path holds this store's index (opened from it or saved)
 
 	segReads  int // segment files read since open (instrumentation, see SegmentReads)
 	segWrites int // segment files written since open (instrumentation, see SegmentWrites)
@@ -164,6 +167,7 @@ func OpenStore(path string) (*Store, error) {
 	for p, dig := range f.Segments {
 		s.segs[p] = dig
 	}
+	s.onDisk = true
 	return s, nil
 }
 

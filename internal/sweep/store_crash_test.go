@@ -216,3 +216,82 @@ func TestSyncDirPropagatesRealErrors(t *testing.T) {
 	resetSaveSeams()
 	checkStoreComplete(t, path, 1)
 }
+
+// armSeamsToFail makes every durability seam fail the test: a Save that
+// must touch no file may call none of them.
+func armSeamsToFail(t *testing.T, what string) {
+	t.Helper()
+	fail := func(seam string) error {
+		t.Errorf("%s called %s", what, seam)
+		return errors.New("unexpected write")
+	}
+	saveWrite = func(*os.File, []byte) (int, error) { return 0, fail("saveWrite") }
+	saveSync = func(*os.File) error { return fail("saveSync") }
+	saveRename = func(string, string) error { return fail("saveRename") }
+	dirSync = func(*os.File) error { return fail("dirSync") }
+}
+
+// TestCleanSaveTouchesNoFile pins the warm re-run's save: a reopened store
+// whose cells were only read (a fully cached re-run) saves without calling
+// any durability seam, and one Put makes the next Save write again.
+func TestCleanSaveTouchesNoFile(t *testing.T) {
+	defer resetSaveSeams()
+	path := savedShardStore(t)
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ := shardGrid().Jobs()
+	results, sum, err := (&Runner{Store: st}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Cached != len(jobs) {
+		t.Fatalf("re-run recomputed cells: %+v", sum)
+	}
+	armSeamsToFail(t, "Save of an unchanged store")
+	if err := st.Save(); err != nil {
+		t.Fatalf("clean save: %v", err)
+	}
+	resetSaveSeams()
+
+	extra := results[0]
+	extra.Key.Seed = 424242
+	st.Put(extra)
+	renames := 0
+	saveRename = func(old, new string) error {
+		renames++
+		return os.Rename(old, new)
+	}
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if renames == 0 {
+		t.Fatal("Save after a Put wrote nothing")
+	}
+	checkStoreComplete(t, path, len(jobs)+1)
+}
+
+// TestFirstSaveWritesEmptyIndex: a store opened on a missing path has no
+// index on disk yet, so its first Save writes one even with no cells — a
+// later open finds an empty store, not a missing file — and only then is
+// a further Save of the unchanged store free.
+func TestFirstSaveWritesEmptyIndex(t *testing.T) {
+	defer resetSaveSeams()
+	path := filepath.Join(t.TempDir(), "store.json")
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("first Save of an empty store wrote no index: %v", err)
+	}
+	checkStoreComplete(t, path, 0)
+	armSeamsToFail(t, "second Save of an unchanged empty store")
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -53,7 +53,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"layout": "sharded-v1"`, `"schema": 3`, `"segments"`, `"keys"`} {
+	for _, want := range []string{`"layout": "sharded-v2"`, `"schema": 3`, `"segments"`, `"keys"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("index missing %s", want)
 		}
@@ -68,6 +68,17 @@ func TestShardedRoundTrip(t *testing.T) {
 	for _, e := range ents {
 		if !strings.HasSuffix(e.Name(), ".seg") {
 			t.Errorf("unexpected file %s in segment dir", e.Name())
+		}
+		seg, err := os.ReadFile(filepath.Join(path+".d", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Keys live in the index only, and a segment is compact JSON.
+		if bytes.Contains(seg, []byte(`"key"`)) {
+			t.Errorf("segment %s carries keys — they belong in the index", e.Name())
+		}
+		if bytes.ContainsAny(seg, "\n\t") || bytes.Contains(seg, []byte("  ")) {
+			t.Errorf("segment %s is indented, want compact JSON", e.Name())
 		}
 	}
 

@@ -388,7 +388,7 @@ func TestStoreRejectsTamperedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered = bytes.Replace(data, []byte(`"refs": 10000`), []byte(`"refs": 99999`), 1)
+	tampered = bytes.Replace(data, []byte(`"Misses":`), []byte(`"Misses":1`), 1)
 	if bytes.Equal(data, tampered) {
 		t.Fatal("segment tamper target not found")
 	}
@@ -401,6 +401,31 @@ func TestStoreRejectsTamperedEntries(t *testing.T) {
 	}
 	if _, _, err := re.Get(results[0].Key.Hash()); err == nil {
 		t.Fatal("tampered segment satisfied a lookup")
+	}
+
+	// A key lives only in the index: a tampered index key no longer
+	// hashes to the cell it names, and fails the lookup that loads the
+	// (intact) segment.
+	if err := os.WriteFile(segPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	index, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered = bytes.Replace(index, []byte(`"refs": 10000`), []byte(`"refs": 99999`), 1)
+	if bytes.Equal(index, tampered) {
+		t.Fatal("index tamper target not found")
+	}
+	if err := os.WriteFile(shardPath, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err = OpenStore(shardPath)
+	if err != nil {
+		t.Fatal(err) // the key is still well-formed
+	}
+	if _, _, err := re.Get(results[0].Key.Hash()); err == nil {
+		t.Fatal("tampered index key satisfied a lookup")
 	}
 }
 
