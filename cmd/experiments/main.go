@@ -15,9 +15,13 @@
 // also render as paper-style grouped-bar figures: -figure text|csv|svg
 // switches the output to internal/report's renderers (fig9's four panels
 // stack into one SVG document).
+//
+// Exit codes follow cli.Rule, which the usage screen prints: 2 for a flag
+// or argument mistake, 1 for a store that cannot be opened or saved.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,10 +38,15 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command: it parses args, writes results to stdout and
-// diagnostics to stderr, and returns the process exit code (2 for a usage
-// error, 1 for a store that cannot be opened or saved).
-func run(args []string, stdout, stderr io.Writer) (code int) {
+// run is the whole command: results go to stdout, diagnostics to stderr,
+// and the result is the process exit code (cli.Rule).
+func run(args []string, stdout, stderr io.Writer) int {
+	return cli.Code("experiments", stderr, regenerate(args, stdout, stderr))
+}
+
+// regenerate checks every flag and the experiment name, then runs the
+// experiment (every paper one, in order, for "all").
+func regenerate(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	refs := fs.Uint64("refs", 1_000_000, "references simulated per workload")
@@ -56,33 +65,32 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stderr, cli.Rule, "\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	if fs.NArg() != 1 {
+	// cli.Parse refuses every positional argument; this command takes
+	// exactly one, the experiment.
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return cli.Exit(0)
+	case err != nil:
+		return cli.Exit(2)
+	case fs.NArg() != 1:
 		fs.Usage()
-		return 2
+		return cli.Exit(2)
 	}
 	// Validate the experiment name before doing any work, so a typo costs
 	// no simulation.
-	if !knownExperiment(fs.Arg(0)) {
-		fmt.Fprintf(stderr, "unknown experiment %q\n", fs.Arg(0))
+	name := fs.Arg(0)
+	if !slices.Contains(experimentNames(), name) {
 		fs.Usage()
-		return 2
+		return cli.Usagef("unknown experiment %q", name)
 	}
 	switch *figFmt {
 	case "", "text", "csv", "svg":
 	default:
-		fmt.Fprintf(stderr, "unknown -figure format %q (text, csv, svg)\n", *figFmt)
-		return 2
+		return cli.Usagef("unknown -figure format %q (text, csv, svg)", *figFmt)
 	}
-	if *figFmt != "" && !slices.Contains(figureExperiments, fs.Arg(0)) {
-		fmt.Fprintf(stderr, "-figure applies to a single figure experiment (%s), not %q\n",
-			strings.Join(figureExperiments, ", "), fs.Arg(0))
-		return 2
+	if *figFmt != "" && !slices.Contains(figureExperiments, name) {
+		return cli.Usagef("-figure applies to a single figure experiment (%s), not %q",
+			strings.Join(figureExperiments, ", "), name)
 	}
 
 	tally := &sweep.Summary{}
@@ -99,43 +107,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// Reject a geometry the simulator cannot model here, as a usage error,
 	// rather than let the first experiment's constructor panic on it.
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 2
+		return cli.Usage(err)
 	}
 	if *storePath != "" {
-		store, err := sweep.OpenStore(*storePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return 1
+		if opts.Store, err = sweep.OpenStore(*storePath); err != nil {
+			return err
 		}
-		opts.Store = store
-		defer func() {
-			if err := store.Save(); err != nil {
-				fmt.Fprintln(stderr, "experiments:", err)
-				code = 1
-			}
-		}()
+		defer func() { err = errors.Join(err, opts.Store.Save()) }()
 	}
 
-	// renderFigures emits report figures in the chosen -figure format
-	// (text is also the default table3-space rendering appended after its
-	// flat table).
-	renderFigures := func(format string, figs ...*report.Figure) {
-		switch format {
-		case "csv":
-			for _, f := range figs {
-				fmt.Fprint(stdout, f.CSV())
-			}
-		case "svg":
-			fmt.Fprint(stdout, report.SVGDocument(figs...))
-		default:
-			for _, f := range figs {
-				fmt.Fprint(stdout, f.Text())
-			}
-		}
-	}
-
-	runOne := func(name string) {
+	runOne := func(name string) error {
 		start := time.Now()
 		switch name {
 		case "table1":
@@ -150,27 +131,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stdout, "Table 3 latency sensitivity: miss-penalty axis (50..400 cycles)")
 			rows, err := experiments.Table3Space(opts, experiments.DefaultLatencyAxis())
 			if err != nil {
-				fmt.Fprintln(stderr, "experiments:", err)
-				return
+				return err
 			}
 			fmt.Fprint(stdout, experiments.FormatTable3Latency(rows))
 		case "table3-space":
 			rows, err := experiments.Table3Space(opts, experiments.DefaultTable3SpaceAxes())
 			if err != nil {
-				fmt.Fprintln(stderr, "experiments:", err)
-				return
+				return err
 			}
 			if *figFmt != "" {
-				renderFigures(*figFmt, experiments.Table3SpaceFigure(rows))
+				fmt.Fprint(stdout, report.Render(*figFmt, experiments.Table3SpaceFigure(rows)))
 				break
 			}
 			fmt.Fprint(stdout, experiments.FormatTable3Space(rows))
 			fmt.Fprintln(stdout)
-			renderFigures("text", experiments.Table3SpaceFigure(rows))
+			fmt.Fprint(stdout, experiments.Table3SpaceFigure(rows).Text())
 		case "fig7":
 			res := experiments.Fig7(opts)
 			if *figFmt != "" {
-				renderFigures(*figFmt, experiments.FigureFromApps("Figure 7: prediction accuracy, SPEC CPU2000", res))
+				fmt.Fprint(stdout, report.Render(*figFmt, experiments.FigureFromApps("Figure 7: prediction accuracy, SPEC CPU2000", res)))
 				break
 			}
 			fmt.Fprintln(stdout, "Figure 7: prediction accuracy, SPEC CPU2000")
@@ -178,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		case "fig8":
 			res := experiments.Fig8(opts)
 			if *figFmt != "" {
-				renderFigures(*figFmt, experiments.FigureFromApps("Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive", res))
+				fmt.Fprint(stdout, report.Render(*figFmt, experiments.FigureFromApps("Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive", res)))
 				break
 			}
 			fmt.Fprintln(stdout, "Figure 8: prediction accuracy, MediaBench / Etch / Pointer-Intensive")
@@ -186,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		case "fig9":
 			res := experiments.Fig9(opts)
 			if *figFmt != "" {
-				renderFigures(*figFmt, experiments.Fig9Figures(res)...)
+				fmt.Fprint(stdout, report.Render(*figFmt, experiments.Fig9Figures(res)...))
 				break
 			}
 			fmt.Fprint(stdout, experiments.FormatFig9(res))
@@ -208,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		case "ext-modern":
 			res := experiments.ExtModern(opts)
 			if *figFmt != "" {
-				renderFigures(*figFmt, experiments.ExtModernFigure(res))
+				fmt.Fprint(stdout, report.Render(*figFmt, experiments.FigureFromApps("Extension F: 2002 mechanisms vs modern successors", res)))
 				break
 			}
 			fmt.Fprintln(stdout, "Extension F: 2002 mechanisms vs modern successors (STMS, MASP, SBFP)")
@@ -217,18 +196,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if !*quiet {
 			fmt.Fprintf(stdout, "\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
+		return nil
 	}
 
-	if fs.Arg(0) == "all" {
-		for _, name := range allExperiments {
-			runOne(name)
+	names := []string{name}
+	if name == "all" {
+		names = allExperiments
+	}
+	for _, n := range names {
+		if err := runOne(n); err != nil {
+			return err
 		}
-	} else {
-		runOne(fs.Arg(0))
 	}
 	fmt.Fprintf(stderr, "experiments: %d cells (%d cached, %d run in %d shards)\n",
 		tally.Total, tally.Cached, tally.Ran, tally.Shards)
-	return 0
+	return nil
 }
 
 // allExperiments is the "all" ordering (the paper's presentation order,
@@ -251,8 +233,4 @@ var figureExperiments = []string{"fig7", "fig8", "fig9", "table3-space", "ext-mo
 // experimentNames lists every name the command accepts.
 func experimentNames() []string {
 	return slices.Concat(allExperiments, onDemandExperiments, []string{"all"})
-}
-
-func knownExperiment(name string) bool {
-	return slices.Contains(experimentNames(), name)
 }

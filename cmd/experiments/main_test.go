@@ -61,3 +61,33 @@ func TestUnsavableStoreExits1(t *testing.T) {
 		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 }
+
+// TestExitCodes pins cli.Rule for this command: a flag or argument mistake
+// exits 2 and -h exits 0, both before any simulation, and a store that
+// cannot be opened exits 1. No row prints a result.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{nil, 2, "usage: experiments"},
+		{[]string{"nosuch"}, 2, `experiments: unknown experiment "nosuch"`},
+		{[]string{"fig7", "fig8"}, 2, "usage: experiments"},
+		{[]string{"-figure", "bogus", "fig7"}, 2, `experiments: unknown -figure format "bogus"`},
+		{[]string{"-figure", "csv", "table1"}, 2, `experiments: -figure applies to a single figure experiment`},
+		{[]string{"-slots", "0", "fig7"}, 2, "experiments: slots must be positive"},
+		{[]string{"-nosuch", "fig7"}, 2, "flag provided but not defined: -nosuch"},
+		{[]string{"-h"}, 0, "usage: experiments"},
+		{[]string{"-q", "-store", dir, "table1"}, 1, "experiments: sweep: reading store"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%q: exit %d, want %d with %q; stderr:\n%s", c.args, code, c.code, c.stderr, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%q printed to stdout:\n%s", c.args, stdout.String())
+		}
+	}
+}

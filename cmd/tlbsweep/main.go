@@ -355,14 +355,7 @@ func (cfg *sweepConfig) runFigure(store *sweep.Store) error {
 	if err != nil {
 		return err
 	}
-	switch cfg.format {
-	case "csv":
-		fmt.Fprint(cfg.stdout, fig.CSV())
-	case "svg":
-		fmt.Fprint(cfg.stdout, fig.SVG())
-	default:
-		fmt.Fprint(cfg.stdout, fig.Text())
-	}
+	fmt.Fprint(cfg.stdout, report.Render(cfg.format, fig))
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tlbprefetch/internal/multiprog"
-	"tlbprefetch/internal/report"
 	"tlbprefetch/internal/stats"
 	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/workload"
@@ -284,10 +283,4 @@ func extModernMechs() []MechConfig {
 // high-miss-rate applications of Figure 9.
 func ExtModern(opts Options) []AppResult {
 	return RunSuite(fig9Workloads(), opts, extModernMechs())
-}
-
-// ExtModernFigure arranges the comparison as a grouped-bar report figure
-// (one group per application, one series per mechanism).
-func ExtModernFigure(results []AppResult) *report.Figure {
-	return FigureFromApps("Extension F: 2002 mechanisms vs modern successors", results)
 }

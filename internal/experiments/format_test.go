@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,36 @@ func TestFormatTable3IncludesPaperColumns(t *testing.T) {
 	for _, want := range []string{"ammp", "0.90", "0.80", "0.97", "0.86", "paper RP"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestTable3SpaceFigure: Table3Space's rows, app by app over the same
+// timing points, become one group per app and an RP and a DP series per
+// point, in row order.
+func TestTable3SpaceFigure(t *testing.T) {
+	p50, p100 := sim.ScaledTiming(50).Timing, sim.ScaledTiming(100).Timing
+	row := func(app string, tm sim.Timing, rp, dp float64) Table3LatencyRow {
+		return Table3LatencyRow{Table3Row: Table3Row{App: app, RPNormalized: rp, DPNormalized: dp}, Timing: tm}
+	}
+	f := Table3SpaceFigure([]Table3LatencyRow{
+		row("ammp", p50, 0.9, 0.8), row("ammp", p100, 0.7, 0.6),
+		row("mcf", p50, 0.5, 0.4), row("mcf", p100, 0.3, 0.2),
+	})
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	series := "RP p=50 m=25 ipc=2|DP p=50 m=25 ipc=2|RP p=100 m=50 ipc=2|DP p=100 m=50 ipc=2"
+	if got := strings.Join(f.Series, "|"); got != series {
+		t.Errorf("series = %s, want %s", got, series)
+	}
+	want := map[string][]float64{"ammp": {0.9, 0.8, 0.7, 0.6}, "mcf": {0.5, 0.4, 0.3, 0.2}}
+	if len(f.Groups) != len(want) {
+		t.Fatalf("groups = %+v", f.Groups)
+	}
+	for _, g := range f.Groups {
+		if !slices.Equal(g.Values, want[g.Label]) {
+			t.Errorf("group %s = %v, want %v", g.Label, g.Values, want[g.Label])
 		}
 	}
 }

@@ -38,46 +38,24 @@ func Fig9Figures(r Fig9Result) []*report.Figure {
 // applications as groups, one series per (mechanism, miss penalty,
 // memory-op cost, issue width) point, plotting execution cycles normalized
 // to the no-prefetching baseline at the same timing point (below 1.0 means
-// prefetching helped).
+// prefetching helped). rows come as Table3Space returns them: app by app,
+// every app over the same timing points in the same order, so the first
+// app's rows name the series.
 func Table3SpaceFigure(rows []Table3LatencyRow) *report.Figure {
 	f := &report.Figure{
 		Title: "Table 3 design space: normalized cycles vs (penalty × memop × issue width)",
 		Axis:  "cycles normalized to no prefetching",
 	}
-	seriesIdx := make(map[string]int)
-	groupIdx := make(map[string]int)
-	add := func(app, series string, v float64) {
-		si, ok := seriesIdx[series]
-		if !ok {
-			si = len(f.Series)
-			seriesIdx[series] = si
-			f.Series = append(f.Series, series)
-		}
-		gi, ok := groupIdx[app]
-		if !ok {
-			gi = len(f.Groups)
-			groupIdx[app] = gi
-			f.Groups = append(f.Groups, report.Group{Label: app})
-		}
-		g := &f.Groups[gi]
-		for len(g.Values) <= si {
-			g.Values = append(g.Values, 0)
-			g.Present = append(g.Present, false)
-		}
-		g.Values[si], g.Present[si] = v, true
-	}
 	for _, r := range rows {
-		point := fmt.Sprintf("p=%d m=%d ipc=%d", r.Timing.MissPenalty, r.Timing.MemOpLatency, r.Timing.RefsPerCycle)
-		add(r.App, "RP "+point, r.RPNormalized)
-		add(r.App, "DP "+point, r.DPNormalized)
-	}
-	// Pad late-discovered groups so every one indexes the full series list.
-	for gi := range f.Groups {
-		g := &f.Groups[gi]
-		for len(g.Values) < len(f.Series) {
-			g.Values = append(g.Values, 0)
-			g.Present = append(g.Present, false)
+		if len(f.Groups) == 0 || f.Groups[len(f.Groups)-1].Label != r.App {
+			f.Groups = append(f.Groups, report.Group{Label: r.App})
 		}
+		g := &f.Groups[len(f.Groups)-1]
+		if len(f.Groups) == 1 {
+			point := fmt.Sprintf("p=%d m=%d ipc=%d", r.Timing.MissPenalty, r.Timing.MemOpLatency, r.Timing.RefsPerCycle)
+			f.Series = append(f.Series, "RP "+point, "DP "+point)
+		}
+		g.Values = append(g.Values, r.RPNormalized, r.DPNormalized)
 	}
 	return f
 }

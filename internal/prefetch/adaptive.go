@@ -1,5 +1,7 @@
 package prefetch
 
+import "strconv"
+
 // AdaptiveSequential implements the Dahlgren/Dubois/Stenström variant of
 // sequential prefetching the paper cites in §2.1: the prefetch degree
 // (number of sequential units fetched per miss) adapts to the measured
@@ -9,70 +11,49 @@ package prefetch
 // BenchmarkAblationAdaptiveSP target).
 //
 // Adaptation, following the fixed/adaptive scheme's spirit: usefulness is
-// sampled over windows of prefetch outcomes. A buffer hit is a useful
-// prefetch; a miss that was not covered is a lost opportunity. If the
-// useful fraction in a window exceeds RaiseAt, degree doubles (up to
-// MaxDegree); if it falls below LowerAt, degree halves (down to 1).
+// sampled over windows of adaptWindow prefetch outcomes. A buffer hit is a
+// useful prefetch; a miss that was not covered is a lost opportunity. If
+// the useful fraction in a window reaches adaptRaiseAt, degree doubles (up
+// to adaptMaxDegree); if it falls to adaptLowerAt, degree halves (down to 1).
+// Build one with NewAdaptiveSequential: the zero value has degree 0.
 type AdaptiveSequential struct {
-	// MaxDegree caps the prefetch degree (default 4).
-	MaxDegree int
-	// Window is the number of misses per adaptation decision (default 16).
-	Window int
-	// RaiseAt and LowerAt are the useful-fraction thresholds (defaults
-	// 0.75 and 0.40).
-	RaiseAt, LowerAt float64
-
 	degree int
 	hits   int
 	misses int
 }
 
-// NewAdaptiveSequential returns an adaptive SP with the default tuning.
-func NewAdaptiveSequential() *AdaptiveSequential {
-	return &AdaptiveSequential{}
-}
+// The adaptation's tuning.
+const (
+	adaptMaxDegree = 4    // cap on the prefetch degree
+	adaptWindow    = 16   // misses per adaptation decision
+	adaptRaiseAt   = 0.75 // useful fraction that doubles the degree
+	adaptLowerAt   = 0.40 // useful fraction that halves it
+)
 
-func (a *AdaptiveSequential) defaults() {
-	if a.MaxDegree == 0 {
-		a.MaxDegree = 4
-	}
-	if a.Window == 0 {
-		a.Window = 16
-	}
-	if a.RaiseAt == 0 {
-		a.RaiseAt = 0.75
-	}
-	if a.LowerAt == 0 {
-		a.LowerAt = 0.40
-	}
-	if a.degree == 0 {
-		a.degree = 1
-	}
+// NewAdaptiveSequential returns an adaptive SP at degree 1.
+func NewAdaptiveSequential() *AdaptiveSequential {
+	return &AdaptiveSequential{degree: 1}
 }
 
 // Name implements Prefetcher.
 func (a *AdaptiveSequential) Name() string { return "SP-adaptive" }
 
 // Degree returns the current prefetch degree (diagnostics, tests).
-func (a *AdaptiveSequential) Degree() int {
-	a.defaults()
-	return a.degree
-}
+func (a *AdaptiveSequential) Degree() int { return a.degree }
 
 // OnMiss implements Prefetcher.
 func (a *AdaptiveSequential) OnMiss(ev Event, dst []uint64) Action {
-	a.defaults()
 	if ev.BufferHit {
 		a.hits++
 	} else {
 		a.misses++
 	}
-	if a.hits+a.misses >= a.Window {
+	if a.hits+a.misses >= adaptWindow {
 		frac := float64(a.hits) / float64(a.hits+a.misses)
 		switch {
-		case frac >= a.RaiseAt && a.degree < a.MaxDegree:
+		case frac >= adaptRaiseAt && a.degree < adaptMaxDegree:
 			a.degree *= 2
-		case frac <= a.LowerAt && a.degree > 1:
+		case frac <= adaptLowerAt && a.degree > 1:
 			a.degree /= 2
 		}
 		a.hits, a.misses = 0, 0
@@ -91,7 +72,6 @@ func (a *AdaptiveSequential) Reset() {
 
 // HardwareInfo implements HardwareDescriber.
 func (a *AdaptiveSequential) HardwareInfo() HardwareInfo {
-	a.defaults()
 	return HardwareInfo{
 		Mechanism:     a.Name(),
 		Rows:          "none",
@@ -99,20 +79,6 @@ func (a *AdaptiveSequential) HardwareInfo() HardwareInfo {
 		TableLocation: "on-chip",
 		IndexedBy:     "n/a",
 		StateMemOps:   "0",
-		MaxPrefetches: itoa(a.MaxDegree),
+		MaxPrefetches: strconv.Itoa(adaptMaxDegree),
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

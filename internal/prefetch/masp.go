@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"fmt"
+	"strconv"
 
 	"tlbprefetch/internal/table"
 )
@@ -86,7 +87,7 @@ func (m *MASP) HardwareInfo() HardwareInfo {
 		TableLocation: "on-chip",
 		IndexedBy:     "PC",
 		StateMemOps:   "0",
-		MaxPrefetches: itoa(m.slots),
+		MaxPrefetches: strconv.Itoa(m.slots),
 	}
 }
 

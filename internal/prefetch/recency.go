@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"strconv"
+
 	"tlbprefetch/internal/pagetable"
 )
 
@@ -72,10 +74,6 @@ func (r *Recency) PageTable() *pagetable.PageTable { return r.pt }
 
 // HardwareInfo implements HardwareDescriber (Table 1's RP column).
 func (r *Recency) HardwareInfo() HardwareInfo {
-	maxPref := "2"
-	if r.degree != 2 {
-		maxPref = itoa(r.degree)
-	}
 	return HardwareInfo{
 		Mechanism:     "RP",
 		Rows:          "one per PTE",
@@ -83,6 +81,6 @@ func (r *Recency) HardwareInfo() HardwareInfo {
 		TableLocation: "in memory",
 		IndexedBy:     "page #",
 		StateMemOps:   "4",
-		MaxPrefetches: maxPref,
+		MaxPrefetches: strconv.Itoa(r.degree),
 	}
 }

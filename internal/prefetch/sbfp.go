@@ -1,6 +1,9 @@
 package prefetch
 
-import "math/bits"
+import (
+	"math/bits"
+	"strconv"
+)
 
 // SBFP implements sampling-based free TLB prefetching (after Vavouliotis et
 // al., ISCA 2021). The insight: a page-table walk fetches a cache line of
@@ -193,7 +196,7 @@ func (s *SBFP) HardwareInfo() HardwareInfo {
 		TableLocation: "on-chip",
 		IndexedBy:     "free distance",
 		StateMemOps:   "0",
-		MaxPrefetches: itoa(sbfpDistances),
+		MaxPrefetches: strconv.Itoa(sbfpDistances),
 	}
 }
 

@@ -1,6 +1,10 @@
 package prefetch
 
-import "tlbprefetch/internal/table"
+import (
+	"strconv"
+
+	"tlbprefetch/internal/table"
+)
 
 // STMS implements sampled temporal memory streaming (after Wenisch et al.,
 // HPCA 2009, as adapted to TLB miss streams): a global history buffer (GHB)
@@ -91,7 +95,7 @@ func (s *STMS) HardwareInfo() HardwareInfo {
 		TableLocation: "on-chip",
 		IndexedBy:     "page #",
 		StateMemOps:   "0",
-		MaxPrefetches: itoa(s.degree),
+		MaxPrefetches: strconv.Itoa(s.degree),
 	}
 }
 

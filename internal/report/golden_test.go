@@ -73,7 +73,7 @@ func goldenRender(t *testing.T, store *sweep.Store) map[string]string {
 	return map[string]string{
 		"accuracy.txt":   accuracy.Text(),
 		"accuracy.csv":   accuracy.CSV(),
-		"accuracy.svg":   accuracy.SVG(),
+		"accuracy.svg":   report.SVGDocument(accuracy),
 		"cpi.txt":        cpi.Text(),
 		"stallcpr.txt":   stalls.Text(),
 		"stallcpr.csv":   stalls.CSV(),

@@ -17,6 +17,9 @@
 //     derived numbers (normalized cycles, panel labels in paper order) can
 //     construct one directly and reuse the renderers.
 //
+// Render is the one place a command's format name picks a renderer: csv,
+// svg (one stacked document for any number of figures) or the text view.
+//
 // Every renderer is a pure function of the Figure value: the same subset
 // always produces byte-identical text, CSV and SVG, regardless of worker
 // count, map order or platform.
@@ -89,6 +92,24 @@ func (f *Figure) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Render renders figs in one output format: "csv" concatenates their CSV
+// tables, "svg" stacks them into one SVGDocument, and any other format
+// concatenates their text views.
+func Render(format string, figs ...*Figure) string {
+	render := (*Figure).Text
+	switch format {
+	case "svg":
+		return SVGDocument(figs...)
+	case "csv":
+		render = (*Figure).CSV
+	}
+	var b strings.Builder
+	for _, f := range figs {
+		b.WriteString(render(f))
+	}
+	return b.String()
 }
 
 // maxValue returns the largest present value (0 when none are).

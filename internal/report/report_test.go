@@ -151,6 +151,14 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build([]sweep.Result{cell("mcf", dp, 1, 2)}, Options{Metric: "nope"}); err == nil {
 		t.Error("unknown metric should fail")
 	}
+	// Slots is no series facet, so two DP cells that differ only there
+	// would share one bar.
+	dp3 := dp
+	dp3.Slots = 3
+	if _, err := Build([]sweep.Result{cell("mcf", dp, 1, 2), cell("mcf", dp3, 1, 2)}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "collide") {
+		t.Errorf("cells differing only in slots: err = %v, want a collision", err)
+	}
 }
 
 func TestMetricByName(t *testing.T) {
@@ -193,6 +201,25 @@ func TestCSVQuotesCommaSeries(t *testing.T) {
 	}
 	if !strings.Contains(out, "mcf,0.5") {
 		t.Errorf("value row missing:\n%s", out)
+	}
+}
+
+// TestRender: each format name picks the matching renderer, over every
+// figure passed; an unknown name is the text view.
+func TestRender(t *testing.T) {
+	a := &Figure{Title: "a", Axis: "x", Series: []string{"DP,256,D", "RP"},
+		Groups: []Group{{Label: "mcf", Values: []float64{0.5, 0.25}}}}
+	b := &Figure{Title: "b", Axis: "y", Series: []string{"s"},
+		Groups: []Group{{Label: "swim", Values: []float64{1}}}}
+	for format, want := range map[string]string{
+		"csv":   a.CSV() + b.CSV(),
+		"svg":   SVGDocument(a, b),
+		"text":  a.Text() + b.Text(),
+		"table": a.Text() + b.Text(),
+	} {
+		if got := Render(format, a, b); got != want {
+			t.Errorf("Render(%q) =\n%s\nwant\n%s", format, got, want)
+		}
 	}
 }
 
@@ -249,7 +276,7 @@ func TestSVGEscapesLabels(t *testing.T) {
 		Series: []string{"s<1>"},
 		Groups: []Group{{Label: "g&h", Values: []float64{1}}},
 	}
-	out := f.SVG()
+	out := SVGDocument(f)
 	for _, bad := range []string{"a<b>", `&"c"`, "s<1>", "g&h:"} {
 		if strings.Contains(out, bad) {
 			t.Errorf("unescaped %q in SVG", bad)

@@ -95,10 +95,6 @@ func niceCeil(v float64) float64 {
 	return 10 * pow
 }
 
-// SVG renders the figure as one self-contained SVG document (XML header
-// included), byte-identical for equal figure values.
-func (f *Figure) SVG() string { return SVGDocument(f) }
-
 // SVGDocument renders one or more figures stacked vertically into a single
 // self-contained SVG document — the multi-panel form of Figure 9. The
 // output is a pure function of the figure values.
